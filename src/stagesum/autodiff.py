@@ -100,9 +100,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -425,16 +422,3 @@ def dropout_tokens(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -
         out._backward = lambda g: x._accumulate(g * scale)
     return out
 
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    out = _make(np.stack([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out._parents:
-
-        def bw(g):
-            parts = np.moveaxis(g, axis, 0)
-            for t, part in zip(tensors, parts):
-                if t.requires_grad or t._parents:
-                    t._accumulate(part)
-
-        out._backward = bw
-    return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -149,11 +149,9 @@ class InitScheme:
     decoder: None for random, a checkpoint path, or "symmetric" to mirror
     the encoder checkpoint into the decoder (cross-attention taken from
     the source's self-attention).
-    layers_to_load: "all", or slot count for partial loading.
     """
     encoder: Optional[str] = None
-    decoder: Optional[Union[str, None]] = None
-    layers_to_load: Union[str, int] = "all"
+    decoder: Optional[str] = None
 
 
 ALWAYS_RANDOM = ("gate.weight", "gate.bias", "output.bias")
@@ -187,19 +185,19 @@ def _copy_pos_dec(target: ParamStore, source: ParamStore, src_name: str,
     report["embedding.pos_dec"] = f"copied-from {src_name} (first {n} rows)"
 
 
-def _block_params(prefix: str, cross: bool) -> list[str]:
-    names = []
-    subs = ["self_attn"] + (["cross_attn"] if cross else [])
-    for sub in subs:
-        for proj in ("q", "k", "v", "o"):
-            names.append(f"{prefix}.{sub}.{proj}.weight")
-            names.append(f"{prefix}.{sub}.{proj}.bias")
-        names.append(f"{prefix}.{sub}_norm.gain")
-        names.append(f"{prefix}.{sub}_norm.bias")
-    names += [f"{prefix}.ffn.in.weight", f"{prefix}.ffn.in.bias",
-              f"{prefix}.ffn.out.weight", f"{prefix}.ffn.out.bias",
-              f"{prefix}.ffn_norm.gain", f"{prefix}.ffn_norm.bias"]
-    return names
+def _names_under(config: ModelConfig, prefix: str) -> list[str]:
+    """Seq2seq parameter names below `prefix` (e.g. "encoder.layer.0"), in
+    param_spec order."""
+    return [name for name, _, _ in param_spec(config)
+            if name.startswith(f"{prefix}.")]
+
+
+def copy_encoder(target: ParamStore, source: ParamStore, config: ModelConfig,
+                 report: dict) -> None:
+    """Copy the word and encoder-position embeddings and every encoder layer
+    from `source` into `target`, recording each copy in `report`."""
+    for name in ["embedding.word", "embedding.pos_enc"] + _names_under(config, "encoder"):
+        _copy_param(target, source, name, name, report)
 
 
 def apply_scheme(scheme: InitScheme, config: ModelConfig, seed: int
@@ -216,35 +214,19 @@ def apply_scheme(scheme: InitScheme, config: ModelConfig, seed: int
     enc_src = ParamStore.load(scheme.encoder) if scheme.encoder else None
     if enc_src is not None:
         provenance = list(enc_src.provenance)
-        _copy_param(store, enc_src, "embedding.word", "embedding.word", report)
-        _copy_param(store, enc_src, "embedding.pos_enc", "embedding.pos_enc", report)
-        for i in range(config.num_layers):
-            for name in _block_params(f"encoder.layer.{i}", cross=False):
-                _copy_param(store, enc_src, name, name, report)
+        copy_encoder(store, enc_src, config, report)
 
     if scheme.decoder == "symmetric":
         if enc_src is None:
             raise SurgeryError("symmetric decoder initialization requires an "
                                "encoder checkpoint")
         _copy_pos_dec(store, enc_src, "embedding.pos_enc", report)
-        for i in range(config.num_layers):
-            src_p = f"encoder.layer.{i}"
-            tgt_p = f"decoder.layer.{i}"
-            for sub in ("self_attn", "cross_attn"):
-                for proj in ("q", "k", "v", "o"):
-                    for leaf in ("weight", "bias"):
-                        _copy_param(store, enc_src,
-                                    f"{tgt_p}.{sub}.{proj}.{leaf}",
-                                    f"{src_p}.self_attn.{proj}.{leaf}", report)
-                for leaf in ("gain", "bias"):
-                    _copy_param(store, enc_src, f"{tgt_p}.{sub}_norm.{leaf}",
-                                f"{src_p}.self_attn_norm.{leaf}", report)
-            for leaf in ("in.weight", "in.bias", "out.weight", "out.bias"):
-                _copy_param(store, enc_src, f"{tgt_p}.ffn.{leaf}",
-                            f"{src_p}.ffn.{leaf}", report)
-            for leaf in ("gain", "bias"):
-                _copy_param(store, enc_src, f"{tgt_p}.ffn_norm.{leaf}",
-                            f"{src_p}.ffn_norm.{leaf}", report)
+        # decoder.layer.i.X mirrors encoder.layer.i.X; cross-attention has no
+        # encoder counterpart and mirrors self-attention
+        for name in _names_under(config, "decoder"):
+            src_name = name.replace("decoder.", "encoder.", 1).replace(
+                "cross_attn", "self_attn")
+            _copy_param(store, enc_src, name, src_name, report)
     elif scheme.decoder is not None:
         dec_src = ParamStore.load(scheme.decoder)
         if not provenance:
@@ -252,28 +234,23 @@ def apply_scheme(scheme: InitScheme, config: ModelConfig, seed: int
         _copy_pos_dec(store, dec_src, "embedding.pos_dec", report)
         if enc_src is None:
             _copy_param(store, dec_src, "embedding.word", "embedding.word", report)
-        for i in range(config.num_layers):
-            for name in _block_params(f"decoder.layer.{i}", cross=True):
-                _copy_param(store, dec_src, name, name, report)
+        for name in _names_under(config, "decoder"):
+            _copy_param(store, dec_src, name, name, report)
 
     # the gate and output bias have no counterpart in encoder-style sources
     # and are re-randomized under every scheme
     for name in ALWAYS_RANDOM:
         report[name] = "randomized"
     store.provenance = provenance
-
-    if isinstance(scheme.layers_to_load, int):
-        raise ValueError("use apply_partial for layer-count partial loading")
     return store, report
 
 
 def loadable_slots(config: ModelConfig) -> list[list[str]]:
     """Partial-loading order: embeddings, encoder layers, decoder layers."""
     slots = [["embedding.word", "embedding.pos_enc", "embedding.pos_dec"]]
-    for i in range(config.num_layers):
-        slots.append(_block_params(f"encoder.layer.{i}", cross=False))
-    for i in range(config.num_layers):
-        slots.append(_block_params(f"decoder.layer.{i}", cross=True))
+    for half in ("encoder", "decoder"):
+        for i in range(config.num_layers):
+            slots.append(_names_under(config, f"{half}.layer.{i}"))
     return slots
 
 
@@ -303,14 +280,6 @@ def apply_partial(source: ParamStore, config: ModelConfig, k: int, seed: int
         report[name] = "randomized"
     store.provenance = list(source.provenance) if n_slots > 0 else []
     return store, report
-
-
-def chain_stage(prev: ParamStore, stage_name: str,
-                train_fn: Callable[[ParamStore], ParamStore]) -> ParamStore:
-    """Run one training stage from `prev`; append the stage to provenance."""
-    out = train_fn(prev)
-    out.provenance = list(prev.provenance) + [stage_name]
-    return out
 
 
 def format_surgery_report(report: dict[str, str]) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from .model import ModelConfig
 from .training import TrainConfig
@@ -46,12 +46,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
-
-    def to_file(self, path) -> None:
-        data = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(data, f, indent=2, sort_keys=True)
-            f.write("\n")
 
     # -- resolved views -----------------------------------------------------
 

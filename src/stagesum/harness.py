@@ -12,11 +12,11 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import metrics
-from . import model as M
 from . import selection as sel
 from . import training
 from .checkpoint import (InitScheme, ParamStore, apply_partial, apply_scheme,
-                         check_compatible, format_surgery_report, init_random)
+                         check_compatible, copy_encoder, format_surgery_report,
+                         init_random)
 from .config import RunConfig
 from .tokenizer import (Vocabulary, encode_pair, read_corpus, wordpiece_tokenize,
                         write_corpus)
@@ -135,8 +135,7 @@ def run_train(cfg: RunConfig) -> dict:
                    [s for _, s in data.get("dev", [])]))
     best, report = training.train_stage(store, mcfg, data["train_enc"], dev,
                                         tcfg, data["vocab"])
-    stage_name = cfg.train.get("stage_name", "summarize-stage")
-    best.provenance = list(store.provenance) + [stage_name]
+    best.provenance = list(store.provenance) + ["summarize-stage"]
     ckpt = os.path.join(out_dir, "checkpoint.ckpt")
     best.save(ckpt)
     with open(os.path.join(out_dir, "train_report.txt"), "w") as f:
@@ -158,28 +157,15 @@ def run_select_train(cfg: RunConfig) -> dict:
     init = init_random(mcfg, cfg.seed, arch="selector")
     enc_src = (cfg.scheme or {}).get("encoder")
     if enc_src:
-        source = ParamStore.load(cfg.resolve(enc_src))
-        from .checkpoint import _block_params, _copy_param
-        report_d: dict = {}
-        _copy_param(init, source, "embedding.word", "embedding.word", report_d)
-        _copy_param(init, source, "embedding.pos_enc", "embedding.pos_enc", report_d)
-        for i in range(mcfg.num_layers):
-            for name in _block_params(f"encoder.layer.{i}", cross=False):
-                _copy_param(init, source, name, name, report_d)
+        copy_encoder(init, ParamStore.load(cfg.resolve(enc_src)), mcfg, {})
     train_data = list(zip(data["train_enc"], train_labels))
     dev_data = list(zip(data["dev_enc"], dev_labels))
     best, report = training.train_stage(init, mcfg, train_data, dev_data, tcfg)
     ckpt = os.path.join(out_dir, "selector.ckpt")
     best.save(ckpt)
     # calibrate the mask threshold on pooled dev positions
-    probs, labels = [], []
-    from . import autodiff as ad
-    with ad.no_grad():
-        for ex, y in dev_data:
-            enc = M.encode(best, mcfg, ex.source_ids, ex.source_pad_mask, None)
-            probs.append(sel.selector_forward(best, enc).data[~ex.source_pad_mask])
-            labels.append(y)
-    eps = sel.calibrate_threshold(np.concatenate(probs), np.concatenate(labels))
+    probs = sel.selector_probs(best, mcfg, data["dev_enc"])
+    eps = sel.calibrate_threshold(np.concatenate(probs), np.concatenate(dev_labels))
     with open(os.path.join(out_dir, "threshold.txt"), "w") as f:
         f.write(f"{eps!r}\n")
     with open(os.path.join(out_dir, "train_report.txt"), "w") as f:
@@ -204,14 +190,10 @@ def _selection_fn(cfg: RunConfig, data, mcfg):
         if isinstance(thr, str):
             with open(cfg.resolve(thr)) as f:
                 thr = float(f.read().strip())
-        from . import autodiff as ad
-        vectors = []
-        with ad.no_grad():
-            for ex in examples:
-                enc = M.encode(selector, mcfg, ex.source_ids, ex.source_pad_mask, None)
-                p = sel.selector_forward(selector, enc).data[~ex.source_pad_mask]
-                pred = sel.SelectionPrediction(p=p, threshold=thr)
-                vectors.append(sel.selection_vector(pred, ex.source_pad_mask))
+        probs = sel.selector_probs(selector, mcfg, examples)
+        vectors = [sel.selection_vector(sel.SelectionPrediction(p=p, threshold=thr),
+                                        ex.source_pad_mask)
+                   for p, ex in zip(probs, examples)]
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
     return lambda i: vectors[i]
@@ -334,9 +316,13 @@ def run_grid(cfg: RunConfig) -> dict:
                 ys.append(r["rougeL_f1"])
     result = {"rows": rows}
     if xs and len(set(xs)) > 1:
-        r = metrics.pearson_r(xs, ys)
-        lines.append(f"pearson_r\t{r!r}")
-        result["pearson_r"] = r
+        if len(set(ys)) > 1:
+            r = metrics.pearson_r(xs, ys)
+            lines.append(f"pearson_r\t{r!r}")
+            result["pearson_r"] = r
+        else:
+            # every cell scored the same: the correlation is undefined
+            lines.append("pearson_r\tundefined (zero variance)")
     with open(os.path.join(out_dir, "grid_report.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
     if xs:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import model as M
 from .autodiff import Tensor
 
 
@@ -74,6 +75,16 @@ def selector_forward(store, encoder_out: Tensor) -> Tensor:
     """Per-position selection probability: sigmoid of a linear head."""
     return ad.sigmoid(ad.matmul(encoder_out, store["selector.weight"])
                       + store["selector.bias"])
+
+
+def selector_probs(store, config, examples) -> list[np.ndarray]:
+    """P_sel over each example's non-pad source positions, without a tape."""
+    probs = []
+    with ad.no_grad():
+        for ex in examples:
+            enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask, None)
+            probs.append(selector_forward(store, enc).data[~ex.source_pad_mask])
+    return probs
 
 
 def selector_loss(pred: Tensor, labels: np.ndarray, pad_mask: np.ndarray) -> Tensor:
@@ -139,9 +150,3 @@ def selection_vector(pred_or_labels, pad_mask: np.ndarray) -> np.ndarray:
     selected[idx] = values
     return selected
 
-
-def apply_selection_mask(copy_logits: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Keep selected positions' logits, subtract 10000 from the rest."""
-    if copy_logits.shape[-1] != len(selected):
-        raise ValueError("copy logits and selection vector length mismatch")
-    return copy_logits + (1.0 - selected.astype(np.float64)) * -10000.0

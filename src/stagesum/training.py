@@ -112,14 +112,14 @@ def _denoise_loss(store, config, ex, rng: Optional[np.random.Generator],
     return -ad.log(ad.clamp_min(picked_p, CLAMP_FLOOR)).sum(), len(picked)
 
 
-def _summarize_loss(store, config, ex, rng) -> tuple[Tensor, int]:
+def _summarize_loss(store, config, ex, rng, mask_rng) -> tuple[Tensor, int]:
     probs, _ = M.forward_teacher_forced(store, config, ex, rng=rng,
                                         training=rng is not None)
     loss, n = mle_loss(probs, ex.target_ids, ex.target_pad_mask)
     return loss * n, n
 
 
-def _select_loss(store, config, item, rng) -> tuple[Tensor, int]:
+def _select_loss(store, config, item, rng, mask_rng) -> tuple[Tensor, int]:
     ex, labels = item
     enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask, rng)
     pred = sel.selector_forward(store, enc)
@@ -175,15 +175,8 @@ def _dev_metric(store, config, dev, tcfg: TrainConfig,
                     count += n
         return -total / max(count, 1)
     # select: pooled F1 at the best midpoint threshold
-    probs, labels = [], []
-    with ad.no_grad():
-        for ex, y in dev:
-            enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask, None)
-            p = sel.selector_forward(store, enc)
-            probs.append(p.data[~ex.source_pad_mask])
-            labels.append(y)
-    flat_p = np.concatenate(probs)
-    flat_y = np.concatenate(labels)
+    flat_p = np.concatenate(sel.selector_probs(store, config, [ex for ex, _ in dev]))
+    flat_y = np.concatenate([y for _, y in dev])
     try:
         eps = sel.calibrate_threshold(flat_p, flat_y)
     except sel.CalibrationError:
@@ -192,7 +185,10 @@ def _dev_metric(store, config, dev, tcfg: TrainConfig,
     return f1
 
 
-_LOSS_FNS = {"summarize": _summarize_loss, "select": _select_loss}
+# Per stage kind: (store, config, item, dropout rng or None, masking rng) ->
+# (loss summed over the item, count); only denoising draws from the masking rng.
+_LOSS_FNS = {"denoise": _denoise_loss, "summarize": _summarize_loss,
+             "select": _select_loss}
 
 
 def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
@@ -220,13 +216,8 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
             with ad.new_tape():
                 parts, count = [], 0
                 for item in batch:
-                    if tcfg.stage == "denoise":
-                        loss, n = _denoise_loss(store, config, item,
-                                                rng if tcfg.dropout > 0 else None, rng)
-                    else:
-                        loss, n = _LOSS_FNS[tcfg.stage](
-                            store, config, item,
-                            rng if tcfg.dropout > 0 else None)
+                    loss, n = _LOSS_FNS[tcfg.stage](
+                        store, config, item, rng if tcfg.dropout > 0 else None, rng)
                     if n:
                         parts.append(loss)
                         count += n

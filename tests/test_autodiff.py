@@ -203,14 +203,6 @@ class TestElementwise:
         assert_grad_matches(
             lambda t: (ad.scatter_copy(t, ids, 6) * w).sum(), att)
 
-    def test_stack_grad(self, rng):
-        x = rng.normal(size=(2, 3))
-
-        def build(t):
-            return ad.stack([t, t * 2.0], axis=0).sum()
-
-        assert_grad_matches(build, x)
-
 
 class TestTapeMechanics:
     def test_backward_requires_tape(self):

@@ -6,7 +6,7 @@ import pytest
 from stagesum import model as M
 from stagesum.checkpoint import (ALWAYS_RANDOM, IncompatibilityError, InitScheme,
                                  ParamStore, SurgeryError, apply_partial,
-                                 apply_scheme, chain_stage, check_compatible,
+                                 apply_scheme, check_compatible, copy_encoder,
                                  format_surgery_report, init_random,
                                  loadable_slots)
 
@@ -17,6 +17,25 @@ def cfg(**kw):
                 dropout_rate=0.0)
     base.update(kw)
     return M.ModelConfig(**base)
+
+
+def all_random(config, seed, arch):
+    """A store whose every tensor, biases and gains too, holds distinct
+    random values, so a copy from the wrong source name shows."""
+    store = init_random(config, seed, arch=arch)
+    rng = np.random.default_rng(seed)
+    for name in store.names():
+        store[name].data[...] = rng.normal(size=store[name].data.shape)
+    return store
+
+
+def mirror_source(name):
+    """Expected symmetric source of a decoder parameter: the same leaf of
+    the same-index encoder layer, self-attention standing in for cross."""
+    _, layer, index, sub, *leaf = name.split(".")
+    if sub.startswith("cross_attn"):
+        sub = "self_attn" + sub[len("cross_attn"):]
+    return ".".join(["encoder", layer, index, sub, *leaf])
 
 
 class TestContainer:
@@ -108,10 +127,13 @@ class TestApplyScheme:
         assert report["decoder.layer.0.self_attn.q.weight"] == "randomized"
         assert store.provenance == ["denoise-stage"]
 
-    def test_bert_bert_symmetric(self, encoder_ckpt):
-        config, src, path = encoder_ckpt
-        store, report = apply_scheme(InitScheme(encoder=path, decoder="symmetric"),
-                                     config, 5)
+    def test_bert_bert_symmetric(self, tmp_path):
+        config = cfg()
+        src = all_random(config, 99, "mlm_encoder")
+        path = tmp_path / "enc-all-random.ckpt"
+        src.save(path)
+        store, report = apply_scheme(
+            InitScheme(encoder=str(path), decoder="symmetric"), config, 5)
         for k in range(config.num_layers):
             for proj in ("q", "k", "v", "o"):
                 src_w = src[f"encoder.layer.{k}.self_attn.{proj}.weight"].data
@@ -119,6 +141,14 @@ class TestApplyScheme:
                     store[f"decoder.layer.{k}.cross_attn.{proj}.weight"].data, src_w)
                 assert np.array_equal(
                     store[f"decoder.layer.{k}.self_attn.{proj}.weight"].data, src_w)
+        # every decoder parameter (norms, FFN and biases too) mirrors its
+        # encoder counterpart, in data and in the report
+        decoder = [n for n in store.names() if n.startswith("decoder.layer.")]
+        assert len(decoder) == config.num_layers * 26
+        for name in decoder:
+            source = mirror_source(name)
+            assert np.array_equal(store[name].data, src[source].data), name
+            assert report[name] == f"copied-from {source}"
         # decoder positional table copied from the encoder's leading rows
         n = config.decoder_positions
         assert np.array_equal(store["embedding.pos_dec"].data,
@@ -222,6 +252,15 @@ class TestApplyPartial:
         with pytest.raises(ValueError):
             apply_partial(src, config, -1, 5)
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_slots_and_always_random_partition_params(self, layers):
+        config = cfg(num_layers=layers)
+        names = [n for slot in loadable_slots(config) for n in slot]
+        names += list(ALWAYS_RANDOM)
+        spec = [n for n, _, _ in M.param_spec(config, "seq2seq")]
+        assert len(names) == len(set(names))
+        assert set(names) == set(spec)
+
     def test_slot_order(self):
         slots = loadable_slots(cfg())
         assert "embedding.word" in slots[0]
@@ -231,13 +270,27 @@ class TestApplyPartial:
         assert slots[4][0].startswith("decoder.layer.1")
 
 
-class TestChainStage:
-    def test_provenance_appended(self):
-        store = init_random(cfg(), 0)
-        store.provenance = ["bert-stage"]
-        out = chain_stage(store, "gigaword-stage", lambda s: s.copy())
-        assert out.provenance == ["bert-stage", "gigaword-stage"]
+class TestCopyEncoder:
+    def test_copies_embeddings_and_encoder_only(self):
+        config = cfg()
+        src = all_random(config, 42, "seq2seq")
+        target = init_random(config, 7, arch="selector")
+        before = {n: target[n].data.copy() for n in target.names()}
+        report = {}
+        copy_encoder(target, src, config, report)
+        expected = {"embedding.word", "embedding.pos_enc"} | {
+            n for n in target.names() if n.startswith("encoder.layer.")}
+        assert set(report) == expected
+        assert set(target.names()) - expected == {"selector.weight", "selector.bias"}
+        for name in target.names():
+            if name in expected:
+                assert np.array_equal(target[name].data, src[name].data), name
+                assert report[name] == f"copied-from {name}"
+            else:
+                assert np.array_equal(target[name].data, before[name]), name
 
+
+class TestChainStage:
     def test_format_surgery_report(self):
         text = format_surgery_report({"b": "randomized", "a": "copied-from a"})
         assert text == "a\tcopied-from a\nb\trandomized\n"

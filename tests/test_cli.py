@@ -5,7 +5,10 @@ import os
 
 import pytest
 
-from stagesum import cli
+from stagesum import cli, harness
+from stagesum.checkpoint import ParamStore, check_compatible
+from stagesum.config import RunConfig
+from stagesum.model import ModelConfig
 from stagesum.tokenizer import write_corpus
 
 MODEL = {"num_layers": 1, "hidden_size": 8, "num_heads": 2, "ffn_size": 16,
@@ -121,6 +124,44 @@ class TestPipeline:
         assert cli.main(["pretrain", cfg]) == 0
         assert (run_env / "prerun" / "checkpoint.ckpt").exists()
 
+    def test_select_train_from_pretrained_encoder(self, run_env, capsys):
+        generate_corpora(run_env)
+        common = dict(seed=0, model=MODEL, vocab="data/vocab.txt",
+                      corpus={"train": "data/short.train.tsv",
+                              "dev": "data/short.dev.tsv"})
+        pre_cfg = write_config(
+            run_env, "pre", out_dir="prerun", **common,
+            train={"lr": 1e-3, "dropout": 0.0, "batch_size": 8, "max_epochs": 1})
+        assert cli.main(["pretrain", pre_cfg]) == 0
+        sel_cfg = write_config(
+            run_env, "sel", out_dir="selrun", **common,
+            scheme={"encoder": "prerun/checkpoint.ckpt"},
+            train={"lr": 1e-3, "dropout": 0.0, "batch_size": 8, "max_epochs": 1})
+        assert cli.main(["select-train", sel_cfg]) == 0
+        selector = ParamStore.load(run_env / "selrun" / "selector.ckpt")
+        check_compatible(selector, ModelConfig(**MODEL), "selector")
+        threshold = float((run_env / "selrun" / "threshold.txt").read_text())
+        assert 0.0 < threshold < 1.0
+
+
+class TestGrid:
+    def test_layerwise_grid_with_equal_scores(self, run_env, monkeypatch):
+        def constant_cell(base, overrides):
+            return {"rouge1_f1": 0.5, "rouge2_f1": 0.25, "rougeL_f1": 0.5,
+                    "abstraction_rate": 0.0, "best_epoch": 1}
+
+        monkeypatch.setattr(harness, "_grid_run_one", constant_cell)
+        cfg = RunConfig(out_dir="grid", grid={
+            "kind": "layerwise", "ks": [0, 1, 2], "source": "unused.ckpt",
+            "seeds": [0, 1], "base": {}})
+        result = harness.run_grid(cfg)
+        assert "pearson_r" not in result
+        report = (run_env / "grid" / "grid_report.txt").read_text()
+        assert "pearson_r\tundefined (zero variance)\n" in report
+        assert report.count("rougeL_f1=0.5") == 3
+        points = (run_env / "grid" / "layerwise_points.txt").read_text()
+        assert len(points.splitlines()) == 6
+
 
 class TestDiagnostics:
     def test_missing_config_file(self, run_env, capsys):
@@ -131,6 +172,15 @@ class TestDiagnostics:
         cfg = write_config(run_env, "bad", bogus_key=1)
         assert cli.main(["train", cfg]) == 1
         assert "bogus_key" in capsys.readouterr().err
+        # an unknown key inside "train" is rejected too
+        generate_corpora(run_env)
+        capsys.readouterr()
+        cfg = write_config(run_env, "bad-train", out_dir="r", model=MODEL,
+                           vocab="data/vocab.txt",
+                           corpus={"train": "data/short.train.tsv"},
+                           train={"max_epochs": 1, "stage_name": "x"})
+        assert cli.main(["train", cfg]) == 1
+        assert "stage_name" in capsys.readouterr().err
 
     def test_missing_corpus_file(self, run_env, capsys):
         cfg = write_config(run_env, "train", out_dir="r", model=MODEL,

@@ -1,9 +1,8 @@
-"""Kernel tests: numpy/numba parity and independent oracles."""
+"""Kernel tests against independent oracles."""
 
 from functools import lru_cache
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,12 +35,6 @@ class TestLcs:
            st.lists(st.integers(0, 3), max_size=10))
     def test_matches_brute_force(self, a, b):
         assert kernels.lcs_length(a, b) == brute_lcs(tuple(a), tuple(b))
-
-    def test_np_nb_parity(self, rng):
-        for _ in range(50):
-            a = rng.integers(0, 5, size=rng.integers(0, 15))
-            b = rng.integers(0, 5, size=rng.integers(0, 15))
-            assert kernels._lcs_len_np(a, b) == kernels.lcs_length(a, b)
 
 
 class TestScatterCopy:
@@ -76,38 +69,3 @@ class TestScatterCopy:
             assert np.allclose(kernels.scatter_copy_backward(d_out, ids, n_src),
                                d_out @ onehot.T)
 
-    def test_np_nb_parity(self, rng):
-        att = rng.normal(size=(4, 10))
-        ids = rng.integers(-1, 12, size=10)
-        assert np.array_equal(kernels._scatter_copy_forward_np(att, ids, 12),
-                              kernels.scatter_copy_forward(att, ids, 12))
-        d = rng.normal(size=(4, 12))
-        assert np.array_equal(kernels._scatter_copy_backward_np(d, ids, 10),
-                              kernels.scatter_copy_backward(d, ids, 10))
-
-
-class TestAdamKernel:
-    def test_np_nb_parity(self, rng):
-        shape = (5, 3)
-        p1 = rng.normal(size=shape)
-        g = rng.normal(size=shape)
-        m1, v1 = np.zeros(shape), np.zeros(shape)
-        p2, m2, v2 = p1.copy(), m1.copy(), v1.copy()
-        for step in (1, 2, 3):
-            kernels.adam_update(p1, g, m1, v1, 0.01, 0.9, 0.999, 1e-8, step)
-            kernels._adam_update_np(p2, g, m2, v2, 0.01, 0.9, 0.999, 1e-8, step)
-        assert np.allclose(p1, p2, atol=1e-15)
-        assert np.allclose(m1, m2, atol=1e-15)
-        assert np.allclose(v1, v2, atol=1e-15)
-
-
-def test_fallback_flag_is_env_driven():
-    import os
-    import subprocess
-    import sys
-
-    code = ("import stagesum.kernels as k; print(k.USE_NUMBA)")
-    env = dict(os.environ, STAGESUM_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"

@@ -256,3 +256,6 @@ class TestForwardTeacherForced:
         assert pm[0, 0, 0] == 0.0 and pm[0, 0, 1] == M.NEG_MASK
         cm = M.causal_mask_add(3)[0]
         assert cm[0, 1] == M.NEG_MASK and cm[1, 0] == 0.0 and cm[2, 2] == 0.0
+        sm = M.selection_mask_add(np.array([True, False]))
+        assert np.array_equal(np.array([2.0, 3.0]) + sm, [2.0, 3.0 + M.NEG_MASK])
+        assert np.array_equal(M.selection_mask_add(np.ones(3, bool)), np.zeros(3))

@@ -167,29 +167,6 @@ class TestCalibrateThreshold:
             sel.calibrate_threshold(np.array([0.5, 0.5]), np.array([0, 1]))
 
 
-class TestApplyMask:
-    def test_spec_example(self):
-        out = sel.apply_selection_mask(np.array([2.0, 3.0]),
-                                       np.array([True, False]))
-        assert np.array_equal(out, [2.0, -9997.0])
-
-    def test_all_selected_unchanged(self):
-        a = np.array([1.0, -2.0, 5.0])
-        out = sel.apply_selection_mask(a, np.ones(3, bool))
-        assert np.array_equal(out, a)
-
-    def test_masked_softmax_probability_tiny(self):
-        a = np.array([2.0, 3.0, -1.0])
-        masked = sel.apply_selection_mask(a, np.array([True, False, True]))
-        e = np.exp(masked - masked.max())
-        probs = e / e.sum()
-        assert probs[1] < 1e-40
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sel.apply_selection_mask(np.zeros(3), np.zeros(2, bool))
-
-
 class TestSelectionVector:
     def test_oracle_labels_placed_at_nonpad(self):
         labels = sel.SelectionLabels(np.array([1, 0, 1]))
