@@ -3,12 +3,14 @@
 Checkpoint container: magic, length-prefixed JSON header (tensor name
 table with shapes, config fingerprint, provenance chain), then raw
 little-endian float64 payloads in header order.  Round trips are
-bit-exact.
+bit-exact; saves are atomic and a damaged file fails to load with a
+`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -19,6 +21,10 @@ from .autodiff import Tensor
 from .model import ModelConfig, param_spec
 
 MAGIC = b"STGSUM01"
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is damaged: not exactly one complete checkpoint."""
 
 
 class IncompatibilityError(ValueError):
@@ -68,32 +74,64 @@ class ParamStore:
         return ParamStore(params, self.fingerprint, self.provenance)
 
     def save(self, path) -> None:
+        """Write the checkpoint atomically: a temporary file in the target
+        directory, made durable, then renamed over `path`."""
         entries = [{"name": n, "shape": list(t.data.shape)}
                    for n, t in self.params.items()]
         header = json.dumps({"fingerprint": self.fingerprint,
                              "provenance": self.provenance,
                              "tensors": entries}, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<Q", len(header)))
-            f.write(header)
-            for t in self.params.values():
-                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(MAGIC)
+                f.write(struct.pack("<Q", len(header)))
+                f.write(header)
+                for t in self.params.values():
+                    f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "ParamStore":
+        """Read a checkpoint; `CheckpointError` if it is not exactly one
+        complete checkpoint (bad magic, short header or payload, trailing
+        bytes)."""
         with open(path, "rb") as f:
-            if f.read(len(MAGIC)) != MAGIC:
-                raise ValueError(f"{path}: not a stagesum checkpoint")
-            (hlen,) = struct.unpack("<Q", f.read(8))
-            header = json.loads(f.read(hlen).decode("utf-8"))
-            params = {}
-            for entry in header["tensors"]:
-                shape = tuple(entry["shape"])
-                n = int(np.prod(shape)) if shape else 1
-                buf = f.read(8 * n)
-                arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-                params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
+            blob = f.read()
+        if blob[:len(MAGIC)] != MAGIC:
+            raise CheckpointError(f"{path}: not a stagesum checkpoint")
+        at = len(MAGIC) + 8
+        if len(blob) < at:
+            raise CheckpointError(f"{path}: truncated in the header length")
+        (hlen,) = struct.unpack_from("<Q", blob, len(MAGIC))
+        if len(blob) < at + hlen:
+            raise CheckpointError(
+                f"{path}: truncated header ({len(blob) - at} of {hlen} bytes)")
+        try:
+            header = json.loads(blob[at:at + hlen].decode("utf-8"))
+        except ValueError as e:
+            raise CheckpointError(f"{path}: unreadable header: {e}") from None
+        at += hlen
+        params = {}
+        for entry in header["tensors"]:
+            shape = tuple(entry["shape"])
+            n = int(np.prod(shape)) if shape else 1
+            if len(blob) < at + 8 * n:
+                raise CheckpointError(
+                    f"{path}: truncated payload at {entry['name']} "
+                    f"({len(blob) - at} of {8 * n} bytes)")
+            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=at)
+            params[entry["name"]] = Tensor(arr.astype(np.float64).reshape(shape),
+                                           requires_grad=True)
+            at += 8 * n
+        if at != len(blob):
+            raise CheckpointError(f"{path}: {len(blob) - at} trailing bytes after the payload")
         return cls(params, header["fingerprint"], header["provenance"])
 
 

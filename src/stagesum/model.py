@@ -3,6 +3,13 @@
 The output projection reuses the input embedding matrix.  One designated
 head of the top decoder layer's cross-attention provides pre-softmax copy
 logits, mixed with the generation logits through a learned sigmoid gate.
+
+Training runs the decoder over whole target sequences (`decoder_stack`,
+`forward_teacher_forced`).  Inference decodes incrementally: `start_decode`
+projects the cross-attention keys and values once per source, and each
+`decode_step` computes only the newest position of every row, attending
+over cached self-attention keys and values.  Both paths share the same
+attention, block, copy-scatter and gate code.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .tokenizer import PAD
+from .tokenizer import BOS
 
 NEG_MASK = -10000.0
 
@@ -110,36 +117,46 @@ def param_spec(config: ModelConfig, arch: str = "seq2seq") -> list[tuple[str, tu
 
 @dataclass
 class DecoderStepState:
-    d_t: np.ndarray
-    cross_logits: np.ndarray       # [heads, source_positions], top layer
-    copy_logits: np.ndarray        # designated head's row of the above
-    gen_logits: np.ndarray         # [vocab]
-    p_gen: float
-    mixed_logits: Optional[np.ndarray] = None
+    """What one decode step computes, one row per decoded sequence."""
+    d_t: np.ndarray                # [rows, hidden], top decoder layer
+    cross_logits: np.ndarray       # [rows, heads, source_positions], top layer
+    copy_logits: np.ndarray        # [rows, source_positions], designated head
+    gen_logits: np.ndarray         # [rows, vocab]
+    p_gen: Optional[np.ndarray]    # [rows]; None when copy is disabled
+    mixed_logits: np.ndarray       # [rows, vocab]
 
 
-def _attention(store, prefix: str, q_in: Tensor, kv_in: Tensor, mask_add,
-               config: ModelConfig, capture: Optional[dict] = None,
-               capture_key: Optional[str] = None) -> Tensor:
+def _project(store, name: str, x: Tensor) -> Tensor:
+    return ad.matmul(x, store[f"{name}.weight"]) + store[f"{name}.bias"]
+
+
+def _heads(store, name: str, x: Tensor, config: ModelConfig) -> Tensor:
+    """Project x [..., steps, hidden] and split it into heads:
+    [..., heads, steps, head_dim]."""
     h = config.num_heads
-    dh = config.hidden_size // h
+    y = _project(store, name, x)
+    return y.reshape(*y.shape[:-1], h, config.hidden_size // h).swapaxes(-3, -2)
 
-    def proj(name, x):
-        return ad.matmul(x, store[f"{prefix}.{name}.weight"]) + store[f"{prefix}.{name}.bias"]
 
-    sq = q_in.shape[0]
-    sk = kv_in.shape[0]
-    q = proj("q", q_in).reshape(sq, h, dh).swapaxes(0, 1)
-    k = proj("k", kv_in).reshape(sk, h, dh).swapaxes(0, 1)
-    v = proj("v", kv_in).reshape(sk, h, dh).swapaxes(0, 1)
-    scores = ad.matmul(q, k.swapaxes(1, 2)) * (1.0 / math.sqrt(dh))
+def _key_values(store, prefix: str, x: Tensor, config: ModelConfig) -> tuple[Tensor, Tensor]:
+    return _heads(store, f"{prefix}.k", x, config), _heads(store, f"{prefix}.v", x, config)
+
+
+def _attend(store, prefix: str, q: Tensor, k: Tensor, v: Tensor, mask_add,
+            config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention of per-head queries over given keys and
+    values ([..., heads, steps, head_dim]), then the output projection.
+
+    Returns (output [..., steps, hidden], pre-softmax scores after the mask).
+    """
+    dh = config.hidden_size // config.num_heads
+    scores = ad.matmul(q, k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
     if mask_add is not None:
         scores = scores + Tensor(mask_add)
-    if capture is not None:
-        capture[capture_key] = scores
     weights = ad.softmax(scores, axis=-1)
-    ctx = ad.matmul(weights, v).swapaxes(0, 1).reshape(sq, config.hidden_size)
-    return proj("o", ctx)
+    ctx = ad.matmul(weights, v).swapaxes(-3, -2)
+    ctx = ctx.reshape(*ctx.shape[:-2], config.hidden_size)
+    return _project(store, f"{prefix}.o", ctx), scores
 
 
 def _ffn(store, prefix: str, x: Tensor) -> Tensor:
@@ -163,14 +180,17 @@ def causal_mask_add(n: int) -> np.ndarray:
 
 
 def embed(store, ids: np.ndarray, pos_table: str, config: ModelConfig,
-          rate=0.0, rng=None) -> Tensor:
+          rate=0.0, rng=None, start: int = 0) -> Tensor:
+    """Word plus position embeddings; the last axis of `ids` holds positions
+    start, start + 1, ..."""
     if np.any(ids >= config.vocab_size) or np.any(ids < 0):
         raise ad.ShapeError("token id out of vocabulary range")
     pos = store[pos_table]
-    if len(ids) > pos.shape[0]:
+    end = start + ids.shape[-1]
+    if end > pos.shape[0]:
         raise ad.ShapeError(
-            f"sequence length {len(ids)} exceeds {pos_table} table {pos.shape[0]}")
-    x = ad.embedding(store["embedding.word"], ids) + pos[: len(ids)]
+            f"sequence length {end} exceeds {pos_table} table {pos.shape[0]}")
+    x = ad.embedding(store["embedding.word"], ids) + pos[start:end]
     return ad.dropout_tokens(x, rate, rng)
 
 
@@ -184,10 +204,33 @@ def encode(store, config: ModelConfig, source_ids: np.ndarray,
     mask = pad_mask_add(source_pad_mask)
     for i in range(config.num_layers):
         p = f"{prefix}.layer.{i}"
-        att = _attention(store, f"{p}.self_attn", x, x, mask, config)
+        q = _heads(store, f"{p}.self_attn.q", x, config)
+        att, _ = _attend(store, f"{p}.self_attn", q,
+                         *_key_values(store, f"{p}.self_attn", x, config), mask, config)
         x = _sublayer(store, f"{p}.self_attn_norm", x, att, rate, rng)
         x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), rate, rng)
     return x
+
+
+def _decoder_layer(store, config: ModelConfig, i: int, x: Tensor, self_kv, cross_kv,
+                   self_mask, src_mask, rate=0.0, rng=None) -> tuple[Tensor, Tensor]:
+    """Decoder block i over x [..., steps, hidden].
+
+    self_kv(prefix, x) and cross_kv(prefix) return the keys and values the
+    self- and cross-attention attend over: projected afresh in training,
+    cached while decoding.  Returns (x, cross-attention scores).
+    """
+    p = f"decoder.layer.{i}"
+    q = _heads(store, f"{p}.self_attn.q", x, config)
+    att, _ = _attend(store, f"{p}.self_attn", q, *self_kv(f"{p}.self_attn", x),
+                     self_mask, config)
+    x = _sublayer(store, f"{p}.self_attn_norm", x, att, rate, rng)
+    q = _heads(store, f"{p}.cross_attn.q", x, config)
+    cross, scores = _attend(store, f"{p}.cross_attn", q, *cross_kv(f"{p}.cross_attn"),
+                            src_mask, config)
+    x = _sublayer(store, f"{p}.cross_attn_norm", x, cross, rate, rng)
+    x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), rate, rng)
+    return x, scores
 
 
 def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
@@ -202,17 +245,17 @@ def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
     x = embed(store, input_ids, "embedding.pos_dec", config, rate, rng)
     causal = causal_mask_add(t)
     src_mask = pad_mask_add(source_pad_mask)
-    capture: dict = {}
+
+    def self_kv(prefix, x):
+        return _key_values(store, prefix, x, config)
+
+    def cross_kv(prefix):
+        return _key_values(store, prefix, encoder_out, config)
+
     for i in range(config.num_layers):
-        p = f"decoder.layer.{i}"
-        att = _attention(store, f"{p}.self_attn", x, x, causal, config)
-        x = _sublayer(store, f"{p}.self_attn_norm", x, att, rate, rng)
-        top = i == config.num_layers - 1
-        cross = _attention(store, f"{p}.cross_attn", x, encoder_out, src_mask, config,
-                           capture=capture if top else None, capture_key="cross")
-        x = _sublayer(store, f"{p}.cross_attn_norm", x, cross, rate, rng)
-        x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), rate, rng)
-    return x, capture["cross"]
+        x, cross = _decoder_layer(store, config, i, x, self_kv, cross_kv, causal,
+                                  src_mask, rate, rng)
+    return x, cross
 
 
 def gate(store, d: Tensor) -> Tensor:
@@ -250,41 +293,35 @@ def selection_vocab_mask_add(source_ids: np.ndarray, source_pad_mask: np.ndarray
     return mask
 
 
+def copy_inputs(source_ids: np.ndarray, source_pad_mask: np.ndarray,
+                selected: Optional[np.ndarray], vocab_size: int
+                ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(scatter ids with -1 at pad positions, vocab-space selection mask or
+    None): what `mixed_logits` needs to know about the source."""
+    ids = np.where(source_pad_mask, -1, source_ids)
+    if selected is None:
+        return ids, None
+    return ids, selection_vocab_mask_add(source_ids, source_pad_mask, selected,
+                                         vocab_size)
+
+
 def mixed_logits(store, config: ModelConfig, d: Tensor, copy_logits: Tensor,
-                 source_ids: np.ndarray, source_pad_mask: np.ndarray,
-                 selected: Optional[np.ndarray] = None
+                 copy_ids: np.ndarray, vocab_mask_add: Optional[np.ndarray] = None
                  ) -> tuple[Tensor, Tensor, Tensor]:
     """Gate-weighted sum of generation and scatter-projected copy logits.
 
-    copy_logits is [steps, source_positions].  Returns (mixed [steps, vocab],
-    gen_logits, p_gen).  Pad source positions never enter the scatter.
+    d is [steps, hidden] and copy_logits [steps, source_positions]; copy_ids
+    and vocab_mask_add come from `copy_inputs`.  Returns (mixed [steps,
+    vocab], gen_logits, p_gen).  Pad source positions never enter the scatter.
     """
     y = generation_logits(store, d)
-    ids = np.where(source_pad_mask, -1, source_ids)
-    copy_vocab = ad.scatter_copy(copy_logits, ids, config.vocab_size)
-    if selected is not None:
-        copy_vocab = copy_vocab + Tensor(selection_vocab_mask_add(
-            source_ids, source_pad_mask, selected, config.vocab_size))
+    copy_vocab = ad.scatter_copy(copy_logits, copy_ids, config.vocab_size)
+    if vocab_mask_add is not None:
+        copy_vocab = copy_vocab + Tensor(vocab_mask_add)
     p = gate(store, d)
     p2 = p.reshape(-1, 1)
     z = p2 * y + (1.0 - p2) * copy_vocab
     return z, y, p
-
-
-def mix_copy_logits(state: DecoderStepState, source_ids: np.ndarray,
-                    source_pad_mask: np.ndarray, vocab_size: int,
-                    selected: Optional[np.ndarray] = None) -> np.ndarray:
-    """Single-step mixing on raw arrays (no tape): z = p y + (1-p) aX."""
-    a = state.copy_logits.astype(np.float64)
-    from . import kernels
-    ids = np.where(source_pad_mask, -1, source_ids)
-    ax = kernels.scatter_copy_forward(a[None, :], ids, vocab_size)[0]
-    if selected is not None:
-        ax += selection_vocab_mask_add(source_ids, source_pad_mask, selected,
-                                       vocab_size)
-    z = state.p_gen * state.gen_logits + (1.0 - state.p_gen) * ax
-    state.mixed_logits = z
-    return z
 
 
 def forward_teacher_forced(store, config: ModelConfig, example,
@@ -295,8 +332,6 @@ def forward_teacher_forced(store, config: ModelConfig, example,
     Returns (P [steps, vocab] as a Tensor of per-position distributions,
     cache dict).  Dropout is active iff training and rng is given.
     """
-    from .tokenizer import BOS
-
     drop_rng = rng if training else None
     enc = encode(store, config, example.source_ids, example.source_pad_mask, drop_rng)
     dec_input = np.concatenate(([BOS], example.target_ids[:-1]))
@@ -305,8 +340,8 @@ def forward_teacher_forced(store, config: ModelConfig, example,
     cache = {"encoder_out": enc, "decoder_out": d, "cross_logits": cross}
     if config.copy_enabled:
         copy = cross[config.copy_head_index]
-        z, y, p = mixed_logits(store, config, d, copy, example.source_ids,
-                               example.source_pad_mask, selected)
+        z, y, p = mixed_logits(store, config, d, copy, *copy_inputs(
+            example.source_ids, example.source_pad_mask, selected, config.vocab_size))
         cache.update(copy_logits=copy, gen_logits=y, p_gen=p)
     else:
         z = generation_logits(store, d)
@@ -316,27 +351,90 @@ def forward_teacher_forced(store, config: ModelConfig, example,
     return probs, cache
 
 
-def decode_step(store, config: ModelConfig, encoder_out: Tensor,
-                source_ids: np.ndarray, source_pad_mask: np.ndarray,
-                prefix_ids: np.ndarray,
-                selected: Optional[np.ndarray] = None) -> DecoderStepState:
-    """State for the position after `prefix_ids` (which starts with BOS)."""
-    prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
-    if len(prefix_ids) > config.decoder_positions:
-        raise DecodeError(
-            f"prefix length {len(prefix_ids)} exceeds limit {config.decoder_positions}")
+@dataclass
+class DecodeState:
+    """Incremental decoding state for one source, shared by every row.
+
+    Built by `start_decode`; `decode_step` advances all rows by one position
+    and appends each layer's self-attention keys and values, so no position
+    is computed twice.  Rows are the sequences decoded side by side (a
+    beam's hypotheses); `reorder` follows the beam's backpointers.
+    """
+    cross_kv: dict                 # prefix -> (k, v) Tensors [heads, source, head_dim]
+    source_mask_add: np.ndarray    # [1, 1, source_positions]
+    copy_ids: np.ndarray
+    vocab_mask_add: Optional[np.ndarray]
+    # prefix -> (k, v) [rows, heads, positions decoded, head_dim]
+    self_kv: dict = field(default_factory=dict)
+    position: int = 0
+
+    def reorder(self, rows) -> None:
+        """Make row j a copy of old row rows[j] (repeats allowed)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.self_kv = {p: (k[rows], v[rows]) for p, (k, v) in self.self_kv.items()}
+
+
+def start_decode(store, config: ModelConfig, encoder_out: Tensor,
+                 source_ids: np.ndarray, source_pad_mask: np.ndarray,
+                 selected: Optional[np.ndarray] = None) -> DecodeState:
+    """Decoding state for one encoded source, before the BOS step.
+
+    Projects every decoder layer's cross-attention keys and values once and
+    fixes the source mask, the copy-scatter ids and (when `selected` is
+    given) the vocab-space selection mask for every later step.
+    """
     with ad.no_grad():
-        d, cross = decoder_stack(store, config, encoder_out, source_pad_mask,
-                                 prefix_ids)
-        d_t = d[-1]
-        gen = generation_logits(store, d_t)
-        p = gate(store, d_t)
-    state = DecoderStepState(
-        d_t=d_t.data, cross_logits=cross.data[:, -1, :],
-        copy_logits=cross.data[config.copy_head_index, -1, :],
-        gen_logits=gen.data, p_gen=float(p.data))
-    if config.copy_enabled:
-        mix_copy_logits(state, source_ids, source_pad_mask, config.vocab_size, selected)
-    else:
-        state.mixed_logits = state.gen_logits
-    return state
+        cross_kv = {}
+        for i in range(config.num_layers):
+            prefix = f"decoder.layer.{i}.cross_attn"
+            cross_kv[prefix] = _key_values(store, prefix, encoder_out, config)
+    copy_ids, vocab_mask = copy_inputs(source_ids, source_pad_mask, selected,
+                                       config.vocab_size)
+    return DecodeState(cross_kv, pad_mask_add(source_pad_mask), copy_ids, vocab_mask)
+
+
+def decode_step(store, config: ModelConfig, state: DecodeState,
+                tokens) -> DecoderStepState:
+    """Feed `tokens` [rows] (BOS at the first step) at the next position.
+
+    Every row of `state` advances by one position: each layer's new
+    self-attention keys and values are appended to the cache and only the
+    new position is computed.  Returns that position's outputs per row,
+    mixed exactly as `forward_teacher_forced` mixes them.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    rows, t = len(tokens), state.position
+    if t >= config.decoder_positions:
+        raise DecodeError(f"decoder length {t + 1} exceeds limit {config.decoder_positions}")
+    for k, _ in state.self_kv.values():
+        if k.shape[0] != rows:
+            raise ValueError(f"{rows} tokens for a decode state of {k.shape[0]} rows")
+
+    def self_kv(prefix, x):
+        k, v = (y.data for y in _key_values(store, prefix, x, config))
+        if prefix in state.self_kv:
+            past_k, past_v = state.self_kv[prefix]
+            k = np.concatenate([past_k, k], axis=-2)
+            v = np.concatenate([past_v, v], axis=-2)
+        state.self_kv[prefix] = (k, v)
+        return Tensor(k), Tensor(v)
+
+    with ad.no_grad():
+        x = embed(store, tokens[:, None], "embedding.pos_dec", config, start=t)
+        for i in range(config.num_layers):
+            x, cross = _decoder_layer(store, config, i, x, self_kv,
+                                      state.cross_kv.__getitem__, None,
+                                      state.source_mask_add)
+        d = x.reshape(rows, config.hidden_size)
+        cross = cross.reshape(rows, config.num_heads, -1)
+        copy = cross[:, config.copy_head_index]
+        if config.copy_enabled:
+            z, y, p = mixed_logits(store, config, d, copy, state.copy_ids,
+                                   state.vocab_mask_add)
+            p = p.data
+        else:
+            z = y = generation_logits(store, d)
+            p = None
+    state.position = t + 1
+    return DecoderStepState(d_t=d.data, cross_logits=cross.data, copy_logits=copy.data,
+                            gen_logits=y.data, p_gen=p, mixed_logits=z.data)

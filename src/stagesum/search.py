@@ -1,4 +1,10 @@
-"""Greedy and beam-search decoding with a sub-linear length penalty."""
+"""Greedy and beam-search decoding with a sub-linear length penalty.
+
+Both run on the incremental decoder (`model.start_decode`,
+`model.decode_step`): greedy steps one row; beam search steps every live
+hypothesis as one batch and stops as soon as no live hypothesis can beat
+the best finished one.
+"""
 
 from __future__ import annotations
 
@@ -27,32 +33,39 @@ class Hypothesis:
         return self.log_prob / length_penalty(max(len(self.tokens), 1), alpha)
 
 
-def _step_log_probs(store, config, enc_out, source_ids, source_pad_mask,
-                    prefix, selected) -> np.ndarray:
-    state = M.decode_step(store, config, enc_out, source_ids, source_pad_mask,
-                          np.array(prefix, dtype=np.int64), selected)
-    z = state.mixed_logits
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
+def _log_probs(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of mixed logits [rows, vocab]."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _budget(config, max_len: Optional[int]) -> int:
+    """max_len, defaulting to decoder_positions - 1; at most one step per
+    decoder position."""
+    max_len = config.decoder_positions - 1 if max_len is None else max_len
+    if not 0 <= max_len <= config.decoder_positions:
+        raise M.DecodeError(
+            f"max_len {max_len} outside 0..{config.decoder_positions} decoder positions")
+    return max_len
 
 
 def greedy_decode(store, config, source_ids, source_pad_mask,
                   selected: Optional[np.ndarray] = None,
                   max_len: Optional[int] = None) -> list[int]:
     """Argmax decoding (ties to the lowest id); stops at EOS or max_len."""
-    max_len = max_len or config.decoder_positions - 1
+    max_len = _budget(config, max_len)
     with ad.no_grad():
         enc = M.encode(store, config, source_ids, source_pad_mask)
-        prefix = [BOS]
+        state = M.start_decode(store, config, enc, source_ids, source_pad_mask,
+                               selected)
         out: list[int] = []
+        tok = BOS
         for _ in range(max_len):
-            lp = _step_log_probs(store, config, enc, source_ids,
-                                 source_pad_mask, prefix, selected)
-            tok = int(np.argmax(lp))
+            lp = _log_probs(M.decode_step(store, config, state, [tok]).mixed_logits)
+            tok = int(np.argmax(lp[0]))
             if tok == EOS:
                 break
             out.append(tok)
-            prefix.append(tok)
     return out
 
 
@@ -62,36 +75,52 @@ def beam_decode(store, config, source_ids, source_pad_mask,
                 max_len: Optional[int] = None) -> list[int]:
     """Beam search; finished hypotheses are compared by penalized score.
 
-    Returns the best finished hypothesis, or the best unfinished one at
-    max_len if nothing finished.  Ties break toward lower token ids by
-    candidate enumeration order.
+    Each live hypothesis proposes its beam_width + 1 best next tokens;
+    those ending in EOS finish, and the beam_width most probable of the
+    rest stay live.  Returns the best finished hypothesis (the earliest on
+    a tie), or the best live one at max_len if nothing finished.  Ties
+    break toward lower token ids by candidate enumeration order.
+
+    The search stops early once the best finished penalized score is at
+    least max(live log_prob) / max(lp(1), lp(max_len)).  That bound is
+    exact for every alpha: log-probs are <= 0 and only fall as a
+    hypothesis grows, so a live hypothesis that finishes at any length in
+    1..max_len scores at most its log_prob over the largest penalty, and
+    a later finisher that only ties never displaces an earlier one.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    max_len = max_len or config.decoder_positions - 1
+    max_len = _budget(config, max_len)
+    largest_penalty = max(length_penalty(1, alpha), length_penalty(max_len, alpha))
     with ad.no_grad():
         enc = M.encode(store, config, source_ids, source_pad_mask)
+        state = M.start_decode(store, config, enc, source_ids, source_pad_mask,
+                               selected)
         beam = [Hypothesis()]
         finished: list[Hypothesis] = []
+        best = -np.inf
         for _ in range(max_len):
-            candidates: list[Hypothesis] = []
-            for hyp in beam:
-                lp = _step_log_probs(store, config, enc, source_ids,
-                                     source_pad_mask, [BOS] + hyp.tokens, selected)
-                order = np.argsort(-lp, kind="stable")[: beam_width + 1]
-                for tok in order:
+            tokens = [hyp.tokens[-1] if hyp.tokens else BOS for hyp in beam]
+            lp = _log_probs(M.decode_step(store, config, state, tokens).mixed_logits)
+            candidates: list[tuple[Hypothesis, int]] = []
+            for row, hyp in enumerate(beam):
+                for tok in np.argsort(-lp[row], kind="stable")[: beam_width + 1]:
                     tok = int(tok)
-                    new = Hypothesis(hyp.tokens + ([] if tok == EOS else [tok]),
-                                     hyp.log_prob + float(lp[tok]),
-                                     finished=tok == EOS)
-                    if new.finished:
-                        finished.append(new)
+                    log_prob = hyp.log_prob + float(lp[row, tok])
+                    if tok == EOS:
+                        done = Hypothesis(list(hyp.tokens), log_prob, finished=True)
+                        finished.append(done)
+                        best = max(best, done.penalized(alpha))
                     else:
-                        candidates.append(new)
+                        candidates.append((Hypothesis(hyp.tokens + [tok], log_prob), row))
             if not candidates:
                 break
-            candidates.sort(key=lambda h: -h.log_prob)
-            beam = candidates[:beam_width]
+            candidates.sort(key=lambda c: -c[0].log_prob)
+            kept = candidates[:beam_width]
+            beam = [hyp for hyp, _ in kept]
+            state.reorder([row for _, row in kept])
+            if best >= max(hyp.log_prob for hyp in beam) / largest_penalty:
+                break
         if finished:
             return max(finished, key=lambda h: h.penalized(alpha)).tokens
         return max(beam, key=lambda h: h.penalized(alpha)).tokens

@@ -6,8 +6,6 @@ session-scoped pipeline fixture; everything is seeded and bit-reproducible.
 """
 
 import itertools
-import json
-import os
 import time
 from functools import lru_cache
 
@@ -22,8 +20,7 @@ from stagesum import metrics
 from stagesum import model as M
 from stagesum import selection as sel
 from stagesum import training
-from stagesum.checkpoint import (InitScheme, ParamStore, apply_partial,
-                                 apply_scheme, init_random)
+from stagesum.checkpoint import InitScheme, apply_partial, apply_scheme, init_random
 from stagesum.config import RunConfig
 from stagesum.tokenizer import (BOS, EOS, PAD, EncodedExample, Vocabulary,
                                 wordpiece_tokenize)
@@ -199,6 +196,15 @@ def test_criterion_1_gradient_integrity():
            f"max rel err {max_rel:.2e} over {n_checked} coords, {elapsed:.0f}s")
 
 
+def decode_row(store, cfg, enc, source, pad, prefix, selected=None):
+    """The decoder's step state after feeding `prefix` (BOS first), for one
+    sequence: every field without its row axis."""
+    state = M.start_decode(store, cfg, enc, source, pad, selected)
+    for tok in prefix:
+        step = M.decode_step(store, cfg, state, [tok])
+    return M.DecoderStepState(**{k: v[0] for k, v in vars(step).items()})
+
+
 # ---------------------------------------------------------------------------
 # Criterion 2: copy-gate limits
 
@@ -218,8 +224,7 @@ def test_criterion_2_copy_gate_limits():
             enc = M.encode(store, cfg, source, pad)
         for sign, pure in (( +20.0, "gen"), (-20.0, "copy")):
             store["gate.bias"].data[...] = sign
-            state = M.decode_step(store, cfg, enc, source, pad,
-                                  np.array([BOS]))
+            state = decode_row(store, cfg, enc, source, pad, np.array([BOS]))
             dist = softmax_np(state.mixed_logits)
             if pure == "gen":
                 ref = softmax_np(state.gen_logits)
@@ -257,8 +262,8 @@ def test_criterion_3_masking_suppression():
             enc = M.encode(store, cfg, source, pad)
         prefix = [BOS]
         for _ in range(4):
-            state = M.decode_step(store, cfg, enc, source, pad,
-                                  np.array(prefix), selected=selected)
+            state = decode_row(store, cfg, enc, source, pad, np.array(prefix),
+                               selected=selected)
             # copy-path distribution in vocabulary space, after masking
             ax = kernels.scatter_copy_forward(
                 state.copy_logits[None, :], np.where(pad, -1, source),

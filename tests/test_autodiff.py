@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stagesum import autodiff as ad
 from stagesum.autodiff import Tensor
 
-from conftest import assert_grad_matches, finite_diff, grad_of
+from conftest import assert_grad_matches, grad_of
 
 
 class TestMatmul:

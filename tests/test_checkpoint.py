@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from stagesum import model as M
-from stagesum.checkpoint import (ALWAYS_RANDOM, IncompatibilityError, InitScheme,
-                                 ParamStore, SurgeryError, apply_partial,
-                                 apply_scheme, check_compatible, copy_encoder,
+from stagesum.checkpoint import (ALWAYS_RANDOM, MAGIC, CheckpointError,
+                                 IncompatibilityError, InitScheme, ParamStore,
+                                 SurgeryError, apply_partial, apply_scheme,
+                                 check_compatible, copy_encoder,
                                  format_surgery_report, init_random,
                                  loadable_slots)
 
@@ -54,8 +55,50 @@ class TestContainer:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\0" * 32)
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError, match="not a stagesum checkpoint"):
             ParamStore.load(path)
+
+    def saved_bytes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        init_random(cfg(), 3).save(path)
+        return path, path.read_bytes()
+
+    def test_short_header_rejected(self, tmp_path):
+        path, blob = self.saved_bytes(tmp_path)
+        for cut in (len(MAGIC) + 4, len(MAGIC) + 8 + 10):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                ParamStore.load(path)
+
+    def test_unreadable_header_rejected(self, tmp_path):
+        path, blob = self.saved_bytes(tmp_path)
+        at = len(MAGIC) + 8
+        path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        with pytest.raises(CheckpointError, match="unreadable header"):
+            ParamStore.load(path)
+
+    def test_short_payload_rejected(self, tmp_path):
+        path, blob = self.saved_bytes(tmp_path)
+        for cut in (len(blob) - 8, len(blob) - 3):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="truncated payload"):
+                ParamStore.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self.saved_bytes(tmp_path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(CheckpointError, match="1 trailing bytes"):
+            ParamStore.load(path)
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        path, blob = self.saved_bytes(tmp_path)
+        again = tmp_path / "again.ckpt"
+        ParamStore.load(path).save(again)
+        assert again.read_bytes() == blob
+        # the save replaced the file whole and left no temporary behind
+        ParamStore.load(path).save(path)
+        assert path.read_bytes() == blob
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["again.ckpt", "m.ckpt"]
 
     def test_dimension_mismatch_reported(self, tmp_path):
         small = init_random(cfg(hidden_size=16), 0)

@@ -1,15 +1,15 @@
 """CLI tests: subcommand wiring, reports, exit codes, tiny end-to-end runs."""
 
 import json
-import os
 
 import pytest
 
-from stagesum import cli, harness
+from stagesum import cli, harness, training
+from stagesum import selection as sel
 from stagesum.checkpoint import ParamStore, check_compatible
 from stagesum.config import RunConfig
 from stagesum.model import ModelConfig
-from stagesum.tokenizer import write_corpus
+from stagesum.tokenizer import Vocabulary, read_corpus, write_corpus
 
 MODEL = {"num_layers": 1, "hidden_size": 8, "num_heads": 2, "ffn_size": 16,
          "vocab_size": 96, "encoder_positions": 24, "decoder_positions": 8,
@@ -142,6 +142,54 @@ class TestPipeline:
         check_compatible(selector, ModelConfig(**MODEL), "selector")
         threshold = float((run_env / "selrun" / "threshold.txt").read_text())
         assert 0.0 < threshold < 1.0
+
+
+class TestDecodeModes:
+    """`decode` with a beam and with model selection writes what
+    `training.decode_corpus` decodes from the same checkpoint and inputs."""
+
+    @pytest.mark.parametrize("selection", ["none", "model"])
+    def test_beam4_matches_decode_corpus(self, run_env, capsys, selection):
+        data = generate_corpora(run_env)
+        common = dict(seed=0, model=MODEL, vocab="data/vocab.txt",
+                      corpus={"train": "data/short.train.tsv",
+                              "dev": "data/short.dev.tsv"},
+                      train={"lr": 3e-3, "dropout": 0.0, "batch_size": 4,
+                             "max_epochs": 4})
+        assert cli.main(["train", write_config(run_env, "train", out_dir="trainrun",
+                                               **common)]) == 0
+        selector = {"mode": "none"}
+        if selection == "model":
+            assert cli.main(["select-train", write_config(
+                run_env, "sel", out_dir="selrun", **common)]) == 0
+            selector = {"mode": "model", "selector": "selrun/selector.ckpt",
+                        "threshold": "selrun/threshold.txt"}
+        decode_cfg = write_config(
+            run_env, "decode", out_dir="decoderun", model=MODEL,
+            vocab="data/vocab.txt", corpus={"dev": "data/short.dev.tsv"},
+            checkpoint="trainrun/checkpoint.ckpt",
+            decode={"mode": "beam", "beam_width": 4}, selection=selector)
+        assert cli.main(["decode", decode_cfg]) == 0
+        lines = (run_env / "decoderun" / "decoded.txt").read_text().splitlines()
+
+        mcfg = ModelConfig(**MODEL)
+        vocab = Vocabulary.load(data / "vocab.txt")
+        examples = harness.encode_corpus(read_corpus(data / "short.dev.tsv"), vocab,
+                                         mcfg.encoder_positions, mcfg.decoder_positions)
+        selected_for = None
+        if selection == "model":
+            threshold = float((run_env / "selrun" / "threshold.txt").read_text())
+            probs = sel.selector_probs(
+                ParamStore.load(run_env / "selrun" / "selector.ckpt"), mcfg, examples)
+            vectors = [sel.selection_vector(sel.SelectionPrediction(p=p, threshold=threshold),
+                                            ex.source_pad_mask)
+                       for p, ex in zip(probs, examples)]
+            selected_for = vectors.__getitem__
+        store = ParamStore.load(run_env / "trainrun" / "checkpoint.ckpt")
+        expected = training.decode_corpus(store, mcfg, examples, vocab, selected_for,
+                                          mode="beam", beam_width=4)
+        assert len(lines) == 4
+        assert lines == expected
 
 
 class TestGrid:

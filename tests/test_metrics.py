@@ -1,6 +1,5 @@
 """Metric tests: ROUGE, abstraction rate, AUC, coverage, Pearson r."""
 
-import itertools
 from functools import lru_cache
 
 import numpy as np

@@ -4,12 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagesum import autodiff as ad
 from stagesum import model as M
 from stagesum.autodiff import Tensor
 from stagesum.checkpoint import init_random
-from stagesum.tokenizer import BOS, EOS, PAD, EncodedExample
+from stagesum.tokenizer import BOS, PAD, EncodedExample
 
 
 def small_config(**kw):
@@ -86,52 +88,116 @@ class TestEncode:
             M.encode(store, config, ids, np.zeros(1, bool))
 
 
+def start(store, config, ex, selected=None):
+    enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
+    return M.start_decode(store, config, enc, ex.source_ids, ex.source_pad_mask,
+                          selected)
+
+
 class TestDecodeStep:
     def test_t0_with_bos_prefix(self, store, config):
         ex = example_for(config, [5, 6], [5])
-        enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
-        state = M.decode_step(store, config, enc, ex.source_ids,
-                              ex.source_pad_mask, [BOS])
-        assert state.gen_logits.shape == (config.vocab_size,)
-        assert 0.0 < state.p_gen < 1.0
+        state = M.decode_step(store, config, start(store, config, ex), [BOS])
+        assert state.gen_logits.shape == (1, config.vocab_size)
+        assert 0.0 < state.p_gen[0] < 1.0
         assert np.isfinite(state.mixed_logits).all()
 
     def test_causal_invariance(self, store, config):
-        ex = example_for(config, [5, 6], [5])
-        enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
-        s1 = M.decode_step(store, config, enc, ex.source_ids,
-                           ex.source_pad_mask, [BOS, 5])
         probs1, _ = M.forward_teacher_forced(
             store, config, example_for(config, [5, 6], [5, 7, 8]))
         probs2, _ = M.forward_teacher_forced(
             store, config, example_for(config, [5, 6], [5, 9, 10]))
         # step-1 distribution depends only on the prefix up to position 1
         assert np.array_equal(probs1.data[1], probs2.data[1])
-        del s1
 
     def test_prefix_too_long_rejected(self, store, config):
         ex = example_for(config, [5], [5])
-        enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
-        long_prefix = [BOS] + [5] * config.decoder_positions
+        state = start(store, config, ex)
+        for _ in range(config.decoder_positions):
+            M.decode_step(store, config, state, [BOS])
         with pytest.raises(M.DecodeError):
-            M.decode_step(store, config, enc, ex.source_ids,
-                          ex.source_pad_mask, long_prefix)
+            M.decode_step(store, config, state, [5])
 
     def test_tied_embedding_projection(self, store, config):
         ex = example_for(config, [5, 6], [5])
-        enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
-        state = M.decode_step(store, config, enc, ex.source_ids,
-                              ex.source_pad_mask, [BOS])
-        manual = store["embedding.word"].data @ state.d_t + store["output.bias"].data
-        assert np.array_equal(state.gen_logits, manual)
+        state = M.decode_step(store, config, start(store, config, ex), [BOS])
+        manual = store["embedding.word"].data @ state.d_t[0] + store["output.bias"].data
+        assert np.allclose(state.gen_logits[0], manual, rtol=0, atol=1e-12)
 
     def test_copy_logits_are_designated_head_row(self, store, config):
         ex = example_for(config, [5, 6, 7], [5])
-        enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
-        state = M.decode_step(store, config, enc, ex.source_ids,
-                              ex.source_pad_mask, [BOS])
+        state = M.decode_step(store, config, start(store, config, ex), [BOS])
         assert np.array_equal(state.copy_logits,
-                              state.cross_logits[config.copy_head_index])
+                              state.cross_logits[:, config.copy_head_index])
+
+    def test_row_count_must_match_state(self, store, config):
+        ex = example_for(config, [5, 6], [5])
+        state = start(store, config, ex)
+        M.decode_step(store, config, state, [BOS, BOS])
+        with pytest.raises(ValueError):
+            M.decode_step(store, config, state, [5])
+
+
+@st.composite
+def decode_cases(draw):
+    """A random model (1-3 layers, 1-4 heads, copy on or off), a source
+    with or without padding, and an optional selection vector."""
+    heads = draw(st.integers(1, 4))
+    config = small_config(num_layers=draw(st.integers(1, 3)), hidden_size=12,
+                          num_heads=heads, vocab_size=14, encoder_positions=8,
+                          decoder_positions=6, copy_enabled=draw(st.booleans()),
+                          copy_head_index=draw(st.integers(0, heads - 1)))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    n_src = draw(st.integers(1, config.encoder_positions))
+    ex = example_for(config, rng.integers(5, config.vocab_size, n_src), [5])
+    selected = (rng.random(config.encoder_positions) < 0.5
+                if draw(st.booleans()) else None)
+    return config, init_random(config, seed), ex, selected, rng
+
+
+class TestIncrementalDecode:
+    """start_decode/decode_step against the teacher-forced oracle."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(decode_cases(), st.integers(1, 4))
+    def test_steps_match_teacher_forced(self, case, rows):
+        config, store, ex, selected, rng = case
+        state = start(store, config, ex, selected)
+        fed = [[BOS] for _ in range(rows)]     # tokens fed to each row so far
+        outs = [[] for _ in range(rows)]       # that row's step outputs
+        reorder_at = int(rng.integers(1, config.decoder_positions))
+        for t in range(config.decoder_positions):
+            if t == reorder_at:
+                back = rng.integers(0, rows, rows)
+                state.reorder(back)
+                fed = [list(fed[r]) for r in back]
+                outs = [list(outs[r]) for r in back]
+            if t:
+                for row in fed:
+                    row.append(int(rng.integers(5, config.vocab_size)))
+            step = M.decode_step(store, config, state, [row[-1] for row in fed])
+            for j in range(rows):
+                outs[j].append({k: None if v is None else v[j]
+                                for k, v in vars(step).items()})
+        # masked copy logits reach ~5e3, where one float64 ulp is ~1e-12
+        close = dict(rtol=1e-12, atol=1e-12)
+        for row, steps in zip(fed, outs):
+            target = example_for(config, ex.source_ids[~ex.source_pad_mask],
+                                 row[1:] + [5])
+            _, cache = M.forward_teacher_forced(store, config, target, selected)
+            for t, out in enumerate(steps):
+                assert np.allclose(out["mixed_logits"], cache["mixed_logits"].data[t], **close)
+                assert np.allclose(out["gen_logits"], cache["gen_logits"].data[t], **close)
+                assert np.allclose(out["d_t"], cache["decoder_out"].data[t], **close)
+                assert np.allclose(out["cross_logits"], cache["cross_logits"].data[:, t],
+                                   **close)
+                if config.copy_enabled:
+                    assert np.allclose(out["copy_logits"], cache["copy_logits"].data[t],
+                                       **close)
+                    assert np.allclose(out["p_gen"], cache["p_gen"].data[t], **close)
+                else:
+                    assert out["p_gen"] is None
 
 
 class TestGate:
@@ -158,45 +224,48 @@ class TestGate:
 
 
 class TestMixCopyLogits:
-    def mk_state(self, p_gen, gen, copy):
-        return M.DecoderStepState(
-            d_t=np.zeros(4), cross_logits=np.array([copy]),
-            copy_logits=np.array(copy, dtype=float),
-            gen_logits=np.array(gen, dtype=float), p_gen=p_gen)
+    """`mixed_logits` on a vocab-4 model whose hidden state is its
+    generation logits (identity output embedding, zero bias) and whose
+    gate is fixed by its bias."""
+
+    def mix(self, gate_bias, gen, copy, ids, pad=None, selected=None):
+        cfg = small_config(hidden_size=4, num_heads=1, vocab_size=4)
+        store = {"embedding.word": Tensor(np.eye(4)), "output.bias": Tensor(np.zeros(4)),
+                 "gate.weight": Tensor(np.zeros(4)), "gate.bias": Tensor(gate_bias)}
+        ids = np.array(ids)
+        pad = np.zeros(len(ids), bool) if pad is None else np.array(pad)
+        z, _, _ = M.mixed_logits(
+            store, cfg, Tensor(np.array([gen], dtype=float)),
+            Tensor(np.array([copy], dtype=float)),
+            *M.copy_inputs(ids, pad, selected, 4))
+        return z.data[0]
 
     def test_pure_generation_limit(self):
-        state = self.mk_state(1.0, [2.0, 0.0, 0.0, 0.0], [1.0, 3.0])
-        z = M.mix_copy_logits(state, np.array([2, 1]), np.zeros(2, bool), 4)
+        z = self.mix(50.0, [2.0, 0.0, 0.0, 0.0], [1.0, 3.0], [2, 1])
         assert np.array_equal(z, [2.0, 0.0, 0.0, 0.0])
 
     def test_pure_copy_scatter(self):
-        state = self.mk_state(0.0, [9.0, 9.0, 9.0, 9.0], [1.0, 3.0])
-        z = M.mix_copy_logits(state, np.array([2, 1]), np.zeros(2, bool), 4)
-        assert np.array_equal(z, [0.0, 3.0, 1.0, 0.0])
+        z = self.mix(-50.0, [9.0, 9.0, 9.0, 9.0], [1.0, 3.0], [2, 1])
+        assert np.allclose(z, [0.0, 3.0, 1.0, 0.0], rtol=0, atol=1e-15)
 
     def test_even_mix(self):
-        state = self.mk_state(0.5, [2.0, 0.0, 0.0, 0.0], [1.0, 3.0])
-        z = M.mix_copy_logits(state, np.array([2, 1]), np.zeros(2, bool), 4)
+        z = self.mix(0.0, [2.0, 0.0, 0.0, 0.0], [1.0, 3.0], [2, 1])
         assert np.array_equal(z, [1.0, 1.5, 0.5, 0.0])
 
     def test_pad_positions_excluded(self):
-        state = self.mk_state(0.0, [0.0] * 4, [1.0, 3.0])
-        z = M.mix_copy_logits(state, np.array([2, 1]),
-                              np.array([False, True]), 4)
+        z = self.mix(-50.0, [0.0] * 4, [1.0, 3.0], [2, 1], pad=[False, True])
         assert np.array_equal(z, [0.0, 0.0, 1.0, 0.0])
 
     def test_selection_mask_applied_to_copy_path_only(self):
-        state = self.mk_state(0.0, [0.0] * 4, [1.0, 3.0])
-        z = M.mix_copy_logits(state, np.array([2, 1]), np.zeros(2, bool), 4,
-                              selected=np.array([True, False]))
+        z = self.mix(-50.0, [0.0] * 4, [1.0, 3.0], [2, 1],
+                     selected=np.array([True, False]))
         assert np.array_equal(z, [0.0, 3.0 - 10000.0, 1.0, 0.0])
 
     def test_selected_duplicate_keeps_summed_logit(self):
         # token type 2 appears selected and unselected: its summed copy
         # logit survives; only types with no selected occurrence are masked
-        state = self.mk_state(0.0, [0.0] * 4, [1.0, 3.0, 2.0])
-        z = M.mix_copy_logits(state, np.array([2, 1, 2]), np.zeros(3, bool), 4,
-                              selected=np.array([True, False, False]))
+        z = self.mix(-50.0, [0.0] * 4, [1.0, 3.0, 2.0], [2, 1, 2],
+                     selected=np.array([True, False, False]))
         assert np.array_equal(z, [0.0, 3.0 - 10000.0, 3.0, 0.0])
 
     def test_vocab_mask_builder(self):

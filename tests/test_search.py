@@ -1,9 +1,12 @@
 """Decoding tests: greedy, beam search, length penalty, exhaustive oracle."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stagesum import autodiff as ad
 from stagesum import model as M
@@ -13,7 +16,24 @@ from stagesum.search import (Hypothesis, beam_decode, greedy_decode,
                              length_penalty)
 from stagesum.tokenizer import BOS, EOS
 
-from test_model import example_for, small_config
+from test_model import decode_cases, example_for, small_config, start
+
+
+def step_log_probs(store, config, state, tokens):
+    return search._log_probs(M.decode_step(store, config, state, tokens).mixed_logits)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name from now on; returns a one-item list."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestLengthPenalty:
@@ -74,6 +94,36 @@ class TestGreedy:
         assert len(out) == config.decoder_positions - 1
 
 
+    def test_zero_max_len_decodes_nothing(self, monkeypatch):
+        config = small_config()
+        store = init_random(config, 0)
+        store["output.bias"].data[EOS] = -1e9
+        ex = example_for(config, [5, 6], [5])
+        steps = count_calls(monkeypatch, M, "decode_step")
+        for decode in (greedy_decode, beam_decode):
+            assert decode(store, config, ex.source_ids, ex.source_pad_mask,
+                          max_len=0) == []
+        assert steps[0] == 0
+
+    def test_max_len_beyond_positions_rejected_before_work(self, monkeypatch):
+        config = small_config()
+        store = init_random(config, 0)
+        store["output.bias"].data[EOS] = -1e9
+        ex = example_for(config, [5, 6], [5])
+        encodes = count_calls(monkeypatch, M, "encode")
+        steps = count_calls(monkeypatch, M, "decode_step")
+        for decode in (greedy_decode, beam_decode):
+            for max_len in (-1, config.decoder_positions + 1):
+                with pytest.raises(M.DecodeError):
+                    decode(store, config, ex.source_ids, ex.source_pad_mask,
+                           max_len=max_len)
+        assert encodes[0] == 0 and steps[0] == 0
+        # one step per decoder position is the most there is room for
+        out = greedy_decode(store, config, ex.source_ids, ex.source_pad_mask,
+                            max_len=config.decoder_positions)
+        assert len(out) == config.decoder_positions
+
+
 class TestBeam:
     def test_invalid_width(self):
         config = small_config()
@@ -86,15 +136,13 @@ class TestBeam:
     def seq_score(self, store, config, ex, tokens, alpha):
         """Penalized score of tokens + EOS under the model."""
         with ad.no_grad():
-            enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
-            prefix = [BOS]
+            state = start(store, config, ex)
+            fed = BOS
             total = 0.0
             for tok in list(tokens) + [EOS]:
-                lp = search._step_log_probs(store, config, enc, ex.source_ids,
-                                            ex.source_pad_mask, prefix, None)
+                lp = step_log_probs(store, config, state, [fed])[0]
                 total += float(lp[tok])
-                if tok != EOS:
-                    prefix.append(tok)
+                fed = tok
         return total / length_penalty(max(len(tokens), 1), alpha)
 
     def test_deterministic_across_calls(self):
@@ -150,6 +198,123 @@ class TestBeam:
             assert out == best_tokens, seed
 
 
+def reference_beam(store, config, ex, selected, beam_width, alpha, max_len,
+                   log_probs):
+    """The beam loop without early stopping, one hypothesis at a time:
+    log_probs(prefix tokens) gives the next-token log-probabilities."""
+    beam = [Hypothesis()]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for hyp in beam:
+            lp = log_probs(tuple(hyp.tokens))
+            order = np.argsort(-lp, kind="stable")[: beam_width + 1]
+            for tok in order:
+                tok = int(tok)
+                new = Hypothesis(hyp.tokens + ([] if tok == EOS else [tok]),
+                                 hyp.log_prob + float(lp[tok]),
+                                 finished=tok == EOS)
+                if new.finished:
+                    finished.append(new)
+                else:
+                    candidates.append(new)
+        if not candidates:
+            break
+        candidates.sort(key=lambda h: -h.log_prob)
+        beam = candidates[:beam_width]
+    if finished:
+        return max(finished, key=lambda h: h.penalized(alpha)).tokens
+    return max(beam, key=lambda h: h.penalized(alpha)).tokens
+
+
+class TestBeamReference:
+    @settings(deadline=None, max_examples=25)
+    @given(decode_cases())
+    def test_same_tokens_as_teacher_forced_loop(self, case):
+        config, store, ex, selected, _ = case
+        store["embedding.word"].data *= 12.0
+        source = ex.source_ids[~ex.source_pad_mask]
+        memo = {}
+
+        def log_probs(prefix):
+            if prefix not in memo:
+                target = example_for(config, source, list(prefix) + [EOS])
+                with ad.no_grad():
+                    _, cache = M.forward_teacher_forced(store, config, target,
+                                                        selected)
+                z = cache["mixed_logits"].data[len(prefix)][None, :]
+                memo[prefix] = search._log_probs(z)[0]
+            return memo[prefix]
+
+        max_len = config.decoder_positions - 1
+        for width in (1, 2, 4):
+            for alpha in (0.0, 0.6, -0.5):
+                got = beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
+                                  selected, beam_width=width, alpha=alpha)
+                assert got == reference_beam(store, config, ex, selected, width,
+                                             alpha, max_len, log_probs), (width, alpha)
+
+    @settings(deadline=None, max_examples=150)
+    # each side of the bound: a stop too early at alpha < 0 without lp(1),
+    # and at alpha > 0 without lp(max_len)
+    @example(vocab=5, seed=344, scale=1.0, eos_offset=1.375, max_len=3)
+    @example(vocab=5, seed=832, scale=1.0, eos_offset=1.0, max_len=5)
+    @given(st.integers(5, 9), st.integers(0, 2 ** 16), st.floats(0.3, 4.0),
+           st.floats(-2.0, 2.0), st.integers(0, 6))
+    def test_stopping_rule_on_toy_decoder(self, vocab, seed, scale, eos_offset,
+                                          max_len):
+        """Beam logic alone, against the loop that never stops early, on a
+        stand-in decoder whose next-token logits are a random function of
+        the prefix: finished and live hypotheses compete at every length."""
+        config = small_config(vocab_size=vocab, decoder_positions=6)
+
+        def logits(prefix):
+            # sharper with every step, as a trained decoder grows confident
+            z = np.random.default_rng([seed, *prefix]).normal(size=vocab)
+            z *= scale * (1 + len(prefix))
+            z[EOS] += eos_offset
+            return z
+
+        class ToyState:
+            fed = [()]      # tokens fed to each row, BOS first
+
+            def reorder(self, rows):
+                self.fed = [self.fed[r] for r in rows]
+
+        def toy_step(store, config, state, tokens):
+            if len(state.fed) == 1:
+                state.fed = state.fed * len(tokens)
+            state.fed = [f + (t,) for f, t in zip(state.fed, tokens)]
+            return SimpleNamespace(mixed_logits=np.stack(
+                [logits(f[1:]) for f in state.fed]))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "encode", lambda *args: None)
+            mp.setattr(M, "start_decode", lambda *args: ToyState())
+            mp.setattr(M, "decode_step", toy_step)
+            for width in (1, 2, 4):
+                for alpha in (0.0, 0.6, -0.5):
+                    got = beam_decode(None, config, None, None, beam_width=width,
+                                      alpha=alpha, max_len=max_len)
+                    want = reference_beam(
+                        None, config, None, None, width, alpha, max_len,
+                        lambda prefix: search._log_probs(logits(prefix)[None])[0])
+                    assert got == want, (width, alpha)
+
+    def test_forced_eos_stops_after_one_step(self, monkeypatch):
+        config = small_config()
+        store = init_random(config, 0)
+        store["output.bias"].data[EOS] = 1e9
+        ex = example_for(config, [5, 6], [5])
+        steps = count_calls(monkeypatch, M, "decode_step")
+        for width in (1, 2, 4):
+            for alpha in (0.0, 0.6, -0.5):
+                steps[0] = 0
+                assert beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
+                                   beam_width=width, alpha=alpha) == []
+                assert steps[0] == 1, (width, alpha)
+
+
 class TestHypothesis:
     def test_penalized_uses_min_length_one(self):
         h = Hypothesis(tokens=[], log_prob=-2.0)
@@ -160,17 +325,16 @@ class TestHypothesis:
         store = scaled_store(config, 1)
         ex = example_for(config, [5, 6], [5])
         with ad.no_grad():
-            enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
-            prefix = [BOS]
+            state = start(store, config, ex)
+            fed = BOS
             total = 0.0
             prev = 0.0
             for _ in range(4):
-                lp = search._step_log_probs(store, config, enc, ex.source_ids,
-                                            ex.source_pad_mask, prefix, None)
+                lp = step_log_probs(store, config, state, [fed])[0]
                 tok = int(np.argmax(lp))
                 total += float(lp[tok])
                 assert total <= prev + 1e-12
                 prev = total
                 if tok == EOS:
                     break
-                prefix.append(tok)
+                fed = tok

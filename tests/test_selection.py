@@ -1,13 +1,10 @@
 """Content-selection tests: labels, selector head, calibration, masking."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagesum import autodiff as ad
 from stagesum import selection as sel
 from stagesum.autodiff import Tensor
 from stagesum.metrics import coverage_prf

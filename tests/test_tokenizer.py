@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagesum.tokenizer import (BOS, EOS, PAD, RESERVED, UNK, ConfigError,
-                                EncodedExample, Vocabulary, basic_tokenize,
-                                detokenize, encode_pair, read_corpus,
-                                truncation_report, wordpiece_tokenize,
-                                write_corpus)
+from stagesum.tokenizer import (EOS, PAD, RESERVED, UNK, ConfigError, Vocabulary,
+                                basic_tokenize, detokenize, encode_pair,
+                                read_corpus, truncation_report,
+                                wordpiece_tokenize, write_corpus)
 
 
 def make_vocab(extra):

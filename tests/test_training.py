@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from stagesum import autodiff as ad
 from stagesum import training
-from stagesum import model as M
 from stagesum.autodiff import Tensor
 from stagesum.checkpoint import init_random
 from stagesum.tokenizer import EOS, MASK, PAD, RESERVED, Vocabulary
