@@ -1,8 +1,10 @@
 """Minimal dense-tensor math with reverse-mode automatic differentiation.
 
 Tensors wrap float64 numpy arrays.  Operations on tensors that require
-gradients are recorded on the active Tape; Tensor.backward() replays the
-tape in reverse.  Everything is 64-bit; there is no device or dtype story.
+gradients are recorded on the active Tape through `_make`, each with one
+gradient rule per parent; Tensor.backward() replays the tape in reverse,
+un-broadcasting and accumulating every rule's result into its parent.
+Everything is 64-bit; there is no device or dtype story.
 """
 
 from __future__ import annotations
@@ -31,36 +33,29 @@ class Tape:
     def __init__(self):
         self.nodes: list[Tensor] = []
 
-    def record(self, t: "Tensor"):
-        self.nodes.append(t)
-
 
 _active_tape: Optional[Tape] = None
-_grad_enabled = True
 
 
 @contextmanager
-def no_grad():
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
-
-
-@contextmanager
-def new_tape():
-    """Install a fresh tape for a forward/backward pass."""
+def _install(tape: Optional[Tape]):
     global _active_tape
     prev = _active_tape
-    tape = Tape()
     _active_tape = tape
     try:
         yield tape
     finally:
         _active_tape = prev
+
+
+def no_grad():
+    """Record nothing inside the block: no tape is active there."""
+    return _install(None)
+
+
+def new_tape():
+    """Install a fresh tape for a forward/backward pass."""
+    return _install(Tape())
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -77,25 +72,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fns")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
-        self._backward = None
+        self._grad_fns: tuple = ()
 
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -119,32 +107,22 @@ class Tensor:
             reachable.add(id(t))
             stack.extend(t._parents)
         for node in reversed(_active_tape.nodes):
-            if id(node) in reachable and node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if id(node) not in reachable or node.grad is None:
+                continue
+            for parent, grad_fn in zip(node._parents, node._grad_fns):
+                if parent.requires_grad or parent._parents:
+                    parent._accumulate(_unbroadcast(grad_fn(node.grad), parent.data.shape))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = _make(self.data + other.data, (self, other))
-        if out._parents:
-
-            def bw(g):
-                if self.requires_grad or self._parents:
-                    self._accumulate(_unbroadcast(g, self.data.shape))
-                if other.requires_grad or other._parents:
-                    other._accumulate(_unbroadcast(g, other.data.shape))
-
-            out._backward = bw
-        return out
+        return _make(self.data + other.data, (self, other), _identity, _identity)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _make(-self.data, (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(-g)
-        return out
+        return _make(-self.data, (self,), np.negative)
 
     def __sub__(self, other):
         return self + (-_as_tensor(other))
@@ -154,17 +132,8 @@ class Tensor:
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = _make(self.data * other.data, (self, other))
-        if out._parents:
-
-            def bw(g):
-                if self.requires_grad or self._parents:
-                    self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad or other._parents:
-                    other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-
-            out._backward = bw
-        return out
+        return _make(self.data * other.data, (self, other),
+                     lambda g: g * other.data, lambda g: g * self.data)
 
     __rmul__ = __mul__
 
@@ -174,73 +143,61 @@ class Tensor:
         raise TypeError("tensor division only supports scalars")
 
     def __getitem__(self, idx):
-        out = _make(self.data[idx], (self,))
-        if out._parents:
+        def grad(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, idx, g)
+            return full
 
-            def bw(g):
-                full = np.zeros_like(self.data)
-                np.add.at(full, idx, g)
-                self._accumulate(full)
-
-            out._backward = bw
-        return out
+        return _make(self.data[idx], (self,), grad)
 
     # -- structural ---------------------------------------------------------
 
     def reshape(self, *shape):
-        out = _make(self.data.reshape(*shape), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
-        return out
+        return _make(self.data.reshape(*shape), (self,), lambda g: g.reshape(self.data.shape))
 
     def transpose(self, *axes):
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
         inv = np.argsort(axes)
-        out = _make(self.data.transpose(axes), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g.transpose(inv))
-        return out
+        return _make(self.data.transpose(axes), (self,), lambda g: g.transpose(inv))
 
     def swapaxes(self, a, b):
-        out = _make(self.data.swapaxes(a, b), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g.swapaxes(a, b))
-        return out
+        return _make(self.data.swapaxes(a, b), (self,), lambda g: g.swapaxes(a, b))
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out._parents:
+        def grad(g):
+            if axis is None:
+                return np.full_like(self.data, 1.0) * g
+            if not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, self.data.shape).copy()
 
-            def bw(g):
-                if axis is None:
-                    self._accumulate(np.full_like(self.data, 1.0) * g)
-                else:
-                    if not keepdims:
-                        g = np.expand_dims(g, axis)
-                    self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-
-            out._backward = bw
-        return out
+        return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), grad)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / n
 
 
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: tuple) -> Tensor:
+def _make(data: np.ndarray, parents: tuple, *grad_fns) -> Tensor:
+    """Wrap an op's result and record it on the active tape if any parent
+    needs a gradient.  grad_fns[i](g) maps the output gradient g to parent
+    i's raw gradient; the replay un-broadcasts it to the parent's shape."""
     out = Tensor(data)
-    if _grad_enabled and _active_tape is not None and any(
-        p.requires_grad or p._parents for p in parents
-    ):
+    if _active_tape is not None and any(p.requires_grad or p._parents for p in parents):
         out._parents = parents
-        _active_tape.record(out)
+        out._grad_fns = grad_fns
+        _active_tape.nodes.append(out)
     return out
 
 
@@ -248,25 +205,17 @@ def _make(data: np.ndarray, parents: tuple) -> Tensor:
 
 
 def exp(x: Tensor) -> Tensor:
-    out = _make(np.exp(x.data), (x,))
-    if out._parents:
-        out._backward = lambda g: x._accumulate(g * out.data)
-    return out
+    e = np.exp(x.data)
+    return _make(e, (x,), lambda g: g * e)
 
 
 def log(x: Tensor) -> Tensor:
-    out = _make(np.log(x.data), (x,))
-    if out._parents:
-        out._backward = lambda g: x._accumulate(g / x.data)
-    return out
+    return _make(np.log(x.data), (x,), lambda g: g / x.data)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
-    out = _make(s, (x,))
-    if out._parents:
-        out._backward = lambda g: x._accumulate(g * s * (1.0 - s))
-    return out
+    return _make(s, (x,), lambda g: g * s * (1.0 - s))
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -276,56 +225,43 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = _make(x.data * cdf, (x,))
-    if out._parents:
 
-        def bw(g):
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-            x._accumulate(g * (cdf + x.data * pdf))
+    def grad(g):
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
+        return g * (cdf + x.data * pdf)
 
-        out._backward = bw
-    return out
+    return _make(x.data * cdf, (x,), grad)
 
 
 def clamp_min(x: Tensor, lo: float) -> Tensor:
-    out = _make(np.maximum(x.data, lo), (x,))
-    if out._parents:
-        mask = (x.data >= lo).astype(np.float64)
-        out._backward = lambda g: x._accumulate(g * mask)
-    return out
+    return _make(np.maximum(x.data, lo), (x,),
+                 lambda g: g * (x.data >= lo).astype(np.float64))
 
 
 # -- core ops ----------------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports stacked (batched) operands with equal batch dims."""
+    """Matrix product.  Stacked operands broadcast over their batch axes, as
+    in np.matmul (e.g. x [B, T, H] @ W [H, K]), gradients included."""
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner extents differ: {a.data.shape} x {b.data.shape}")
-    out = _make(np.matmul(a.data, b.data), (a, b))
-    if out._parents:
 
-        def bw(g):
-            if a.requires_grad or a._parents:
-                if b.data.ndim == 1:
-                    da = np.multiply.outer(g, b.data) if g.ndim else g * b.data
-                else:
-                    da = np.matmul(g if g.ndim > 1 else g[None, :], b.data.swapaxes(-1, -2))
-                    if g.ndim == 1:
-                        da = da[0]
-                a._accumulate(_unbroadcast(np.asarray(da).reshape(a.data.shape), a.data.shape))
-            if b.requires_grad or b._parents:
-                if a.data.ndim == 1:
-                    db = np.multiply.outer(a.data, g) if g.ndim else a.data * g
-                else:
-                    gg = g if g.ndim > 1 else g[:, None]
-                    db = np.matmul(a.data.swapaxes(-1, -2), gg)
-                    if b.data.ndim == 1:
-                        db = db[:, 0]
-                b._accumulate(_unbroadcast(np.asarray(db).reshape(b.data.shape), b.data.shape))
+    def grad_a(g):
+        if b.data.ndim == 1:
+            return np.multiply.outer(g, b.data) if g.ndim else g * b.data
+        if a.data.ndim == 1:
+            return np.matmul(g[..., None, :], b.data.swapaxes(-1, -2))[..., 0, :]
+        return np.matmul(g, b.data.swapaxes(-1, -2))
 
-        out._backward = bw
-    return out
+    def grad_b(g):
+        if a.data.ndim == 1:
+            return a.data[:, None] * g[..., None, :] if g.ndim else a.data * g
+        if b.data.ndim == 1:
+            return np.matmul(a.data.swapaxes(-1, -2), g[..., None])[..., 0]
+        return np.matmul(a.data.swapaxes(-1, -2), g)
+
+    return _make(np.matmul(a.data, b.data), (a, b), grad_a, grad_b)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -335,15 +271,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _make(y, (x,))
-    if out._parents:
 
-        def bw(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            x._accumulate((g - dot) * y)
+    def grad(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return (g - dot) * y
 
-        out._backward = bw
-    return out
+    return _make(y, (x,), grad)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
@@ -357,37 +290,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = _make(gain.data * xhat + bias.data, (x, gain, bias))
-    if out._parents:
 
-        def bw(g):
-            if bias.requires_grad or bias._parents:
-                bias._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
-            if gain.requires_grad or gain._parents:
-                gain._accumulate((g * xhat).reshape(-1, g.shape[-1]).sum(axis=0))
-            if x.requires_grad or x._parents:
-                dxhat = g * gain.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(inv * (dxhat - m1 - xhat * m2))
+    def grad_x(g):
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return inv * (dxhat - m1 - xhat * m2)
 
-        out._backward = bw
-    return out
+    return _make(gain.data * xhat + bias.data, (x, gain, bias), grad_x,
+                 lambda g: (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0),
+                 lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup into an embedding matrix; gradients scatter-add back."""
     ids = np.asarray(ids, dtype=np.int64)
-    out = _make(table.data[ids], (table,))
-    if out._parents:
 
-        def bw(g):
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids, g)
-            table._accumulate(full)
+    def grad(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        return full
 
-        out._backward = bw
-    return out
+    return _make(table.data[ids], (table,), grad)
 
 
 def scatter_copy(att: Tensor, source_ids: np.ndarray, vocab_size: int) -> Tensor:
@@ -397,13 +321,8 @@ def scatter_copy(att: Tensor, source_ids: np.ndarray, vocab_size: int) -> Tensor
     matching a literal product with the one-hot input matrix.
     """
     source_ids = np.asarray(source_ids, dtype=np.int64)
-    out = _make(kernels.scatter_copy_forward(att.data, source_ids, vocab_size), (att,))
-    if out._parents:
-        n_src = att.data.shape[1]
-        out._backward = lambda g: att._accumulate(
-            kernels.scatter_copy_backward(g, source_ids, n_src)
-        )
-    return out
+    return _make(kernels.scatter_copy_forward(att.data, source_ids, vocab_size), (att,),
+                 lambda g: kernels.scatter_copy_backward(g, source_ids, att.data.shape[1]))
 
 
 def dropout_tokens(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
@@ -417,8 +336,5 @@ def dropout_tokens(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -
         return x
     keep = (rng.random(x.data.shape[:-1]) >= rate).astype(np.float64)
     scale = keep[..., None] / (1.0 - rate)
-    out = _make(x.data * scale, (x,))
-    if out._parents:
-        out._backward = lambda g: x._accumulate(g * scale)
-    return out
+    return _make(x.data * scale, (x,), lambda g: g * scale)
 

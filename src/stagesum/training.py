@@ -48,6 +48,12 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.stage not in ("denoise", "summarize", "select"):
             raise ValueError(f"unknown stage kind {self.stage!r}")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be at least 1")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be non-negative")
 
 
 @dataclass
@@ -133,8 +139,10 @@ def decode_corpus(store, config, examples, vocab: Vocabulary,
     """Decode every example to a detokenized summary string.
 
     selected_for, when given, maps example index to a boolean selection
-    vector masking the copy head during decoding.
+    vector masking the copy head during decoding.  mode is "greedy" or "beam".
     """
+    if mode not in ("greedy", "beam"):
+        raise ValueError(f"unknown decode mode {mode!r}")
     out = []
     for i, ex in enumerate(examples):
         selected = selected_for(i) if selected_for is not None else None

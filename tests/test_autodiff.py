@@ -42,6 +42,14 @@ class TestMatmul:
         a = rng.normal(size=(3, 2, 4))
         b = Tensor(rng.normal(size=(3, 4, 5)))
         assert_grad_matches(lambda t: (ad.matmul(t, b) * Tensor(np.ones((3, 2, 5)))).sum(), a)
+        # one operand stacked, the other not: its gradient sums over the batch axis
+        for a_shape, b_shape in [((3, 2, 4), (4, 5)), ((2, 4), (3, 4, 5)),
+                                 ((3, 2, 4), (4,)), ((4,), (3, 4, 5))]:
+            a = rng.normal(size=a_shape)
+            b = rng.normal(size=b_shape)
+            w = Tensor(rng.normal(size=np.matmul(a, b).shape))
+            assert_grad_matches(lambda t: (ad.matmul(t, Tensor(b)) * w).sum(), a)
+            assert_grad_matches(lambda t: (ad.matmul(Tensor(a), t) * w).sum(), b)
 
     def test_grad_matrix_vector(self, rng):
         m = Tensor(rng.normal(size=(3, 4)))
@@ -212,18 +220,25 @@ class TestTapeMechanics:
 
     def test_no_grad_suppresses_recording(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
-        with ad.new_tape():
+        with ad.new_tape() as tape:
             with ad.no_grad():
                 out = (t * 3).sum()
             assert out._parents == ()
+            assert len(tape.nodes) == 0
+            # recording resumes once the block exits
+            after = (t * 3).sum()
+        assert after._parents != ()
+        assert len(tape.nodes) == 2
 
     def test_grad_populated_for_all_reachable(self, rng):
         a = Tensor(rng.normal(size=3), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
+        c = Tensor(rng.normal(size=3))
         with ad.new_tape():
-            ((a * b) + ad.exp(a)).sum().backward()
+            ((a * b) + ad.exp(a) * c).sum().backward()
         assert a.grad is not None and a.grad.shape == a.data.shape
         assert b.grad is not None and b.grad.shape == b.data.shape
+        assert c.grad is None
 
     def test_reused_tensor_accumulates(self):
         a = Tensor([2.0], requires_grad=True)

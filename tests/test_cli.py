@@ -6,7 +6,7 @@ import pytest
 
 from stagesum import cli, harness, training
 from stagesum import selection as sel
-from stagesum.checkpoint import ParamStore, check_compatible
+from stagesum.checkpoint import ParamStore, check_compatible, init_random
 from stagesum.config import RunConfig
 from stagesum.model import ModelConfig
 from stagesum.tokenizer import Vocabulary, read_corpus, write_corpus
@@ -229,6 +229,17 @@ class TestDiagnostics:
                            train={"max_epochs": 1, "stage_name": "x"})
         assert cli.main(["train", cfg]) == 1
         assert "stage_name" in capsys.readouterr().err
+
+    def test_unknown_decode_mode(self, run_env, capsys):
+        generate_corpora(run_env)
+        init_random(ModelConfig(**MODEL), 0).save(str(run_env / "random.ckpt"))
+        capsys.readouterr()
+        cfg = write_config(run_env, "decode", out_dir="decoderun", model=MODEL,
+                           vocab="data/vocab.txt", corpus={"dev": "data/short.dev.tsv"},
+                           checkpoint="random.ckpt", decode={"mode": "beem"})
+        assert cli.main(["decode", cfg]) == 1
+        assert "'beem'" in capsys.readouterr().err
+        assert not (run_env / "decoderun" / "decoded.txt").exists()
 
     def test_missing_corpus_file(self, run_env, capsys):
         cfg = write_config(run_env, "train", out_dir="r", model=MODEL,

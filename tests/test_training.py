@@ -133,6 +133,12 @@ class TestTrainStage:
             TrainConfig(dropout=1.0)
         with pytest.raises(ValueError):
             TrainConfig(stage="nonsense")
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="eval_every"):
+            TrainConfig(eval_every=0)
+        with pytest.raises(ValueError, match="max_epochs"):
+            TrainConfig(max_epochs=-1)
 
 
 class TestDenoise:
