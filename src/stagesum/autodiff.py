@@ -315,14 +315,15 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def scatter_copy(att: Tensor, source_ids: np.ndarray, vocab_size: int) -> Tensor:
-    """Project per-source-position logits into vocab space by id scatter-add.
+    """Project per-source-position logits att [..., steps, source_positions]
+    into vocab space by id scatter-add, with source_ids [..., source_positions].
 
     source_ids entries < 0 (pad) are excluded.  Duplicate source tokens sum,
     matching a literal product with the one-hot input matrix.
     """
     source_ids = np.asarray(source_ids, dtype=np.int64)
     return _make(kernels.scatter_copy_forward(att.data, source_ids, vocab_size), (att,),
-                 lambda g: kernels.scatter_copy_backward(g, source_ids, att.data.shape[1]))
+                 lambda g: kernels.scatter_copy_backward(g, source_ids, att.data.shape[-1]))
 
 
 def dropout_tokens(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:

@@ -1,7 +1,9 @@
 """Experiment orchestration: the work behind each CLI subcommand.
 
 Every stage reads a RunConfig, writes its artifacts under the run
-directory, and is bitwise reproducible from config plus seed.
+directory, and is bitwise reproducible from config plus seed.  A stage
+creates its run directory only once its inputs have been accepted, so a
+rejected config, corpus or checkpoint leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -95,13 +97,13 @@ def run_generate(cfg: RunConfig) -> dict:
 
 def run_pretrain(cfg: RunConfig) -> str:
     """Masked-token denoising stage; writes the generic-stage checkpoint."""
-    out_dir = _ensure_dir(cfg.run_dir)
     data = _load_data(cfg)
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
     store, report = training.denoise_pretrain(mcfg, tcfg, data["train_enc"],
                                               data.get("dev_enc", []))
     store.provenance = ["denoise-stage"]
+    out_dir = _ensure_dir(cfg.run_dir)
     ckpt = os.path.join(out_dir, "checkpoint.ckpt")
     store.save(ckpt)
     with open(os.path.join(out_dir, "train_report.txt"), "w") as f:
@@ -124,11 +126,11 @@ def build_init_store(cfg: RunConfig) -> tuple[ParamStore, dict]:
 
 def run_train(cfg: RunConfig) -> dict:
     """Summarization fine-tuning under the configured initialization."""
-    out_dir = _ensure_dir(cfg.run_dir)
     data = _load_data(cfg)
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
     store, surgery = build_init_store(cfg)
+    out_dir = _ensure_dir(cfg.run_dir)
     with open(os.path.join(out_dir, "surgery_report.txt"), "w") as f:
         f.write(format_surgery_report(surgery))
     dev = list(zip(data.get("dev_enc", []),
@@ -145,8 +147,8 @@ def run_train(cfg: RunConfig) -> dict:
 
 
 def run_select_train(cfg: RunConfig) -> dict:
-    """Train the content selector; writes checkpoint and threshold."""
-    out_dir = _ensure_dir(cfg.run_dir)
+    """Train the content selector; writes checkpoint, threshold and a report
+    of the calibrated selector on the pooled dev positions."""
     data = _load_data(cfg)
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
@@ -161,16 +163,29 @@ def run_select_train(cfg: RunConfig) -> dict:
     train_data = list(zip(data["train_enc"], train_labels))
     dev_data = list(zip(data["dev_enc"], dev_labels))
     best, report = training.train_stage(init, mcfg, train_data, dev_data, tcfg)
+    # calibrate the mask threshold on pooled dev positions
+    probs = np.concatenate(sel.selector_probs(best, mcfg, data["dev_enc"]))
+    labels = np.concatenate(dev_labels)
+    eps = sel.calibrate_threshold(probs, labels)
+    out_dir = _ensure_dir(cfg.run_dir)
     ckpt = os.path.join(out_dir, "selector.ckpt")
     best.save(ckpt)
-    # calibrate the mask threshold on pooled dev positions
-    probs = sel.selector_probs(best, mcfg, data["dev_enc"])
-    eps = sel.calibrate_threshold(np.concatenate(probs), np.concatenate(dev_labels))
     with open(os.path.join(out_dir, "threshold.txt"), "w") as f:
         f.write(f"{eps!r}\n")
+    with open(os.path.join(out_dir, "selector_report.txt"), "w") as f:
+        f.write(metrics.format_report(_selector_report(probs, labels, eps)))
     with open(os.path.join(out_dir, "train_report.txt"), "w") as f:
         f.write(report.format())
     return {"checkpoint": ckpt, "threshold": eps, "best_f1": report.best_metric}
+
+
+def _selector_report(probs, labels, eps: float) -> dict:
+    """Pooled dev AUC-ROC/PR of selector probabilities, and label coverage
+    P/R/F1 of the positions selected above the threshold eps."""
+    report = metrics.auc(probs, labels)
+    p, r, f1 = metrics.coverage_prf(probs > eps, labels)
+    report.update(coverage_precision=p, coverage_recall=r, coverage_f1=f1)
+    return report
 
 
 def _selection_fn(cfg: RunConfig, data, mcfg):
@@ -201,18 +216,18 @@ def _selection_fn(cfg: RunConfig, data, mcfg):
 
 def run_decode(cfg: RunConfig) -> str:
     """Decode the dev corpus with the configured model; one summary per line."""
-    out_dir = _ensure_dir(cfg.run_dir)
+    mode = cfg.decode.get("mode", "greedy")
+    beam_width = int(cfg.decode.get("beam_width", 4))
+    training.check_decode_options(mode, beam_width)
     data = _load_data(cfg)
     mcfg = cfg.model_config()
     store = ParamStore.load(cfg.resolve(cfg.checkpoint))
     check_compatible(store, mcfg, "seq2seq")
     selected_for = _selection_fn(cfg, data, mcfg)
     hyps = training.decode_corpus(
-        store, mcfg, data["dev_enc"], data["vocab"], selected_for,
-        mode=cfg.decode.get("mode", "greedy"),
-        beam_width=int(cfg.decode.get("beam_width", 4)),
-        alpha=float(cfg.decode.get("alpha", 0.6)))
-    path = os.path.join(out_dir, "decoded.txt")
+        store, mcfg, data["dev_enc"], data["vocab"], selected_for, mode=mode,
+        beam_width=beam_width, alpha=float(cfg.decode.get("alpha", 0.6)))
+    path = os.path.join(_ensure_dir(cfg.run_dir), "decoded.txt")
     with open(path, "w", encoding="utf-8") as f:
         for h in hyps:
             f.write(h + "\n")
@@ -234,12 +249,11 @@ def eval_summaries(ref_pairs, hypotheses) -> dict:
 
 def run_eval(cfg: RunConfig) -> dict:
     """ROUGE and abstraction-rate report for a decoded-output file."""
-    out_dir = _ensure_dir(cfg.run_dir)
     ref_pairs = read_corpus(cfg.resolve(cfg.eval["references"]))
     with open(cfg.resolve(cfg.eval["hypotheses"]), encoding="utf-8") as f:
         hyps = [line.rstrip("\n") for line in f]
     report = eval_summaries(ref_pairs, hyps)
-    with open(os.path.join(out_dir, "metrics.txt"), "w") as f:
+    with open(os.path.join(_ensure_dir(cfg.run_dir), "metrics.txt"), "w") as f:
         f.write(metrics.format_report(report))
     return report
 
@@ -262,7 +276,6 @@ def _grid_run_one(base: dict, overrides: dict) -> dict:
 
 def run_grid(cfg: RunConfig) -> dict:
     """Comparative experiment grid; emits one report row per configuration."""
-    out_dir = _ensure_dir(cfg.run_dir)
     base = dict(cfg.grid.get("base", {}))
     seeds = cfg.grid.get("seeds", [cfg.seed])
     kind = cfg.grid.get("kind", "schemes")
@@ -323,6 +336,7 @@ def run_grid(cfg: RunConfig) -> dict:
         else:
             # every cell scored the same: the correlation is undefined
             lines.append("pearson_r\tundefined (zero variance)")
+    out_dir = _ensure_dir(cfg.run_dir)
     with open(os.path.join(out_dir, "grid_report.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
     if xs:

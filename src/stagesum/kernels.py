@@ -4,6 +4,8 @@
 metrics); perfbench/README.md describes the sizes.
 """
 
+import math
+
 import numpy as np
 
 
@@ -30,26 +32,29 @@ def lcs_length(a, b) -> int:
 def scatter_copy_forward(att: np.ndarray, ids: np.ndarray, vocab_size: int) -> np.ndarray:
     """Scatter-add per-step source-position logits into vocab space.
 
-    att is [steps, source_positions]; ids maps each source position to a
-    vocab id, with negative entries (pad) excluded.  Duplicate ids sum.
+    att is [..., steps, source_positions] and ids [..., source_positions]
+    (broadcast over att's leading axes); ids maps each row's source
+    positions to vocab ids, with negative entries (pad) excluded.
+    Duplicate ids sum, in source order.
     """
     att = np.ascontiguousarray(att, dtype=np.float64)
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    n_steps, n_src = att.shape
-    out = np.zeros((n_steps, vocab_size), dtype=np.float64)
-    valid = ids >= 0
-    if valid.any():
-        np.add.at(out.T, ids[valid], att[:, valid].T)
-    return out
+    ids = np.asarray(ids, dtype=np.int64)
+    cells = math.prod(att.shape[:-1])           # one output row per (row, step)
+    flat = ids[..., None, :] + (vocab_size * np.arange(cells)).reshape(att.shape[:-1] + (1,))
+    valid = np.broadcast_to(ids[..., None, :] >= 0, att.shape)
+    # bincount adds each cell's weights in input order, i.e. in source order
+    out = np.bincount(flat[valid], weights=att[valid], minlength=cells * vocab_size)
+    return out.reshape(att.shape[:-1] + (vocab_size,))
 
 
 def scatter_copy_backward(d_out: np.ndarray, ids: np.ndarray, n_src: int) -> np.ndarray:
+    """Gradient of `scatter_copy_forward` w.r.t. att: d_att [..., steps,
+    n_src] reads d_out [..., steps, vocab] at each position's id, 0 at pads."""
     d_out = np.ascontiguousarray(d_out, dtype=np.float64)
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    d_att = np.zeros((d_out.shape[0], n_src), dtype=np.float64)
-    valid = ids >= 0
-    d_att[:, valid] = d_out[:, ids[valid]]
-    return d_att
+    ids = np.broadcast_to(np.asarray(ids, dtype=np.int64), d_out.shape[:-2] + (n_src,))
+    valid = (ids >= 0)[..., None, :]
+    taken = np.take_along_axis(d_out, np.maximum(ids, 0)[..., None, :], axis=-1)
+    return np.where(valid, taken, 0.0)
 
 
 def adam_update(param, grad, m, v, lr, beta1, beta2, eps, step) -> None:

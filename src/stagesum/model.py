@@ -5,7 +5,11 @@ head of the top decoder layer's cross-attention provides pre-softmax copy
 logits, mixed with the generation logits through a learned sigmoid gate.
 
 Training runs the decoder over whole target sequences (`decoder_stack`,
-`forward_teacher_forced`).  Inference decodes incrementally: `start_decode`
+`forward_teacher_forced`), one row per example: every function takes
+optional leading row axes, so a stack of examples is one call and one
+graph.  Dropout in such a call reads per-row draws from a `RowDraws`, so
+each row is masked exactly as a one-row pass with its own draws would be.
+Inference decodes incrementally: `start_decode`
 projects the cross-attention keys and values once per source, and each
 `decode_step` computes only the newest position of every row, attending
 over cached self-attention keys and values.  Both paths share the same
@@ -29,6 +33,10 @@ NEG_MASK = -10000.0
 
 class DecodeError(RuntimeError):
     pass
+
+
+class DrawError(RuntimeError):
+    """A forward pass asked for more or fewer dropout draws than were drawn."""
 
 
 @dataclass
@@ -169,9 +177,53 @@ def _sublayer(store, norm_prefix: str, x: Tensor, out: Tensor, rate, rng) -> Ten
     return ad.layer_norm(x + out, store[f"{norm_prefix}.gain"], store[f"{norm_prefix}.bias"])
 
 
+def dropout_draws(config: ModelConfig, source_len: int, target_len: int = 0) -> int:
+    """Dropout draws one example makes in a training forward pass.
+
+    Every position draws once at the embedding and once after each
+    sublayer (`embed`, `_sublayer`): S(1 + 2L) in the encoder, plus
+    T(1 + 3L) in the decoder when target_len is not 0.
+    """
+    layers = config.num_layers
+    return source_len * (1 + 2 * layers) + target_len * (1 + 3 * layers)
+
+
+class RowDraws:
+    """Dropout draws for a forward pass over stacked rows: row r reads its
+    own block, blocks[r], from the front.
+
+    `ad.dropout_tokens` asks for `random((rows, positions))`; every row gets
+    the next `positions` values of its block, so a row is masked exactly as
+    a one-row pass drawing that block from a generator would be.  Asking
+    for more than a block holds raises `DrawError`, and so does `finish`
+    while draws are left over.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = np.asarray(blocks, dtype=np.float64)   # [rows, draws]
+        self.used = 0
+
+    def random(self, shape) -> np.ndarray:
+        rows, n = shape[0], math.prod(shape[1:])
+        if rows != self.blocks.shape[0]:
+            raise DrawError(f"{rows} rows asked for draws from {self.blocks.shape[0]} blocks")
+        if self.used + n > self.blocks.shape[1]:
+            raise DrawError(f"forward pass asked for more than {self.blocks.shape[1]} "
+                            "dropout draws per row")
+        out = self.blocks[:, self.used:self.used + n]
+        self.used += n
+        return out.reshape(shape)
+
+    def finish(self) -> None:
+        if self.used != self.blocks.shape[1]:
+            raise DrawError(f"forward pass used {self.used} of "
+                            f"{self.blocks.shape[1]} dropout draws per row")
+
+
 def pad_mask_add(pad_mask: np.ndarray) -> np.ndarray:
-    """Additive attention mask hiding pad key positions: [1, 1, keys]."""
-    return (pad_mask.astype(np.float64) * NEG_MASK)[None, None, :]
+    """Additive attention mask hiding pad key positions: [..., 1, 1, keys]
+    for a pad mask [..., keys]."""
+    return (pad_mask.astype(np.float64) * NEG_MASK)[..., None, None, :]
 
 
 def causal_mask_add(n: int) -> np.ndarray:
@@ -181,8 +233,8 @@ def causal_mask_add(n: int) -> np.ndarray:
 
 def embed(store, ids: np.ndarray, pos_table: str, config: ModelConfig,
           rate=0.0, rng=None, start: int = 0) -> Tensor:
-    """Word plus position embeddings; the last axis of `ids` holds positions
-    start, start + 1, ..."""
+    """Word plus position embeddings [..., positions, hidden]; the last axis
+    of `ids` holds positions start, start + 1, ..."""
     if np.any(ids >= config.vocab_size) or np.any(ids < 0):
         raise ad.ShapeError("token id out of vocabulary range")
     pos = store[pos_table]
@@ -196,9 +248,10 @@ def embed(store, ids: np.ndarray, pos_table: str, config: ModelConfig,
 
 def encode(store, config: ModelConfig, source_ids: np.ndarray,
            source_pad_mask: np.ndarray, rng=None, prefix: str = "encoder") -> Tensor:
-    """Run the encoder stack; pad positions are hidden from attention."""
-    if source_pad_mask.all():
-        raise ValueError("encode requires at least one non-pad source position")
+    """Run the encoder stack over source_ids [..., positions]; pad positions
+    are hidden from attention."""
+    if source_pad_mask.all(axis=-1).any():
+        raise ValueError("encode requires at least one non-pad source position per row")
     rate = config.dropout_rate if rng is not None else 0.0
     x = embed(store, source_ids, "embedding.pos_enc", config, rate, rng)
     mask = pad_mask_add(source_pad_mask)
@@ -236,9 +289,10 @@ def _decoder_layer(store, config: ModelConfig, i: int, x: Tensor, self_kv, cross
 def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
                   source_pad_mask: np.ndarray, input_ids: np.ndarray,
                   rng=None) -> tuple[Tensor, Tensor]:
-    """Causal decoder over `input_ids`; returns (hidden states, top-layer
-    cross-attention logits [heads, steps, source_positions], pre-softmax)."""
-    t = len(input_ids)
+    """Causal decoder over `input_ids` [..., steps]; returns (hidden states,
+    top-layer cross-attention logits [..., heads, steps, source_positions],
+    pre-softmax)."""
+    t = input_ids.shape[-1]
     if t > config.decoder_positions:
         raise DecodeError(f"decoder length {t} exceeds limit {config.decoder_positions}")
     rate = config.dropout_rate if rng is not None else 0.0
@@ -259,7 +313,7 @@ def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
 
 
 def gate(store, d: Tensor) -> Tensor:
-    """p_gen = sigmoid(d . gate.weight + gate.bias); per row when d is 2-D."""
+    """p_gen = sigmoid(d . gate.weight + gate.bias), over d's last axis."""
     return ad.sigmoid(ad.matmul(d, store["gate.weight"]) + store["gate.bias"])
 
 
@@ -296,13 +350,17 @@ def selection_vocab_mask_add(source_ids: np.ndarray, source_pad_mask: np.ndarray
 def copy_inputs(source_ids: np.ndarray, source_pad_mask: np.ndarray,
                 selected: Optional[np.ndarray], vocab_size: int
                 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(scatter ids with -1 at pad positions, vocab-space selection mask or
-    None): what `mixed_logits` needs to know about the source."""
+    """(scatter ids [..., positions] with -1 at pad positions, vocab-space
+    selection mask [..., vocab] or None): what `mixed_logits` needs to know
+    about the source, built per row."""
     ids = np.where(source_pad_mask, -1, source_ids)
     if selected is None:
         return ids, None
-    return ids, selection_vocab_mask_add(source_ids, source_pad_mask, selected,
-                                         vocab_size)
+    n = source_ids.shape[-1]
+    masks = [selection_vocab_mask_add(*row, vocab_size) for row in zip(
+        source_ids.reshape(-1, n), source_pad_mask.reshape(-1, n),
+        selected.reshape(-1, n))]
+    return ids, np.stack(masks).reshape(*source_ids.shape[:-1], vocab_size)
 
 
 def mixed_logits(store, config: ModelConfig, d: Tensor, copy_logits: Tensor,
@@ -310,16 +368,17 @@ def mixed_logits(store, config: ModelConfig, d: Tensor, copy_logits: Tensor,
                  ) -> tuple[Tensor, Tensor, Tensor]:
     """Gate-weighted sum of generation and scatter-projected copy logits.
 
-    d is [steps, hidden] and copy_logits [steps, source_positions]; copy_ids
-    and vocab_mask_add come from `copy_inputs`.  Returns (mixed [steps,
-    vocab], gen_logits, p_gen).  Pad source positions never enter the scatter.
+    d is [..., steps, hidden] and copy_logits [..., steps, source_positions];
+    copy_ids [..., source_positions] and vocab_mask_add [..., vocab] come
+    from `copy_inputs`.  Returns (mixed [..., steps, vocab], gen_logits,
+    p_gen).  Pad source positions never enter the scatter.
     """
     y = generation_logits(store, d)
     copy_vocab = ad.scatter_copy(copy_logits, copy_ids, config.vocab_size)
     if vocab_mask_add is not None:
-        copy_vocab = copy_vocab + Tensor(vocab_mask_add)
+        copy_vocab = copy_vocab + Tensor(vocab_mask_add[..., None, :])
     p = gate(store, d)
-    p2 = p.reshape(-1, 1)
+    p2 = p.reshape(*p.shape, 1)
     z = p2 * y + (1.0 - p2) * copy_vocab
     return z, y, p
 
@@ -329,17 +388,21 @@ def forward_teacher_forced(store, config: ModelConfig, example,
                            rng=None, training: bool = False):
     """Teacher-forced decode over all target positions.
 
-    Returns (P [steps, vocab] as a Tensor of per-position distributions,
-    cache dict).  Dropout is active iff training and rng is given.
+    `example` holds one example's arrays, or [rows, ·] stacks of several
+    (with `selected` [rows, source_positions]).  Returns (P [..., steps,
+    vocab] as a Tensor of per-position distributions, cache dict).  Dropout
+    is active iff training and rng (a generator or a `RowDraws`) is given.
     """
     drop_rng = rng if training else None
     enc = encode(store, config, example.source_ids, example.source_pad_mask, drop_rng)
-    dec_input = np.concatenate(([BOS], example.target_ids[:-1]))
+    targets = example.target_ids
+    bos = np.full(targets.shape[:-1] + (1,), BOS, dtype=targets.dtype)
+    dec_input = np.concatenate((bos, targets[..., :-1]), axis=-1)
     d, cross = decoder_stack(store, config, enc, example.source_pad_mask,
                              dec_input, drop_rng)
     cache = {"encoder_out": enc, "decoder_out": d, "cross_logits": cross}
     if config.copy_enabled:
-        copy = cross[config.copy_head_index]
+        copy = cross[..., config.copy_head_index, :, :]
         z, y, p = mixed_logits(store, config, d, copy, *copy_inputs(
             example.source_ids, example.source_pad_mask, selected, config.vocab_size))
         cache.update(copy_logits=copy, gen_logits=y, p_gen=p)

@@ -88,9 +88,13 @@ def selector_probs(store, config, examples) -> list[np.ndarray]:
 
 
 def selector_loss(pred: Tensor, labels: np.ndarray, pad_mask: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over non-pad positions (probabilities clamped)."""
-    if pred.shape[0] != len(pad_mask):
-        raise ValueError(f"prediction length {pred.shape[0]} vs mask {len(pad_mask)}")
+    """Mean binary cross-entropy over non-pad positions (probabilities clamped).
+
+    pred and pad_mask are [..., positions]; labels hold the non-pad
+    positions' labels, row after row.
+    """
+    if pred.shape != pad_mask.shape:
+        raise ValueError(f"prediction shape {pred.shape} vs mask {pad_mask.shape}")
     valid = ~pad_mask
     if not valid.any():
         raise ValueError("selector_loss: no non-pad positions")
@@ -101,20 +105,12 @@ def selector_loss(pred: Tensor, labels: np.ndarray, pad_mask: np.ndarray) -> Ten
     return nll.mean()
 
 
-def _prf(selected: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
-    tp = int(np.sum(selected & (labels == 1)))
-    fp = int(np.sum(selected & (labels == 0)))
-    fn = int(np.sum(~selected & (labels == 1)))
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return p, r, f1
-
-
 def calibrate_threshold(probs: np.ndarray, labels: np.ndarray) -> float:
     """Midpoint between consecutive distinct probabilities maximizing F1.
 
-    Ties break toward the smaller threshold (higher recall).
+    Ties break toward the smaller threshold (higher recall).  One sort per
+    class counts, for every midpoint at once, the positives and negatives
+    above it; F1 follows `metrics.coverage_prf`'s formula.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -124,12 +120,14 @@ def calibrate_threshold(probs: np.ndarray, labels: np.ndarray) -> float:
     if len(distinct) < 2:
         raise CalibrationError("calibration needs at least two distinct predictions")
     midpoints = (distinct[:-1] + distinct[1:]) / 2.0
-    best_eps, best_f1 = None, -1.0
-    for eps in midpoints:
-        _, _, f1 = _prf(probs > eps, labels)
-        if f1 > best_f1:
-            best_eps, best_f1 = eps, f1
-    return float(best_eps)
+    pos, neg = np.sort(probs[labels == 1]), np.sort(probs[labels == 0])
+    tp = len(pos) - np.searchsorted(pos, midpoints, side="right")
+    fp = len(neg) - np.searchsorted(neg, midpoints, side="right")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        r = np.where(len(pos) > 0, tp / len(pos), 0.0)
+        f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
+    return float(midpoints[np.argmax(f1)])
 
 
 def selection_vector(pred_or_labels, pad_mask: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Three stage kinds share one loop: "denoise" (masked-token pretraining of
 the encoder through the tied embeddings), "summarize" (teacher-forced
-seq2seq), and "select" (logistic training of the content selector).
+seq2seq), and "select" (logistic training of the content selector).  Each
+minibatch is one graph over the stacked examples and one backward pass;
+its dropout masks are the ones a per-example loop drawing from the same
+generator would have drawn.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import selection as sel
 from .autodiff import Tensor
 from .checkpoint import ParamStore, init_random
 from .optim import AdamState, adam_step
-from .tokenizer import MASK, Vocabulary, detokenize
+from .tokenizer import MASK, EncodedExample, Vocabulary, detokenize
 
 CLAMP_FLOOR = 1e-30
 clamp_warnings = 0
@@ -75,19 +78,21 @@ def mle_loss(probs: Tensor, target_ids: np.ndarray,
              target_pad_mask: np.ndarray) -> tuple[Tensor, int]:
     """Mean negative log likelihood of targets over non-pad positions.
 
-    Returns (scalar loss, count of non-pad positions).  Probabilities below
-    1e-30 are clamped; each clamp bumps the module warning counter.
+    probs is [..., steps, vocab] and the targets [..., steps]; every row
+    needs a non-pad target.  Returns (scalar loss, count of non-pad
+    positions).  Probabilities below 1e-30 are clamped; each clamp bumps
+    the module warning counter.
     """
     global clamp_warnings
-    valid = np.flatnonzero(~target_pad_mask)
-    if len(valid) == 0:
+    if not (~target_pad_mask).any(axis=-1).all():
         raise StageError("mle_loss: no non-pad target positions")
-    picked = probs[(valid, target_ids[valid])]
+    valid = np.nonzero(~target_pad_mask)
+    picked = probs[valid + (target_ids[valid],)]
     n_clamped = int((picked.data < CLAMP_FLOOR).sum())
     if n_clamped:
         clamp_warnings += n_clamped
     nll = -ad.log(ad.clamp_min(picked, CLAMP_FLOOR))
-    return nll.mean(), len(valid)
+    return nll.mean(), len(valid[0])
 
 
 def _mask_tokens(ids: np.ndarray, pad_mask: np.ndarray, vocab_size: int,
@@ -105,32 +110,76 @@ def _mask_tokens(ids: np.ndarray, pad_mask: np.ndarray, vocab_size: int,
     return corrupted, picked
 
 
-def _denoise_loss(store, config, ex, rng: Optional[np.random.Generator],
+def _stack(examples: list) -> EncodedExample:
+    """The examples' arrays stacked into [rows, ·] arrays."""
+    return EncodedExample(**{f.name: np.stack([getattr(ex, f.name) for ex in examples])
+                             for f in dataclasses.fields(EncodedExample)})
+
+
+def _row_draws(rng: Optional[np.random.Generator], rows: int, n: int
+               ) -> Optional[M.RowDraws]:
+    """rows consecutive blocks of n dropout draws; None with dropout off."""
+    return None if rng is None else M.RowDraws(rng.random((rows, n)))
+
+
+def _finish(draws: Optional[M.RowDraws]) -> None:
+    if draws is not None:
+        draws.finish()
+
+
+def _denoise_loss(store, config, items, rng: Optional[np.random.Generator],
                   mask_rng: np.random.Generator) -> tuple[Tensor, int]:
-    corrupted, picked = _mask_tokens(ex.source_ids, ex.source_pad_mask,
-                                     config.vocab_size, mask_rng)
-    if len(picked) == 0:
+    rows, blocks = [], []
+    for ex in items:
+        corrupted, picked = _mask_tokens(ex.source_ids, ex.source_pad_mask,
+                                         config.vocab_size, mask_rng)
+        if len(picked) == 0:
+            continue
+        rows.append((ex, corrupted, picked))
+        if rng is not None:
+            blocks.append(rng.random(M.dropout_draws(config, len(ex.source_ids))))
+    if not rows:
         return Tensor(0.0), 0
-    enc = M.encode(store, config, corrupted, ex.source_pad_mask, rng)
+    draws = M.RowDraws(blocks) if rng is not None else None
+    enc = M.encode(store, config, np.stack([c for _, c, _ in rows]),
+                   np.stack([ex.source_pad_mask for ex, _, _ in rows]), draws)
+    _finish(draws)
     logits = ad.matmul(enc, store["embedding.word"].transpose()) + store["mlm.bias"]
     probs = ad.softmax(logits, axis=-1)
-    picked_p = probs[(picked, ex.source_ids[picked])]
-    return -ad.log(ad.clamp_min(picked_p, CLAMP_FLOOR)).sum(), len(picked)
+    row = np.concatenate([np.full(len(p), r) for r, (_, _, p) in enumerate(rows)])
+    pos = np.concatenate([p for _, _, p in rows])
+    original = np.concatenate([ex.source_ids[p] for ex, _, p in rows])
+    picked_p = probs[(row, pos, original)]
+    return -ad.log(ad.clamp_min(picked_p, CLAMP_FLOOR)).sum(), len(pos)
 
 
-def _summarize_loss(store, config, ex, rng, mask_rng) -> tuple[Tensor, int]:
-    probs, _ = M.forward_teacher_forced(store, config, ex, rng=rng,
-                                        training=rng is not None)
-    loss, n = mle_loss(probs, ex.target_ids, ex.target_pad_mask)
+def _summarize_loss(store, config, items, rng, mask_rng) -> tuple[Tensor, int]:
+    batch = _stack(items)
+    draws = _row_draws(rng, len(items), M.dropout_draws(
+        config, batch.source_ids.shape[-1], batch.target_ids.shape[-1]))
+    probs, _ = M.forward_teacher_forced(store, config, batch, rng=draws,
+                                        training=draws is not None)
+    _finish(draws)
+    loss, n = mle_loss(probs, batch.target_ids, batch.target_pad_mask)
     return loss * n, n
 
 
-def _select_loss(store, config, item, rng, mask_rng) -> tuple[Tensor, int]:
-    ex, labels = item
-    enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask, rng)
+def _select_loss(store, config, items, rng, mask_rng) -> tuple[Tensor, int]:
+    batch = _stack([ex for ex, _ in items])
+    draws = _row_draws(rng, len(items), M.dropout_draws(config, batch.source_ids.shape[-1]))
+    enc = M.encode(store, config, batch.source_ids, batch.source_pad_mask, draws)
+    _finish(draws)
     pred = sel.selector_forward(store, enc)
-    n = int((~ex.source_pad_mask).sum())
-    return sel.selector_loss(pred, labels, ex.source_pad_mask) * n, n
+    labels = np.concatenate([y for _, y in items])
+    return sel.selector_loss(pred, labels, batch.source_pad_mask) * len(labels), len(labels)
+
+
+def check_decode_options(mode: str, beam_width: int) -> None:
+    """Raise ValueError for a decode mode or beam width that cannot run."""
+    if mode not in ("greedy", "beam"):
+        raise ValueError(f"unknown decode mode {mode!r}")
+    if beam_width < 1:
+        raise ValueError("beam_width must be >= 1")
 
 
 def decode_corpus(store, config, examples, vocab: Vocabulary,
@@ -141,8 +190,7 @@ def decode_corpus(store, config, examples, vocab: Vocabulary,
     selected_for, when given, maps example index to a boolean selection
     vector masking the copy head during decoding.  mode is "greedy" or "beam".
     """
-    if mode not in ("greedy", "beam"):
-        raise ValueError(f"unknown decode mode {mode!r}")
+    check_decode_options(mode, beam_width)
     out = []
     for i, ex in enumerate(examples):
         selected = selected_for(i) if selected_for is not None else None
@@ -176,11 +224,11 @@ def _dev_metric(store, config, dev, tcfg: TrainConfig,
         mask_rng = np.random.default_rng([tcfg.seed, 0xDEF])
         total, count = 0.0, 0
         with ad.no_grad():
-            for ex in dev:
-                loss, n = _denoise_loss(store, config, ex, None, mask_rng)
-                if n:
-                    total += float(loss.data)
-                    count += n
+            for start in range(0, len(dev), tcfg.batch_size):
+                loss, n = _denoise_loss(store, config, dev[start:start + tcfg.batch_size],
+                                        None, mask_rng)
+                total += float(loss.data)
+                count += n
         return -total / max(count, 1)
     # select: pooled F1 at the best midpoint threshold
     flat_p = np.concatenate(sel.selector_probs(store, config, [ex for ex, _ in dev]))
@@ -189,12 +237,16 @@ def _dev_metric(store, config, dev, tcfg: TrainConfig,
         eps = sel.calibrate_threshold(flat_p, flat_y)
     except sel.CalibrationError:
         return 0.0
-    _, _, f1 = sel._prf(flat_p > eps, flat_y)
+    _, _, f1 = metrics.coverage_prf(flat_p > eps, flat_y)
     return f1
 
 
-# Per stage kind: (store, config, item, dropout rng or None, masking rng) ->
-# (loss summed over the item, count); only denoising draws from the masking rng.
+# Per stage kind: (store, config, items, dropout rng or None, masking rng) ->
+# (loss summed over the items, count), from one graph over the stacked items.
+# The dropout rng, given only when dropout is on, yields one block of
+# `M.dropout_draws` values per example in item order (for denoising, each
+# right after that example's masking draws), so every example is masked as
+# if it ran alone; only denoising draws from the masking rng.
 _LOSS_FNS = {"denoise": _denoise_loss, "summarize": _summarize_loss,
              "select": _select_loss}
 
@@ -222,19 +274,11 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
             batch = [train_data[i] for i in order[start:start + tcfg.batch_size]]
             store.zero_grads()
             with ad.new_tape():
-                parts, count = [], 0
-                for item in batch:
-                    loss, n = _LOSS_FNS[tcfg.stage](
-                        store, config, item, rng if tcfg.dropout > 0 else None, rng)
-                    if n:
-                        parts.append(loss)
-                        count += n
+                loss, count = _LOSS_FNS[tcfg.stage](
+                    store, config, batch, rng if tcfg.dropout > 0 else None, rng)
                 if count == 0:
                     continue
-                total = parts[0]
-                for p in parts[1:]:
-                    total = total + p
-                total = total / count
+                total = loss / count
                 if np.isnan(total.data):
                     raise StageError("training diverged (NaN loss)")
                 total.backward()

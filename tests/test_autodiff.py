@@ -211,6 +211,13 @@ class TestElementwise:
         assert_grad_matches(
             lambda t: (ad.scatter_copy(t, ids, 6) * w).sum(), att)
 
+    def test_scatter_copy_grad_rows(self, rng):
+        att = rng.normal(size=(2, 3, 5))
+        ids = np.array([[2, 0, -1, 2, 4], [1, 1, 5, -1, -1]])
+        w = Tensor(rng.normal(size=(2, 3, 6)))
+        assert_grad_matches(
+            lambda t: (ad.scatter_copy(t, ids, 6) * w).sum(), att)
+
 
 class TestTapeMechanics:
     def test_backward_requires_tape(self):

@@ -142,6 +142,11 @@ class TestPipeline:
         check_compatible(selector, ModelConfig(**MODEL), "selector")
         threshold = float((run_env / "selrun" / "threshold.txt").read_text())
         assert 0.0 < threshold < 1.0
+        report = dict(line.split("\t") for line in
+                      (run_env / "selrun" / "selector_report.txt").read_text().splitlines())
+        assert sorted(report) == ["auc_pr", "auc_roc", "coverage_f1",
+                                  "coverage_precision", "coverage_recall"]
+        assert all(0.0 <= float(v) <= 1.0 for v in report.values())
 
 
 class TestDecodeModes:
@@ -239,7 +244,21 @@ class TestDiagnostics:
                            checkpoint="random.ckpt", decode={"mode": "beem"})
         assert cli.main(["decode", cfg]) == 1
         assert "'beem'" in capsys.readouterr().err
-        assert not (run_env / "decoderun" / "decoded.txt").exists()
+        assert not (run_env / "decoderun").exists()
+
+    def test_incompatible_partial_source(self, run_env, capsys):
+        generate_corpora(run_env)
+        init_random(ModelConfig(**{**MODEL, "hidden_size": 16}), 0).save(
+            str(run_env / "wide.ckpt"))
+        capsys.readouterr()
+        cfg = write_config(run_env, "train", out_dir="trainrun", model=MODEL,
+                           vocab="data/vocab.txt",
+                           corpus={"train": "data/short.train.tsv"},
+                           partial={"source": "wide.ckpt", "k": 1},
+                           train={"max_epochs": 1})
+        assert cli.main(["train", cfg]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not (run_env / "trainrun").exists()
 
     def test_missing_corpus_file(self, run_env, capsys):
         cfg = write_config(run_env, "train", out_dir="r", model=MODEL,

@@ -69,3 +69,21 @@ class TestScatterCopy:
             assert np.allclose(kernels.scatter_copy_backward(d_out, ids, n_src),
                                d_out @ onehot.T)
 
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 9), st.integers(2, 9),
+           st.integers(0, 2 ** 16))
+    def test_rows_equal_one_row_calls(self, rows, steps, n_src, vocab, seed):
+        # a [rows, ...] call is byte-identical to one call per row, with
+        # duplicate ids and pads (-1) in every row
+        rng = np.random.default_rng(seed)
+        att = rng.normal(size=(rows, steps, n_src))
+        ids = rng.integers(-1, min(vocab, 3), size=(rows, n_src))
+        d_out = rng.normal(size=(rows, steps, vocab))
+        out = kernels.scatter_copy_forward(att, ids, vocab)
+        d_att = kernels.scatter_copy_backward(d_out, ids, n_src)
+        for r in range(rows):
+            assert (out[r].tobytes()
+                    == kernels.scatter_copy_forward(att[r], ids[r], vocab).tobytes())
+            assert (d_att[r].tobytes()
+                    == kernels.scatter_copy_backward(d_out[r], ids[r], n_src).tobytes())

@@ -12,6 +12,7 @@ from stagesum import model as M
 from stagesum.autodiff import Tensor
 from stagesum.checkpoint import init_random
 from stagesum.tokenizer import BOS, PAD, EncodedExample
+from stagesum.training import _stack
 
 
 def small_config(**kw):
@@ -198,6 +199,113 @@ class TestIncrementalDecode:
                     assert np.allclose(out["p_gen"], cache["p_gen"].data[t], **close)
                 else:
                     assert out["p_gen"] is None
+
+
+@st.composite
+def row_cases(draw):
+    """A random model (1-3 layers, 1-4 heads, copy on or off), 1-4 examples
+    with ragged source and target lengths, optional selection vectors and
+    optional dropout."""
+    heads = draw(st.integers(1, 4))
+    config = small_config(num_layers=draw(st.integers(1, 3)), hidden_size=12,
+                          num_heads=heads, vocab_size=14, encoder_positions=8,
+                          decoder_positions=6, copy_enabled=draw(st.booleans()),
+                          copy_head_index=draw(st.integers(0, heads - 1)),
+                          dropout_rate=draw(st.sampled_from([0.0, 0.3])))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    examples = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_src = int(rng.integers(1, config.encoder_positions + 1))
+        n_tgt = int(rng.integers(1, config.decoder_positions + 1))
+        examples.append(example_for(config, rng.integers(5, config.vocab_size, n_src),
+                                    rng.integers(3, config.vocab_size, n_tgt)))
+    selected = (rng.random((len(examples), config.encoder_positions)) < 0.5
+                if draw(st.booleans()) else None)
+    return config, init_random(config, seed), examples, selected, seed
+
+
+class TestRows:
+    """A call on stacked rows against one call per row."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(row_cases())
+    def test_forward_teacher_forced_matches_rows(self, case):
+        config, store, examples, selected, seed = case
+        training = config.dropout_rate > 0
+        n = M.dropout_draws(config, config.encoder_positions, config.decoder_positions)
+        blocks = [np.random.default_rng([seed, r]).random(n) for r in range(len(examples))]
+        draws = M.RowDraws(blocks)
+        probs, cache = M.forward_teacher_forced(store, config, _stack(examples), selected,
+                                                rng=draws, training=training)
+        if training:
+            draws.finish()
+        close = dict(rtol=1e-12, atol=1e-12)
+        for r, ex in enumerate(examples):
+            # a generator that yields row r's block draws it in the same order
+            row_probs, row_cache = M.forward_teacher_forced(
+                store, config, ex, None if selected is None else selected[r],
+                rng=np.random.default_rng([seed, r]), training=training)
+            assert np.allclose(probs.data[r], row_probs.data, **close)
+            for key, value in row_cache.items():
+                assert np.allclose(cache[key].data[r], value.data, **close), key
+
+    @settings(deadline=None, max_examples=20)
+    @given(row_cases())
+    def test_copy_inputs_per_row(self, case):
+        config, _, examples, selected, _ = case
+        batch = _stack(examples)
+        ids, masks = M.copy_inputs(batch.source_ids, batch.source_pad_mask, selected,
+                                   config.vocab_size)
+        for r, ex in enumerate(examples):
+            row_ids, row_mask = M.copy_inputs(
+                ex.source_ids, ex.source_pad_mask,
+                None if selected is None else selected[r], config.vocab_size)
+            assert np.array_equal(ids[r], row_ids)
+            assert (masks is None and row_mask is None) or np.array_equal(masks[r], row_mask)
+
+    def test_encode_rejects_any_all_pad_row(self, store, config):
+        ids = np.full((2, config.encoder_positions), 5)
+        pad = np.zeros((2, config.encoder_positions), bool)
+        pad[1] = True
+        with pytest.raises(ValueError):
+            M.encode(store, config, ids, pad)
+
+    def test_pad_mask_add_rows(self):
+        pm = M.pad_mask_add(np.array([[False, True], [True, False]]))
+        assert pm.shape == (2, 1, 1, 2)
+        assert np.array_equal(pm[1, 0, 0], [M.NEG_MASK, 0.0])
+
+
+class TestRowDraws:
+    def test_over_draw_raises(self):
+        draws = M.RowDraws(np.zeros((2, 5)))
+        draws.random((2, 3))
+        with pytest.raises(M.DrawError):
+            draws.random((2, 3))
+
+    def test_under_draw_raises(self):
+        draws = M.RowDraws(np.zeros((2, 5)))
+        draws.random((2, 3))
+        with pytest.raises(M.DrawError):
+            draws.finish()
+        draws.random((2, 2))
+        draws.finish()
+
+    def test_row_count_must_match(self):
+        with pytest.raises(M.DrawError):
+            M.RowDraws(np.zeros((2, 5))).random((3, 1))
+
+    def test_encode_uses_exactly_its_draws(self, store):
+        config = small_config(dropout_rate=0.3)
+        ex = example_for(config, [5, 6, 7], [5])
+        n = M.dropout_draws(config, config.encoder_positions)
+        for extra in (-1, 1):
+            draws = M.RowDraws(np.zeros((1, n + extra)))
+            with pytest.raises(M.DrawError):
+                M.encode(store, config, ex.source_ids[None], ex.source_pad_mask[None],
+                         draws)
+                draws.finish()
 
 
 class TestGate:

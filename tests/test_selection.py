@@ -133,7 +133,7 @@ class TestCalibrateThreshold:
                                 rng.uniform(0.6, 1.0, 20)])
         labels = np.concatenate([np.zeros(20, int), np.ones(20, int)])
         eps = sel.calibrate_threshold(probs, labels)
-        _, _, f1 = sel._prf(probs > eps, labels)
+        _, _, f1 = coverage_prf(probs > eps, labels)
         assert f1 == 1.0
 
     def test_matches_brute_force(self, rng):
@@ -145,8 +145,18 @@ class TestCalibrateThreshold:
                 continue
             eps = sel.calibrate_threshold(probs, labels)
             best_f1, _ = exhaustive_best_f1(probs, labels)
-            _, _, f1 = sel._prf(probs > eps, labels)
+            _, _, f1 = coverage_prf(probs > eps, labels)
             assert abs(f1 - best_f1) < 1e-12
+        # tie-heavy: probabilities on 11 values, many equal F1 midpoints;
+        # the sweep picks exactly the oracle's (first) maximizing midpoint
+        for _ in range(300):
+            n = int(rng.integers(4, 60))
+            probs = np.round(rng.random(n), 1)
+            labels = rng.integers(0, 2, n)
+            if labels.min() == labels.max() or len(np.unique(probs)) < 2:
+                continue
+            _, best_eps = exhaustive_best_f1(probs, labels)
+            assert sel.calibrate_threshold(probs, labels) == best_eps
 
     def test_tie_breaks_toward_smaller_eps(self):
         # eps=0.2 selects 2 pos + 2 neg (F1 = 2/3); eps=0.8 selects 1 pos,

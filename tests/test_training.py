@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stagesum import autodiff as ad
+from stagesum import model as M
+from stagesum import selection as sel
 from stagesum import training
 from stagesum.autodiff import Tensor
 from stagesum.checkpoint import init_random
 from stagesum.tokenizer import EOS, MASK, PAD, RESERVED, Vocabulary
-from stagesum.training import (TrainConfig, _mask_tokens, mle_loss,
+from stagesum.training import (CLAMP_FLOOR, TrainConfig, _mask_tokens, mle_loss,
                                denoise_pretrain, train_stage)
 
 from test_model import example_for, small_config
+from test_search import count_calls
 
 
 class TestMleLoss:
@@ -35,6 +41,18 @@ class TestMleLoss:
         with pytest.raises(training.StageError):
             mle_loss(Tensor(np.full((1, 4), 0.25)), np.array([0]),
                      np.array([True]))
+
+    def test_rows_pool_positions(self):
+        probs = Tensor(np.stack([np.full((2, 4), 0.25), np.eye(4)[[0, 1]]]))
+        loss, n = mle_loss(probs, np.array([[1, 3], [0, 1]]),
+                           np.array([[False, False], [False, True]]))
+        assert n == 3
+        assert abs(float(loss.data) - 2 * np.log(4) / 3) < 1e-12
+
+    def test_any_all_pad_row_rejected(self):
+        with pytest.raises(training.StageError):
+            mle_loss(Tensor(np.full((2, 1, 4), 0.25)), np.array([[0], [0]]),
+                     np.array([[False], [True]]))
 
     def test_clamp_counter(self):
         before = training.clamp_warnings
@@ -172,7 +190,7 @@ class TestDenoise:
             def integers(self, *a, **k):
                 return 5
 
-        loss, n = training._denoise_loss(store, config, ex, None, NoPickRng())
+        loss, n = training._denoise_loss(store, config, [ex], None, NoPickRng())
         assert n == 0
         assert float(loss.data) == 0.0
 
@@ -191,3 +209,119 @@ class TestDenoise:
         for out in (br, bb):
             assert np.array_equal(out["encoder.layer.0.ffn.in.weight"].data,
                                   store["encoder.layer.0.ffn.in.weight"].data)
+
+
+def per_example_loss(stage, store, config, items, rng, mask_rng):
+    """The loop the batched stage losses replace: one graph per item, the
+    items' summed losses added in order."""
+    parts, count = [], 0
+    for item in items:
+        if stage == "denoise":
+            corrupted, picked = _mask_tokens(item.source_ids, item.source_pad_mask,
+                                             config.vocab_size, mask_rng)
+            if len(picked) == 0:
+                continue
+            enc = M.encode(store, config, corrupted, item.source_pad_mask, rng)
+            probs = ad.softmax(ad.matmul(enc, store["embedding.word"].transpose())
+                               + store["mlm.bias"], axis=-1)
+            picked_p = probs[(picked, item.source_ids[picked])]
+            loss, n = -ad.log(ad.clamp_min(picked_p, CLAMP_FLOOR)).sum(), len(picked)
+        elif stage == "summarize":
+            probs, _ = M.forward_teacher_forced(store, config, item, rng=rng,
+                                                training=rng is not None)
+            loss, n = mle_loss(probs, item.target_ids, item.target_pad_mask)
+            loss = loss * n
+        else:
+            ex, labels = item
+            enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask, rng)
+            n = int((~ex.source_pad_mask).sum())
+            loss = sel.selector_loss(sel.selector_forward(store, enc), labels,
+                                     ex.source_pad_mask) * n
+        parts.append(loss)
+        count += n
+    if not parts:
+        return Tensor(0.0), 0
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    return total, count
+
+
+ARCH = {"denoise": "mlm_encoder", "summarize": "seq2seq", "select": "selector"}
+
+
+@st.composite
+def stage_cases(draw):
+    """A stage kind, a random model (1-3 layers, copy on or off, dropout
+    on) and a minibatch of 1-4 examples with ragged sources and targets."""
+    stage = draw(st.sampled_from(sorted(ARCH)))
+    config = small_config(num_layers=draw(st.integers(1, 3)), hidden_size=12,
+                          num_heads=3, vocab_size=16, encoder_positions=9,
+                          decoder_positions=5, copy_enabled=draw(st.booleans()),
+                          dropout_rate=0.3)
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_src = int(rng.integers(1, config.encoder_positions + 1))
+        n_tgt = int(rng.integers(1, config.decoder_positions + 1))
+        ex = example_for(config, rng.integers(5, config.vocab_size, n_src),
+                         rng.integers(3, config.vocab_size, n_tgt))
+        items.append((ex, rng.integers(0, 2, n_src)) if stage == "select" else ex)
+    return stage, config, init_random(config, seed, arch=ARCH[stage]), items, seed
+
+
+def loss_and_grads(loss_fn, store, config, items, seed):
+    # one generator for dropout and masking, as train_stage passes it
+    rng = np.random.default_rng(seed)
+    store.zero_grads()
+    with ad.new_tape():
+        loss, n = loss_fn(store, config, items, rng, rng)
+        if n:
+            (loss / n).backward()
+    return float(loss.data), n, {k: g.copy() for k, g in store.grads().items()}
+
+
+class TestBatchedLosses:
+    """Every stage loss on a minibatch is the per-example loop's sum, with
+    dropout on: the same masks, loss and gradients to rounding."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(stage_cases())
+    def test_matches_per_example_loop(self, case):
+        stage, config, store, items, seed = case
+        loss, n, grads = loss_and_grads(training._LOSS_FNS[stage], store, config,
+                                        items, seed)
+        ref_loss, ref_n, ref_grads = loss_and_grads(
+            lambda *a: per_example_loss(stage, *a), store, config, items, seed)
+        assert n == ref_n
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        # Relative to the largest gradient entry of the model: a tensor whose
+        # gradient sums terms that cancel (e.g. a key bias, whose true
+        # gradient is zero) keeps the rounding error of the terms.
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_denoise_draws_follow_each_examples_masking(self, seed):
+        # full-length sources, so that several examples mask something and
+        # each one's dropout block must come right after its masking draws
+        config = small_config(hidden_size=12, num_heads=3, vocab_size=16,
+                              encoder_positions=9, dropout_rate=0.3)
+        store = init_random(config, seed, arch="mlm_encoder")
+        rng = np.random.default_rng(seed)
+        items = [example_for(config, rng.integers(5, 16, 9), [5]) for _ in range(4)]
+        loss, n, _ = loss_and_grads(training._denoise_loss, store, config, items, seed)
+        ref_loss, ref_n, _ = loss_and_grads(
+            lambda *a: per_example_loss("denoise", *a), store, config, items, seed)
+        assert n == ref_n
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+
+    def test_train_stage_encodes_once_per_minibatch(self, monkeypatch):
+        config = small_config(dropout_rate=0.3)
+        data = tiny_data(config, 7)
+        encodes = count_calls(monkeypatch, M, "encode")
+        train_stage(init_random(config, 0), config, data, [],
+                    TrainConfig(lr=1e-3, dropout=0.1, batch_size=3, max_epochs=2))
+        assert encodes[0] == 2 * 3
