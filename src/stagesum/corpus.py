@@ -84,19 +84,6 @@ class CorpusSpec:
                 f"table and word inventory (need >= {needed})")
 
 
-def default_spec(kind: str, seed: int = 0) -> CorpusSpec:
-    if kind == "generic":
-        return CorpusSpec(kind, 10000, input_range=(2, 5), output_range=(0, 0),
-                          alpha_abs=0.0, seed=seed)
-    if kind == "shortform":
-        return CorpusSpec(kind, 5000, input_range=(2, 3), output_range=(1, 1),
-                          alpha_abs=0.5, seed=seed)
-    if kind == "longform":
-        return CorpusSpec(kind, 1000, input_range=(11, 15), output_range=(3, 3),
-                          alpha_abs=0.2, seed=seed)
-    raise SpecError(f"unknown corpus kind {kind!r}")
-
-
 def build_vocab_pieces(vocab_size: int) -> list[str]:
     """Reserved entries, then the closed word inventory, padded to size."""
     pieces = RESERVED + word_inventory()

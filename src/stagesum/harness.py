@@ -68,18 +68,27 @@ def _clip_labels(labels, examples):
 
 
 def run_generate(cfg: RunConfig) -> dict:
-    """Emit corpus files, the vocabulary, and sidecar spec records."""
-    out_dir = _ensure_dir(cfg.run_dir)
+    """Emit corpus files, the vocabulary, and sidecar spec records; every
+    corpus entry is checked before anything is written."""
     vocab_size = int(cfg.generate.get("vocab_size", 96))
     vocab = Vocabulary(corpus_mod.build_vocab_pieces(vocab_size))
-    vocab.save(os.path.join(out_dir, "vocab.txt"))
-    written = {"vocab": os.path.join(out_dir, "vocab.txt")}
+    entries = []
     for entry in cfg.generate.get("corpora", []):
         entry = dict(entry)
-        name = entry.pop("name")
+        name = entry.pop("name", None)
+        if not name:
+            raise corpus_mod.SpecError("every corpus entry needs a name")
         dev_n = int(entry.pop("dev_examples", 0))
         entry.setdefault("vocab_size", vocab_size)
         spec = corpus_mod.CorpusSpec(**entry)
+        if not 0 <= dev_n <= spec.num_examples:
+            raise corpus_mod.SpecError(f"corpus {name!r}: dev_examples {dev_n} "
+                                       f"outside 0..{spec.num_examples}")
+        entries.append((name, dev_n, spec))
+    out_dir = _ensure_dir(cfg.run_dir)
+    vocab.save(os.path.join(out_dir, "vocab.txt"))
+    written = {"vocab": os.path.join(out_dir, "vocab.txt")}
+    for name, dev_n, spec in entries:
         pairs = corpus_mod.generate(spec)
         train_pairs = pairs[: len(pairs) - dev_n]
         dev_pairs = pairs[len(pairs) - dev_n:]
@@ -130,14 +139,14 @@ def run_train(cfg: RunConfig) -> dict:
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
     store, surgery = build_init_store(cfg)
-    out_dir = _ensure_dir(cfg.run_dir)
-    with open(os.path.join(out_dir, "surgery_report.txt"), "w") as f:
-        f.write(format_surgery_report(surgery))
     dev = list(zip(data.get("dev_enc", []),
                    [s for _, s in data.get("dev", [])]))
     best, report = training.train_stage(store, mcfg, data["train_enc"], dev,
                                         tcfg, data["vocab"])
     best.provenance = list(store.provenance) + ["summarize-stage"]
+    out_dir = _ensure_dir(cfg.run_dir)
+    with open(os.path.join(out_dir, "surgery_report.txt"), "w") as f:
+        f.write(format_surgery_report(surgery))
     ckpt = os.path.join(out_dir, "checkpoint.ckpt")
     best.save(ckpt)
     with open(os.path.join(out_dir, "train_report.txt"), "w") as f:
@@ -152,7 +161,6 @@ def run_select_train(cfg: RunConfig) -> dict:
     data = _load_data(cfg)
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
-    tcfg.stage = "select"
     vocab = data["vocab"]
     train_labels = _clip_labels(_labels_for(data["train"], vocab), data["train_enc"])
     dev_labels = _clip_labels(_labels_for(data["dev"], vocab), data["dev_enc"])
@@ -162,7 +170,8 @@ def run_select_train(cfg: RunConfig) -> dict:
         copy_encoder(init, ParamStore.load(cfg.resolve(enc_src)), mcfg, {})
     train_data = list(zip(data["train_enc"], train_labels))
     dev_data = list(zip(data["dev_enc"], dev_labels))
-    best, report = training.train_stage(init, mcfg, train_data, dev_data, tcfg)
+    best, report = training.train_stage(init, mcfg, train_data, dev_data, tcfg,
+                                        stage="select")
     # calibrate the mask threshold on pooled dev positions
     probs = np.concatenate(sel.selector_probs(best, mcfg, data["dev_enc"]))
     labels = np.concatenate(dev_labels)

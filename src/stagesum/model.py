@@ -7,8 +7,9 @@ logits, mixed with the generation logits through a learned sigmoid gate.
 Training runs the decoder over whole target sequences (`decoder_stack`,
 `forward_teacher_forced`), one row per example: every function takes
 optional leading row axes, so a stack of examples is one call and one
-graph.  Dropout in such a call reads per-row draws from a `RowDraws`, so
-each row is masked exactly as a one-row pass with its own draws would be.
+graph.  Dropout is on exactly when a function is given `draws`, a
+`RowDraws` holding the rate and per-row draws, so each row is masked
+exactly as a one-row pass with its own draws would be.
 Inference decodes incrementally: `start_decode`
 projects the cross-attention keys and values once per source, and each
 `decode_step` computes only the newest position of every row, attending
@@ -48,7 +49,6 @@ class ModelConfig:
     vocab_size: int = 64
     encoder_positions: int = 32
     decoder_positions: int = 16
-    dropout_rate: float = 0.3
     copy_enabled: bool = True
     copy_head_index: int = 0
 
@@ -172,8 +172,12 @@ def _ffn(store, prefix: str, x: Tensor) -> Tensor:
     return ad.matmul(inner, store[f"{prefix}.out.weight"]) + store[f"{prefix}.out.bias"]
 
 
-def _sublayer(store, norm_prefix: str, x: Tensor, out: Tensor, rate, rng) -> Tensor:
-    out = ad.dropout_tokens(out, rate, rng)
+def _dropout(x: Tensor, draws: Optional[RowDraws]) -> Tensor:
+    return x if draws is None else ad.dropout_tokens(x, draws.rate, draws)
+
+
+def _sublayer(store, norm_prefix: str, x: Tensor, out: Tensor, draws=None) -> Tensor:
+    out = _dropout(out, draws)
     return ad.layer_norm(x + out, store[f"{norm_prefix}.gain"], store[f"{norm_prefix}.bias"])
 
 
@@ -189,8 +193,8 @@ def dropout_draws(config: ModelConfig, source_len: int, target_len: int = 0) -> 
 
 
 class RowDraws:
-    """Dropout draws for a forward pass over stacked rows: row r reads its
-    own block, blocks[r], from the front.
+    """Dropout at `rate` for a forward pass over stacked rows: row r reads
+    its own block of draws, blocks[r], from the front.
 
     `ad.dropout_tokens` asks for `random((rows, positions))`; every row gets
     the next `positions` values of its block, so a row is masked exactly as
@@ -199,8 +203,9 @@ class RowDraws:
     while draws are left over.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, rate: float):
         self.blocks = np.asarray(blocks, dtype=np.float64)   # [rows, draws]
+        self.rate = rate
         self.used = 0
 
     def random(self, shape) -> np.ndarray:
@@ -232,7 +237,7 @@ def causal_mask_add(n: int) -> np.ndarray:
 
 
 def embed(store, ids: np.ndarray, pos_table: str, config: ModelConfig,
-          rate=0.0, rng=None, start: int = 0) -> Tensor:
+          draws=None, start: int = 0) -> Tensor:
     """Word plus position embeddings [..., positions, hidden]; the last axis
     of `ids` holds positions start, start + 1, ..."""
     if np.any(ids >= config.vocab_size) or np.any(ids < 0):
@@ -243,30 +248,29 @@ def embed(store, ids: np.ndarray, pos_table: str, config: ModelConfig,
         raise ad.ShapeError(
             f"sequence length {end} exceeds {pos_table} table {pos.shape[0]}")
     x = ad.embedding(store["embedding.word"], ids) + pos[start:end]
-    return ad.dropout_tokens(x, rate, rng)
+    return _dropout(x, draws)
 
 
 def encode(store, config: ModelConfig, source_ids: np.ndarray,
-           source_pad_mask: np.ndarray, rng=None, prefix: str = "encoder") -> Tensor:
+           source_pad_mask: np.ndarray, draws=None) -> Tensor:
     """Run the encoder stack over source_ids [..., positions]; pad positions
     are hidden from attention."""
     if source_pad_mask.all(axis=-1).any():
         raise ValueError("encode requires at least one non-pad source position per row")
-    rate = config.dropout_rate if rng is not None else 0.0
-    x = embed(store, source_ids, "embedding.pos_enc", config, rate, rng)
+    x = embed(store, source_ids, "embedding.pos_enc", config, draws)
     mask = pad_mask_add(source_pad_mask)
     for i in range(config.num_layers):
-        p = f"{prefix}.layer.{i}"
+        p = f"encoder.layer.{i}"
         q = _heads(store, f"{p}.self_attn.q", x, config)
         att, _ = _attend(store, f"{p}.self_attn", q,
                          *_key_values(store, f"{p}.self_attn", x, config), mask, config)
-        x = _sublayer(store, f"{p}.self_attn_norm", x, att, rate, rng)
-        x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), rate, rng)
+        x = _sublayer(store, f"{p}.self_attn_norm", x, att, draws)
+        x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), draws)
     return x
 
 
 def _decoder_layer(store, config: ModelConfig, i: int, x: Tensor, self_kv, cross_kv,
-                   self_mask, src_mask, rate=0.0, rng=None) -> tuple[Tensor, Tensor]:
+                   self_mask, src_mask, draws=None) -> tuple[Tensor, Tensor]:
     """Decoder block i over x [..., steps, hidden].
 
     self_kv(prefix, x) and cross_kv(prefix) return the keys and values the
@@ -277,26 +281,25 @@ def _decoder_layer(store, config: ModelConfig, i: int, x: Tensor, self_kv, cross
     q = _heads(store, f"{p}.self_attn.q", x, config)
     att, _ = _attend(store, f"{p}.self_attn", q, *self_kv(f"{p}.self_attn", x),
                      self_mask, config)
-    x = _sublayer(store, f"{p}.self_attn_norm", x, att, rate, rng)
+    x = _sublayer(store, f"{p}.self_attn_norm", x, att, draws)
     q = _heads(store, f"{p}.cross_attn.q", x, config)
     cross, scores = _attend(store, f"{p}.cross_attn", q, *cross_kv(f"{p}.cross_attn"),
                             src_mask, config)
-    x = _sublayer(store, f"{p}.cross_attn_norm", x, cross, rate, rng)
-    x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), rate, rng)
+    x = _sublayer(store, f"{p}.cross_attn_norm", x, cross, draws)
+    x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), draws)
     return x, scores
 
 
 def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
                   source_pad_mask: np.ndarray, input_ids: np.ndarray,
-                  rng=None) -> tuple[Tensor, Tensor]:
+                  draws=None) -> tuple[Tensor, Tensor]:
     """Causal decoder over `input_ids` [..., steps]; returns (hidden states,
     top-layer cross-attention logits [..., heads, steps, source_positions],
     pre-softmax)."""
     t = input_ids.shape[-1]
     if t > config.decoder_positions:
         raise DecodeError(f"decoder length {t} exceeds limit {config.decoder_positions}")
-    rate = config.dropout_rate if rng is not None else 0.0
-    x = embed(store, input_ids, "embedding.pos_dec", config, rate, rng)
+    x = embed(store, input_ids, "embedding.pos_dec", config, draws)
     causal = causal_mask_add(t)
     src_mask = pad_mask_add(source_pad_mask)
 
@@ -308,7 +311,7 @@ def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
 
     for i in range(config.num_layers):
         x, cross = _decoder_layer(store, config, i, x, self_kv, cross_kv, causal,
-                                  src_mask, rate, rng)
+                                  src_mask, draws)
     return x, cross
 
 
@@ -385,21 +388,20 @@ def mixed_logits(store, config: ModelConfig, d: Tensor, copy_logits: Tensor,
 
 def forward_teacher_forced(store, config: ModelConfig, example,
                            selected: Optional[np.ndarray] = None,
-                           rng=None, training: bool = False):
+                           draws=None):
     """Teacher-forced decode over all target positions.
 
     `example` holds one example's arrays, or [rows, ·] stacks of several
     (with `selected` [rows, source_positions]).  Returns (P [..., steps,
     vocab] as a Tensor of per-position distributions, cache dict).  Dropout
-    is active iff training and rng (a generator or a `RowDraws`) is given.
+    is on iff `draws` (a `RowDraws`) is given.
     """
-    drop_rng = rng if training else None
-    enc = encode(store, config, example.source_ids, example.source_pad_mask, drop_rng)
+    enc = encode(store, config, example.source_ids, example.source_pad_mask, draws)
     targets = example.target_ids
     bos = np.full(targets.shape[:-1] + (1,), BOS, dtype=targets.dtype)
     dec_input = np.concatenate((bos, targets[..., :-1]), axis=-1)
     d, cross = decoder_stack(store, config, enc, example.source_pad_mask,
-                             dec_input, drop_rng)
+                             dec_input, draws)
     cache = {"encoder_out": enc, "decoder_out": d, "cross_logits": cross}
     if config.copy_enabled:
         copy = cross[..., config.copy_head_index, :, :]

@@ -27,7 +27,6 @@ def length_penalty(length: int, alpha: float) -> float:
 class Hypothesis:
     tokens: list[int] = field(default_factory=list)   # emitted ids, BOS excluded
     log_prob: float = 0.0
-    finished: bool = False
 
     def penalized(self, alpha: float) -> float:
         return self.log_prob / length_penalty(max(len(self.tokens), 1), alpha)
@@ -108,7 +107,7 @@ def beam_decode(store, config, source_ids, source_pad_mask,
                     tok = int(tok)
                     log_prob = hyp.log_prob + float(lp[row, tok])
                     if tok == EOS:
-                        done = Hypothesis(list(hyp.tokens), log_prob, finished=True)
+                        done = Hypothesis(list(hyp.tokens), log_prob)
                         finished.append(done)
                         best = max(best, done.penalized(alpha))
                     else:

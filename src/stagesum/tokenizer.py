@@ -154,20 +154,6 @@ def encode_pair(doc: str, summary: str, vocab: Vocabulary,
                           src_trunc, tgt_trunc)
 
 
-def truncation_report(pairs: list[tuple[str, str]], vocab: Vocabulary,
-                      source_limit: int, target_limit: int) -> dict[str, float]:
-    """Fraction of examples whose input/output exceeded the length limits."""
-    if not pairs:
-        raise ValueError("truncation_report requires a non-empty corpus")
-    n_in = n_out = 0
-    for doc, summary in pairs:
-        ex = encode_pair(doc, summary, vocab, source_limit, target_limit)
-        n_in += ex.source_truncated
-        n_out += ex.target_truncated
-    n = len(pairs)
-    return {"input_trunc_rate": n_in / n, "output_trunc_rate": n_out / n}
-
-
 def read_corpus(path) -> list[tuple[str, str]]:
     """Read TAB-separated or JSON-record-per-line (document, summary) pairs."""
     pairs = []

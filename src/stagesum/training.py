@@ -27,7 +27,6 @@ from .optim import AdamState, adam_step
 from .tokenizer import MASK, EncodedExample, Vocabulary, detokenize
 
 CLAMP_FLOOR = 1e-30
-clamp_warnings = 0
 
 
 class StageError(RuntimeError):
@@ -40,21 +39,15 @@ class TrainConfig:
     dropout: float = 0.3
     batch_size: int = 8
     max_epochs: int = 10
-    eval_every: int = 1
     seed: int = 0
-    stage: str = "summarize"   # denoise | summarize | select
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.stage not in ("denoise", "summarize", "select"):
-            raise ValueError(f"unknown stage kind {self.stage!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be at least 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
 
@@ -80,17 +73,12 @@ def mle_loss(probs: Tensor, target_ids: np.ndarray,
 
     probs is [..., steps, vocab] and the targets [..., steps]; every row
     needs a non-pad target.  Returns (scalar loss, count of non-pad
-    positions).  Probabilities below 1e-30 are clamped; each clamp bumps
-    the module warning counter.
+    positions).  Probabilities below 1e-30 are clamped.
     """
-    global clamp_warnings
     if not (~target_pad_mask).any(axis=-1).all():
         raise StageError("mle_loss: no non-pad target positions")
     valid = np.nonzero(~target_pad_mask)
     picked = probs[valid + (target_ids[valid],)]
-    n_clamped = int((picked.data < CLAMP_FLOOR).sum())
-    if n_clamped:
-        clamp_warnings += n_clamped
     nll = -ad.log(ad.clamp_min(picked, CLAMP_FLOOR))
     return nll.mean(), len(valid[0])
 
@@ -116,10 +104,11 @@ def _stack(examples: list) -> EncodedExample:
                              for f in dataclasses.fields(EncodedExample)})
 
 
-def _row_draws(rng: Optional[np.random.Generator], rows: int, n: int
+def _row_draws(rng: np.random.Generator, rate: float, rows: int, n: int
                ) -> Optional[M.RowDraws]:
-    """rows consecutive blocks of n dropout draws; None with dropout off."""
-    return None if rng is None else M.RowDraws(rng.random((rows, n)))
+    """rows consecutive blocks of n dropout draws at rate; None with
+    dropout off."""
+    return M.RowDraws(rng.random((rows, n)), rate) if rate > 0 else None
 
 
 def _finish(draws: Optional[M.RowDraws]) -> None:
@@ -127,20 +116,20 @@ def _finish(draws: Optional[M.RowDraws]) -> None:
         draws.finish()
 
 
-def _denoise_loss(store, config, items, rng: Optional[np.random.Generator],
-                  mask_rng: np.random.Generator) -> tuple[Tensor, int]:
+def _denoise_loss(store, config, items, rng: np.random.Generator,
+                  rate: float) -> tuple[Tensor, int]:
     rows, blocks = [], []
     for ex in items:
         corrupted, picked = _mask_tokens(ex.source_ids, ex.source_pad_mask,
-                                         config.vocab_size, mask_rng)
+                                         config.vocab_size, rng)
         if len(picked) == 0:
             continue
         rows.append((ex, corrupted, picked))
-        if rng is not None:
+        if rate > 0:
             blocks.append(rng.random(M.dropout_draws(config, len(ex.source_ids))))
     if not rows:
         return Tensor(0.0), 0
-    draws = M.RowDraws(blocks) if rng is not None else None
+    draws = M.RowDraws(blocks, rate) if rate > 0 else None
     enc = M.encode(store, config, np.stack([c for _, c, _ in rows]),
                    np.stack([ex.source_pad_mask for ex, _, _ in rows]), draws)
     _finish(draws)
@@ -153,20 +142,20 @@ def _denoise_loss(store, config, items, rng: Optional[np.random.Generator],
     return -ad.log(ad.clamp_min(picked_p, CLAMP_FLOOR)).sum(), len(pos)
 
 
-def _summarize_loss(store, config, items, rng, mask_rng) -> tuple[Tensor, int]:
+def _summarize_loss(store, config, items, rng, rate) -> tuple[Tensor, int]:
     batch = _stack(items)
-    draws = _row_draws(rng, len(items), M.dropout_draws(
+    draws = _row_draws(rng, rate, len(items), M.dropout_draws(
         config, batch.source_ids.shape[-1], batch.target_ids.shape[-1]))
-    probs, _ = M.forward_teacher_forced(store, config, batch, rng=draws,
-                                        training=draws is not None)
+    probs, _ = M.forward_teacher_forced(store, config, batch, draws=draws)
     _finish(draws)
     loss, n = mle_loss(probs, batch.target_ids, batch.target_pad_mask)
     return loss * n, n
 
 
-def _select_loss(store, config, items, rng, mask_rng) -> tuple[Tensor, int]:
+def _select_loss(store, config, items, rng, rate) -> tuple[Tensor, int]:
     batch = _stack([ex for ex, _ in items])
-    draws = _row_draws(rng, len(items), M.dropout_draws(config, batch.source_ids.shape[-1]))
+    draws = _row_draws(rng, rate, len(items),
+                       M.dropout_draws(config, batch.source_ids.shape[-1]))
     enc = M.encode(store, config, batch.source_ids, batch.source_pad_mask, draws)
     _finish(draws)
     pred = sel.selector_forward(store, enc)
@@ -216,17 +205,17 @@ def dev_rouge_l(store, config, dev: list, vocab: Vocabulary) -> float:
     return total / len(dev)
 
 
-def _dev_metric(store, config, dev, tcfg: TrainConfig,
+def _dev_metric(store, config, dev, tcfg: TrainConfig, stage: str,
                 vocab: Optional[Vocabulary]) -> float:
-    if tcfg.stage == "summarize":
+    if stage == "summarize":
         return dev_rouge_l(store, config, dev, vocab)
-    if tcfg.stage == "denoise":
+    if stage == "denoise":
         mask_rng = np.random.default_rng([tcfg.seed, 0xDEF])
         total, count = 0.0, 0
         with ad.no_grad():
             for start in range(0, len(dev), tcfg.batch_size):
                 loss, n = _denoise_loss(store, config, dev[start:start + tcfg.batch_size],
-                                        None, mask_rng)
+                                        mask_rng, 0.0)
                 total += float(loss.data)
                 count += n
         return -total / max(count, 1)
@@ -241,29 +230,33 @@ def _dev_metric(store, config, dev, tcfg: TrainConfig,
     return f1
 
 
-# Per stage kind: (store, config, items, dropout rng or None, masking rng) ->
-# (loss summed over the items, count), from one graph over the stacked items.
-# The dropout rng, given only when dropout is on, yields one block of
-# `M.dropout_draws` values per example in item order (for denoising, each
-# right after that example's masking draws), so every example is masked as
-# if it ran alone; only denoising draws from the masking rng.
+# Per stage kind: (store, config, items, rng, dropout rate) -> (loss summed
+# over the items, count), from one graph over the stacked items.  With a
+# rate above 0, rng yields one block of `M.dropout_draws` values per example
+# in item order (for denoising, each right after that example's masking
+# draws), so every example is masked as if it ran alone; a rate of 0 draws
+# no dropout.  Only denoising draws its masking from rng.
 _LOSS_FNS = {"denoise": _denoise_loss, "summarize": _summarize_loss,
              "select": _select_loss}
 
 
 def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
-                tcfg: TrainConfig, vocab: Optional[Vocabulary] = None
-                ) -> tuple[ParamStore, TrainReport]:
-    """Shuffled mini-batch Adam training with best-on-dev checkpointing."""
+                tcfg: TrainConfig, vocab: Optional[Vocabulary] = None,
+                stage: str = "summarize") -> tuple[ParamStore, TrainReport]:
+    """Shuffled mini-batch Adam training of one stage kind (a key of
+    `_LOSS_FNS`), scored on dev after every epoch with best-on-dev
+    checkpointing."""
+    if stage not in _LOSS_FNS:
+        raise ValueError(f"unknown stage kind {stage!r}")
     if not train_data:
         raise StageError("training corpus is empty")
-    config = dataclasses.replace(config, dropout_rate=tcfg.dropout)
     store = init.copy()
     state = AdamState(lr=tcfg.lr)
     rng = np.random.default_rng([tcfg.seed, 1])
     report = TrainReport()
     best_store = store.copy()
-    best_eval = _dev_metric(store, config, dev_data, tcfg, vocab) if dev_data else -np.inf
+    best_eval = (_dev_metric(store, config, dev_data, tcfg, stage, vocab)
+                 if dev_data else -np.inf)
     report.best_metric = best_eval
     report.best_epoch = 0
 
@@ -274,8 +267,7 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
             batch = [train_data[i] for i in order[start:start + tcfg.batch_size]]
             store.zero_grads()
             with ad.new_tape():
-                loss, count = _LOSS_FNS[tcfg.stage](
-                    store, config, batch, rng if tcfg.dropout > 0 else None, rng)
+                loss, count = _LOSS_FNS[stage](store, config, batch, rng, tcfg.dropout)
                 if count == 0:
                     continue
                 total = loss / count
@@ -287,8 +279,8 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
             epoch_count += count
         train_loss = epoch_loss / max(epoch_count, 1)
         rec = {"epoch": epoch, "train_loss": train_loss}
-        if dev_data and epoch % tcfg.eval_every == 0:
-            metric = _dev_metric(store, config, dev_data, tcfg, vocab)
+        if dev_data:
+            metric = _dev_metric(store, config, dev_data, tcfg, stage, vocab)
             rec["dev_metric"] = metric
             if metric > report.best_metric:
                 report.best_metric = metric
@@ -305,6 +297,5 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
 def denoise_pretrain(config, tcfg: TrainConfig, train_examples: list,
                      dev_examples: list) -> tuple[ParamStore, TrainReport]:
     """Masked-token pretraining producing an encoder-style source checkpoint."""
-    tcfg = dataclasses.replace(tcfg, stage="denoise")
     init = init_random(config, tcfg.seed, arch="mlm_encoder")
-    return train_stage(init, config, train_examples, dev_examples, tcfg)
+    return train_stage(init, config, train_examples, dev_examples, tcfg, stage="denoise")

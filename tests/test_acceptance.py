@@ -52,9 +52,9 @@ SELECTOR_TRAIN_N = 60
 SELECTOR_EPOCHS = 1
 
 
-def train_cfg(seed, epochs, **kw):
+def train_cfg(seed, epochs):
     return TrainConfig(lr=3e-3, dropout=0.1, batch_size=16, max_epochs=epochs,
-                       seed=seed, **kw)
+                       seed=seed)
 
 
 def norm(text):
@@ -140,7 +140,7 @@ def test_criterion_1_gradient_integrity():
     t0 = time.time()
     cfg = M.ModelConfig(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32,
                         vocab_size=24, encoder_positions=12,
-                        decoder_positions=8, dropout_rate=0.0)
+                        decoder_positions=8)
     store = init_random(cfg, 0)
     for name in store.names():
         if name.endswith("weight") or name.startswith("embedding."):
@@ -212,7 +212,7 @@ def decode_row(store, cfg, enc, source, pad, prefix, selected=None):
 def test_criterion_2_copy_gate_limits():
     cfg = M.ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
                         vocab_size=12, encoder_positions=6,
-                        decoder_positions=4, dropout_rate=0.0)
+                        decoder_positions=4)
     worst = 0.0
     for seed in range(100):
         store = init_random(cfg, seed)
@@ -244,7 +244,7 @@ def test_criterion_2_copy_gate_limits():
 def test_criterion_3_masking_suppression():
     cfg = M.ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
                         vocab_size=24, encoder_positions=10,
-                        decoder_positions=6, dropout_rate=0.0)
+                        decoder_positions=6)
     worst = 0.0
     checked = 0
     for seed in range(20):
@@ -362,7 +362,7 @@ def test_criterion_7_oracle_selection_uplift(pipeline):
     selector, _ = training.train_stage(
         init_random(mcfg, 0, arch="selector"), mcfg, train_data,
         list(zip(dev_enc, dev_labels)),
-        train_cfg(0, SELECTOR_EPOCHS, stage="select"))
+        train_cfg(0, SELECTOR_EPOCHS), stage="select")
     probs, labels = [], []
     with ad.no_grad():
         for ex, y in zip(dev_enc, dev_labels):
@@ -488,8 +488,7 @@ def test_criterion_8_metric_oracles():
 def test_criterion_9_determinism(tmp_path, monkeypatch):
     monkeypatch.setenv("STAGESUM_OUT", str(tmp_path))
     model = dict(num_layers=1, hidden_size=16, num_heads=2, ffn_size=32,
-                 vocab_size=96, encoder_positions=24, decoder_positions=8,
-                 dropout_rate=0.1)
+                 vocab_size=96, encoder_positions=24, decoder_positions=8)
     gen_cfg = RunConfig(out_dir="data", generate={
         "vocab_size": 96,
         "corpora": [{"name": "short", "kind": "shortform", "num_examples": 40,

@@ -14,8 +14,7 @@ from stagesum.checkpoint import (ALWAYS_RANDOM, MAGIC, CheckpointError,
 
 def cfg(**kw):
     base = dict(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32,
-                vocab_size=24, encoder_positions=12, decoder_positions=8,
-                dropout_rate=0.0)
+                vocab_size=24, encoder_positions=12, decoder_positions=8)
     base.update(kw)
     return M.ModelConfig(**base)
 

@@ -12,8 +12,7 @@ from stagesum.model import ModelConfig
 from stagesum.tokenizer import Vocabulary, read_corpus, write_corpus
 
 MODEL = {"num_layers": 1, "hidden_size": 8, "num_heads": 2, "ffn_size": 16,
-         "vocab_size": 96, "encoder_positions": 24, "decoder_positions": 8,
-         "dropout_rate": 0.0}
+         "vocab_size": 96, "encoder_positions": 24, "decoder_positions": 8}
 
 
 @pytest.fixture
@@ -57,6 +56,20 @@ class TestGenerate:
         n_train = len((data / "short.train.tsv").read_text().splitlines())
         n_dev = len((data / "short.dev.tsv").read_text().splitlines())
         assert (n_train, n_dev) == (20, 4)
+
+    @pytest.mark.parametrize("second, message", [
+        ({"bogus_key": 1}, "bogus_key"),
+        ({"dev_examples": 6}, "dev_examples 6"),
+    ], ids=["unknown-key", "dev-exceeds-examples"])
+    def test_rejected_entry_writes_nothing(self, run_env, capsys, second, message):
+        entry = {"kind": "shortform", "num_examples": 4, "seed": 1}
+        cfg = write_config(run_env, "gen", out_dir="data", generate={
+            "vocab_size": 96,
+            "corpora": [{**entry, "name": "a", "dev_examples": 2},
+                        {**entry, "name": "b", **second}]})
+        assert cli.main(["generate", cfg]) == 1
+        assert message in capsys.readouterr().err
+        assert not (run_env / "data").exists()
 
 
 class TestEval:
@@ -119,8 +132,7 @@ class TestPipeline:
             run_env, "pre", out_dir="prerun", seed=0, model=MODEL,
             vocab="data/vocab.txt",
             corpus={"train": "data/gen.train.tsv", "dev": "data/gen.dev.tsv"},
-            train={"lr": 1e-3, "dropout": 0.0, "batch_size": 4,
-                   "max_epochs": 1, "stage": "denoise"})
+            train={"lr": 1e-3, "dropout": 0.0, "batch_size": 4, "max_epochs": 1})
         assert cli.main(["pretrain", cfg]) == 0
         assert (run_env / "prerun" / "checkpoint.ckpt").exists()
 
@@ -225,15 +237,34 @@ class TestDiagnostics:
         cfg = write_config(run_env, "bad", bogus_key=1)
         assert cli.main(["train", cfg]) == 1
         assert "bogus_key" in capsys.readouterr().err
-        # an unknown key inside "train" is rejected too
+        # an unknown key inside "model" or "train" is rejected too, before a
+        # run directory exists; the dropout rate is set only in
+        # train.dropout, and the subcommand picks the stage kind
         generate_corpora(run_env)
         capsys.readouterr()
-        cfg = write_config(run_env, "bad-train", out_dir="r", model=MODEL,
-                           vocab="data/vocab.txt",
-                           corpus={"train": "data/short.train.tsv"},
-                           train={"max_epochs": 1, "stage_name": "x"})
+        for section, key, value in [("train", "stage_name", "x"),
+                                    ("model", "dropout_rate", 0.5),
+                                    ("train", "stage", "denoise"),
+                                    ("train", "eval_every", 1)]:
+            fields = {"model": dict(MODEL), "train": {"max_epochs": 1}}
+            fields[section][key] = value
+            cfg = write_config(run_env, "bad-train", out_dir="r",
+                               vocab="data/vocab.txt",
+                               corpus={"train": "data/short.train.tsv"}, **fields)
+            assert cli.main(["train", cfg]) == 1, key
+            assert key in capsys.readouterr().err
+            assert not (run_env / "r").exists(), key
+
+    def test_empty_train_corpus(self, run_env, capsys):
+        generate_corpora(run_env)
+        (run_env / "empty.tsv").write_text("")
+        capsys.readouterr()
+        cfg = write_config(run_env, "train", out_dir="trainrun", model=MODEL,
+                           vocab="data/vocab.txt", corpus={"train": "empty.tsv"},
+                           train={"max_epochs": 1})
         assert cli.main(["train", cfg]) == 1
-        assert "stage_name" in capsys.readouterr().err
+        assert "training corpus is empty" in capsys.readouterr().err
+        assert not (run_env / "trainrun").exists()
 
     def test_unknown_decode_mode(self, run_env, capsys):
         generate_corpora(run_env)

@@ -10,6 +10,14 @@ from stagesum.metrics import abstraction_rate, normalize_for_rouge
 from stagesum.tokenizer import RESERVED, Vocabulary, wordpiece_tokenize
 
 
+# The recipe's shortform and longform specs: the ranges and abstraction
+# rates that tests/test_acceptance.py generates its corpora with.
+RECIPE = {"shortform": C.CorpusSpec("shortform", 5000, input_range=(2, 3),
+                                    output_range=(1, 1), alpha_abs=0.5),
+          "longform": C.CorpusSpec("longform", 1000, input_range=(11, 15),
+                                   output_range=(3, 3), alpha_abs=0.2)}
+
+
 def rates(pairs):
     return [abstraction_rate(normalize_for_rouge(d), normalize_for_rouge(s))
             for d, s in pairs if s]
@@ -27,13 +35,6 @@ class TestSpecValidation:
     def test_vocab_too_small(self):
         with pytest.raises(C.SpecError):
             C.CorpusSpec("shortform", 10, vocab_size=10)
-
-    def test_default_specs_valid(self):
-        for kind in ("generic", "shortform", "longform"):
-            spec = C.default_spec(kind)
-            assert spec.kind == kind
-        with pytest.raises(C.SpecError):
-            C.default_spec("bogus")
 
 
 class TestDeterminism:
@@ -88,7 +89,7 @@ class TestCorpusShape:
 
     def test_synonyms_never_in_documents(self):
         for kind, alpha in (("shortform", 0.5), ("longform", 0.2)):
-            spec = C.default_spec(kind)
+            spec = RECIPE[kind]
             for d, _ in C.generate(C.CorpusSpec(kind, 100,
                                                 input_range=spec.input_range,
                                                 output_range=spec.output_range,
@@ -110,8 +111,8 @@ class TestCorpusShape:
                 assert w in doc_words or back[w] in doc_words, (w, d, s)
 
     def test_longform_vs_shortform_contrasts(self):
-        sf_spec = C.default_spec("shortform")
-        lf_spec = C.default_spec("longform")
+        sf_spec = RECIPE["shortform"]
+        lf_spec = RECIPE["longform"]
         sf = C.generate(C.CorpusSpec("shortform", 300,
                                      input_range=sf_spec.input_range,
                                      output_range=sf_spec.output_range,
@@ -128,11 +129,6 @@ class TestCorpusShape:
         assert lf_out >= 3 * sf_out
         assert lf_spec.num_examples < sf_spec.num_examples
         assert np.mean(rates(lf)) < np.mean(rates(sf))
-
-    def test_default_sizes(self):
-        assert C.default_spec("longform").num_examples \
-            < C.default_spec("shortform").num_examples \
-            < C.default_spec("generic").num_examples
 
 
 class TestVocabPieces:

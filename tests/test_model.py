@@ -17,8 +17,7 @@ from stagesum.training import _stack
 
 def small_config(**kw):
     base = dict(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
-                vocab_size=12, encoder_positions=10, decoder_positions=6,
-                dropout_rate=0.0)
+                vocab_size=12, encoder_positions=10, decoder_positions=6)
     base.update(kw)
     return M.ModelConfig(**base)
 
@@ -210,8 +209,8 @@ def row_cases(draw):
     config = small_config(num_layers=draw(st.integers(1, 3)), hidden_size=12,
                           num_heads=heads, vocab_size=14, encoder_positions=8,
                           decoder_positions=6, copy_enabled=draw(st.booleans()),
-                          copy_head_index=draw(st.integers(0, heads - 1)),
-                          dropout_rate=draw(st.sampled_from([0.0, 0.3])))
+                          copy_head_index=draw(st.integers(0, heads - 1)))
+    rate = draw(st.sampled_from([0.0, 0.3]))
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.default_rng(seed)
     examples = []
@@ -222,7 +221,7 @@ def row_cases(draw):
                                     rng.integers(3, config.vocab_size, n_tgt)))
     selected = (rng.random((len(examples), config.encoder_positions)) < 0.5
                 if draw(st.booleans()) else None)
-    return config, init_random(config, seed), examples, selected, seed
+    return config, init_random(config, seed), examples, selected, seed, rate
 
 
 class TestRows:
@@ -231,21 +230,26 @@ class TestRows:
     @settings(deadline=None, max_examples=40)
     @given(row_cases())
     def test_forward_teacher_forced_matches_rows(self, case):
-        config, store, examples, selected, seed = case
-        training = config.dropout_rate > 0
+        config, store, examples, selected, seed, rate = case
         n = M.dropout_draws(config, config.encoder_positions, config.decoder_positions)
         blocks = [np.random.default_rng([seed, r]).random(n) for r in range(len(examples))]
-        draws = M.RowDraws(blocks)
+        draws = M.RowDraws(blocks, rate) if rate > 0 else None
         probs, cache = M.forward_teacher_forced(store, config, _stack(examples), selected,
-                                                rng=draws, training=training)
-        if training:
+                                                draws=draws)
+        if draws is not None:
             draws.finish()
         close = dict(rtol=1e-12, atol=1e-12)
         for r, ex in enumerate(examples):
-            # a generator that yields row r's block draws it in the same order
-            row_probs, row_cache = M.forward_teacher_forced(
-                store, config, ex, None if selected is None else selected[r],
-                rng=np.random.default_rng([seed, r]), training=training)
+            row_sel = None if selected is None else selected[r]
+            if rate > 0:
+                # a one-row call on row r's block draws it in the same order
+                row_probs, row_cache = M.forward_teacher_forced(
+                    store, config, _stack([ex]), None if row_sel is None else row_sel[None],
+                    draws=M.RowDraws(np.random.default_rng([seed, r]).random((1, n)), rate))
+                row_probs = row_probs[0]
+                row_cache = {key: value[0] for key, value in row_cache.items()}
+            else:
+                row_probs, row_cache = M.forward_teacher_forced(store, config, ex, row_sel)
             assert np.allclose(probs.data[r], row_probs.data, **close)
             for key, value in row_cache.items():
                 assert np.allclose(cache[key].data[r], value.data, **close), key
@@ -253,7 +257,7 @@ class TestRows:
     @settings(deadline=None, max_examples=20)
     @given(row_cases())
     def test_copy_inputs_per_row(self, case):
-        config, _, examples, selected, _ = case
+        config, _, examples, selected, _, _ = case
         batch = _stack(examples)
         ids, masks = M.copy_inputs(batch.source_ids, batch.source_pad_mask, selected,
                                    config.vocab_size)
@@ -279,13 +283,13 @@ class TestRows:
 
 class TestRowDraws:
     def test_over_draw_raises(self):
-        draws = M.RowDraws(np.zeros((2, 5)))
+        draws = M.RowDraws(np.zeros((2, 5)), 0.3)
         draws.random((2, 3))
         with pytest.raises(M.DrawError):
             draws.random((2, 3))
 
     def test_under_draw_raises(self):
-        draws = M.RowDraws(np.zeros((2, 5)))
+        draws = M.RowDraws(np.zeros((2, 5)), 0.3)
         draws.random((2, 3))
         with pytest.raises(M.DrawError):
             draws.finish()
@@ -294,14 +298,14 @@ class TestRowDraws:
 
     def test_row_count_must_match(self):
         with pytest.raises(M.DrawError):
-            M.RowDraws(np.zeros((2, 5))).random((3, 1))
+            M.RowDraws(np.zeros((2, 5)), 0.3).random((3, 1))
 
     def test_encode_uses_exactly_its_draws(self, store):
-        config = small_config(dropout_rate=0.3)
+        config = small_config()
         ex = example_for(config, [5, 6, 7], [5])
         n = M.dropout_draws(config, config.encoder_positions)
         for extra in (-1, 1):
-            draws = M.RowDraws(np.zeros((1, n + extra)))
+            draws = M.RowDraws(np.zeros((1, n + extra)), 0.3)
             with pytest.raises(M.DrawError):
                 M.encode(store, config, ex.source_ids[None], ex.source_pad_mask[None],
                          draws)
@@ -407,11 +411,12 @@ class TestForwardTeacherForced:
         assert np.abs(probs_copy.data - probs_gen.data).max() < 1e-9
 
     def test_deterministic(self, config, store):
-        ex = example_for(config, [5, 6, 7], [5, 7])
-        a, _ = M.forward_teacher_forced(store, config, ex, rng=np.random.default_rng(3),
-                                        training=True)
-        b, _ = M.forward_teacher_forced(store, config, ex, rng=np.random.default_rng(3),
-                                        training=True)
+        ex = _stack([example_for(config, [5, 6, 7], [5, 7])])
+        n = M.dropout_draws(config, config.encoder_positions, config.decoder_positions)
+        a, _ = M.forward_teacher_forced(
+            store, config, ex, draws=M.RowDraws(np.random.default_rng(3).random((1, n)), 0.3))
+        b, _ = M.forward_teacher_forced(
+            store, config, ex, draws=M.RowDraws(np.random.default_rng(3).random((1, n)), 0.3))
         assert np.array_equal(a.data, b.data)
 
     def test_distributions_normalized(self, config, store):

@@ -212,9 +212,8 @@ def reference_beam(store, config, ex, selected, beam_width, alpha, max_len,
             for tok in order:
                 tok = int(tok)
                 new = Hypothesis(hyp.tokens + ([] if tok == EOS else [tok]),
-                                 hyp.log_prob + float(lp[tok]),
-                                 finished=tok == EOS)
-                if new.finished:
+                                 hyp.log_prob + float(lp[tok]))
+                if tok == EOS:
                     finished.append(new)
                 else:
                     candidates.append(new)

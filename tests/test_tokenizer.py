@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from stagesum.tokenizer import (EOS, PAD, RESERVED, UNK, ConfigError, Vocabulary,
                                 basic_tokenize, detokenize, encode_pair,
-                                read_corpus, truncation_report,
-                                wordpiece_tokenize, write_corpus)
+                                read_corpus, wordpiece_tokenize, write_corpus)
 
 
 def make_vocab(extra):
@@ -121,26 +120,6 @@ class TestEncodePair:
         ex = encode_pair("tok tok tok", "tok", self.vocab, 6, 6)
         assert np.array_equal(ex.source_ids == PAD, ex.source_pad_mask)
         assert np.array_equal(ex.target_ids == PAD, ex.target_pad_mask)
-
-
-class TestTruncationReport:
-    def setup_method(self):
-        self.vocab = make_vocab(["tok"])
-
-    def test_no_truncation(self):
-        pairs = [("tok", "tok")] * 4
-        rep = truncation_report(pairs, self.vocab, 8, 8)
-        assert rep == {"input_trunc_rate": 0.0, "output_trunc_rate": 0.0}
-
-    def test_quarter_truncated(self):
-        pairs = [("tok", "tok")] * 3 + [(" ".join(["tok"] * 20), "tok")]
-        rep = truncation_report(pairs, self.vocab, 8, 8)
-        assert rep["input_trunc_rate"] == 0.25
-        assert rep["output_trunc_rate"] == 0.0
-
-    def test_empty_corpus_error(self):
-        with pytest.raises(ValueError):
-            truncation_report([], self.vocab, 8, 8)
 
 
 class TestCorpusIO:
