@@ -8,6 +8,7 @@ rejected config, corpus or checkpoint leaves nothing behind.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -34,7 +35,13 @@ def encode_corpus(pairs, vocab, source_limit, target_limit):
             for doc, summary in pairs]
 
 
-def _load_data(cfg: RunConfig):
+def _load_data(cfg: RunConfig, required=("train",)):
+    """The vocabulary and each configured split, raw and encoded; a
+    `required` split the config does not name is rejected first."""
+    for split in required:
+        if not cfg.corpus.get(split):
+            raise ValueError(f"this stage needs corpus.{split}, which the config "
+                             "does not name")
     vocab = Vocabulary.load(cfg.resolve(cfg.vocab))
     out = {"vocab": vocab}
     for split in ("train", "dev"):
@@ -115,9 +122,18 @@ def run_pretrain(cfg: RunConfig) -> str:
     out_dir = _ensure_dir(cfg.run_dir)
     ckpt = os.path.join(out_dir, "checkpoint.ckpt")
     store.save(ckpt)
+    _write_report(out_dir, report)
+    return ckpt
+
+
+def _write_report(out_dir: str, report: training.TrainReport) -> None:
+    """train_report.txt, and its wall-clock timings in timings.json beside it."""
     with open(os.path.join(out_dir, "train_report.txt"), "w") as f:
         f.write(report.format())
-    return ckpt
+    with open(os.path.join(out_dir, "timings.json"), "w") as f:
+        json.dump({"initial_dev_eval_s": report.initial_dev_eval_s,
+                   "epochs": report.timings}, f, indent=1)
+        f.write("\n")
 
 
 def build_init_store(cfg: RunConfig) -> tuple[ParamStore, dict]:
@@ -149,8 +165,7 @@ def run_train(cfg: RunConfig) -> dict:
         f.write(format_surgery_report(surgery))
     ckpt = os.path.join(out_dir, "checkpoint.ckpt")
     best.save(ckpt)
-    with open(os.path.join(out_dir, "train_report.txt"), "w") as f:
-        f.write(report.format())
+    _write_report(out_dir, report)
     return {"checkpoint": ckpt, "best_epoch": report.best_epoch,
             "best_metric": report.best_metric}
 
@@ -158,7 +173,7 @@ def run_train(cfg: RunConfig) -> dict:
 def run_select_train(cfg: RunConfig) -> dict:
     """Train the content selector; writes checkpoint, threshold and a report
     of the calibrated selector on the pooled dev positions."""
-    data = _load_data(cfg)
+    data = _load_data(cfg, ("train", "dev"))
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
     vocab = data["vocab"]
@@ -183,8 +198,7 @@ def run_select_train(cfg: RunConfig) -> dict:
         f.write(f"{eps!r}\n")
     with open(os.path.join(out_dir, "selector_report.txt"), "w") as f:
         f.write(metrics.format_report(_selector_report(probs, labels, eps)))
-    with open(os.path.join(out_dir, "train_report.txt"), "w") as f:
-        f.write(report.format())
+    _write_report(out_dir, report)
     return {"checkpoint": ckpt, "threshold": eps, "best_f1": report.best_metric}
 
 
@@ -228,7 +242,7 @@ def run_decode(cfg: RunConfig) -> str:
     mode = cfg.decode.get("mode", "greedy")
     beam_width = int(cfg.decode.get("beam_width", 4))
     training.check_decode_options(mode, beam_width)
-    data = _load_data(cfg)
+    data = _load_data(cfg, ("dev",))
     mcfg = cfg.model_config()
     store = ParamStore.load(cfg.resolve(cfg.checkpoint))
     check_compatible(store, mcfg, "seq2seq")

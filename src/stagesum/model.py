@@ -13,8 +13,10 @@ exactly as a one-row pass with its own draws would be.
 Inference decodes incrementally: `start_decode`
 projects the cross-attention keys and values once per source, and each
 `decode_step` computes only the newest position of every row, attending
-over cached self-attention keys and values.  Both paths share the same
-attention, block, copy-scatter and gate code.
+over cached self-attention keys and values.  Rows either share one source
+(a beam's hypotheses) or each have their own (a greedy batch over a
+corpus), so a row decodes exactly as it would alone.  Both paths share the
+same attention, block, copy-scatter and gate code.
 """
 
 from __future__ import annotations
@@ -418,37 +420,62 @@ def forward_teacher_forced(store, config: ModelConfig, example,
 
 @dataclass
 class DecodeState:
-    """Incremental decoding state for one source, shared by every row.
+    """Incremental decoding state for rows decoded side by side.
 
-    Built by `start_decode`; `decode_step` advances all rows by one position
-    and appends each layer's self-attention keys and values, so no position
-    is computed twice.  Rows are the sequences decoded side by side (a
-    beam's hypotheses); `reorder` follows the beam's backpointers.
+    Built by `start_decode`; `decode_step` advances every row by one
+    position and appends each layer's self-attention keys and values, so no
+    position is computed twice.  The source arrays have a leading source
+    axis: 1 when every row shares one source (a beam's hypotheses), the
+    number of rows when each row has its own (a greedy batch).  `reorder`
+    follows a beam's backpointers or drops finished rows.
     """
-    cross_kv: dict                 # prefix -> (k, v) Tensors [heads, source, head_dim]
-    source_mask_add: np.ndarray    # [1, 1, source_positions]
-    copy_ids: np.ndarray
-    vocab_mask_add: Optional[np.ndarray]
+    # prefix -> (k, v) Tensors [sources, heads, source_positions, head_dim]
+    cross_kv: dict
+    source_mask_add: np.ndarray    # [sources, 1, 1, source_positions]
+    copy_ids: np.ndarray           # [sources, source_positions]
+    vocab_mask_add: Optional[np.ndarray]   # [sources, vocab], or None
     # prefix -> (k, v) [rows, heads, positions decoded, head_dim]
     self_kv: dict = field(default_factory=dict)
     position: int = 0
 
+    @property
+    def sources(self) -> int:
+        return self.copy_ids.shape[0]
+
     def reorder(self, rows) -> None:
-        """Make row j a copy of old row rows[j] (repeats allowed)."""
+        """Make row j a copy of old row rows[j] (repeats allowed).
+
+        A source axis of 1 stays as it is: 0 is its only valid index.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         self.self_kv = {p: (k[rows], v[rows]) for p, (k, v) in self.self_kv.items()}
+        if self.sources > 1:
+            self.cross_kv = {p: (Tensor(k.data[rows]), Tensor(v.data[rows]))
+                             for p, (k, v) in self.cross_kv.items()}
+            self.source_mask_add = self.source_mask_add[rows]
+            self.copy_ids = self.copy_ids[rows]
+            if self.vocab_mask_add is not None:
+                self.vocab_mask_add = self.vocab_mask_add[rows]
 
 
 def start_decode(store, config: ModelConfig, encoder_out: Tensor,
                  source_ids: np.ndarray, source_pad_mask: np.ndarray,
                  selected: Optional[np.ndarray] = None) -> DecodeState:
-    """Decoding state for one encoded source, before the BOS step.
+    """Decoding state for encoded sources, before the BOS step.
 
-    Projects every decoder layer's cross-attention keys and values once and
-    fixes the source mask, the copy-scatter ids and (when `selected` is
-    given) the vocab-space selection mask for every later step.
+    source_ids [..., source_positions] (with encoder_out [...,
+    source_positions, hidden] and `selected` alike) holds one source per
+    row; a 1-D source is one source that every row shares.  Projects every
+    decoder layer's cross-attention keys and values once and fixes the
+    source mask, the copy-scatter ids and (when `selected` is given) the
+    vocab-space selection mask for every later step.
     """
+    n = source_ids.shape[-1]
+    source_ids, source_pad_mask = source_ids.reshape(-1, n), source_pad_mask.reshape(-1, n)
+    if selected is not None:
+        selected = selected.reshape(-1, n)
     with ad.no_grad():
+        encoder_out = encoder_out.reshape(-1, n, config.hidden_size)
         cross_kv = {}
         for i in range(config.num_layers):
             prefix = f"decoder.layer.{i}.cross_attn"
@@ -464,8 +491,10 @@ def decode_step(store, config: ModelConfig, state: DecodeState,
 
     Every row of `state` advances by one position: each layer's new
     self-attention keys and values are appended to the cache and only the
-    new position is computed.  Returns that position's outputs per row,
-    mixed exactly as `forward_teacher_forced` mixes them.
+    new position is computed.  Each row stays [1, hidden] up to the mixed
+    logits, so its products are the ones a one-row step computes.  Returns
+    that position's outputs per row, mixed exactly as
+    `forward_teacher_forced` mixes them.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     rows, t = len(tokens), state.position
@@ -474,6 +503,8 @@ def decode_step(store, config: ModelConfig, state: DecodeState,
     for k, _ in state.self_kv.values():
         if k.shape[0] != rows:
             raise ValueError(f"{rows} tokens for a decode state of {k.shape[0]} rows")
+    if state.sources > 1 and state.sources != rows:
+        raise ValueError(f"{rows} tokens for a decode state of {state.sources} sources")
 
     def self_kv(prefix, x):
         k, v = (y.data for y in _key_values(store, prefix, x, config))
@@ -490,16 +521,17 @@ def decode_step(store, config: ModelConfig, state: DecodeState,
             x, cross = _decoder_layer(store, config, i, x, self_kv,
                                       state.cross_kv.__getitem__, None,
                                       state.source_mask_add)
-        d = x.reshape(rows, config.hidden_size)
-        cross = cross.reshape(rows, config.num_heads, -1)
         copy = cross[:, config.copy_head_index]
         if config.copy_enabled:
-            z, y, p = mixed_logits(store, config, d, copy, state.copy_ids,
+            z, y, p = mixed_logits(store, config, x, copy, state.copy_ids,
                                    state.vocab_mask_add)
-            p = p.data
+            p = p.data.reshape(rows)
         else:
-            z = y = generation_logits(store, d)
+            z = y = generation_logits(store, x)
             p = None
     state.position = t + 1
-    return DecoderStepState(d_t=d.data, cross_logits=cross.data, copy_logits=copy.data,
-                            gen_logits=y.data, p_gen=p, mixed_logits=z.data)
+    return DecoderStepState(d_t=x.data.reshape(rows, -1),
+                            cross_logits=cross.data.reshape(rows, config.num_heads, -1),
+                            copy_logits=copy.data.reshape(rows, -1),
+                            gen_logits=y.data.reshape(rows, -1), p_gen=p,
+                            mixed_logits=z.data.reshape(rows, -1))

@@ -1,9 +1,10 @@
 """Greedy and beam-search decoding with a sub-linear length penalty.
 
 Both run on the incremental decoder (`model.start_decode`,
-`model.decode_step`): greedy steps one row; beam search steps every live
-hypothesis as one batch and stops as soon as no live hypothesis can beat
-the best finished one.
+`model.decode_step`).  Greedy decodes a whole corpus as one batch, one row
+per source, and drops each row once it emits EOS.  Beam search decodes one
+source at a time: it steps every live hypothesis as one batch and stops as
+soon as no live hypothesis can beat the best finished one.
 """
 
 from __future__ import annotations
@@ -50,22 +51,39 @@ def _budget(config, max_len: Optional[int]) -> int:
 
 def greedy_decode(store, config, source_ids, source_pad_mask,
                   selected: Optional[np.ndarray] = None,
-                  max_len: Optional[int] = None) -> list[int]:
-    """Argmax decoding (ties to the lowest id); stops at EOS or max_len."""
+                  max_len: Optional[int] = None) -> list:
+    """Argmax decoding (ties to the lowest id) of every row of source_ids
+    [rows, source_positions] as one batch; a row stops at EOS or max_len.
+
+    Each source is encoded on its own, and a row's tokens are the ones a
+    one-row decode of it gives.  Returns one token list per row, or one
+    list for a 1-D source.
+    """
     max_len = _budget(config, max_len)
+    single = np.ndim(source_ids) == 1
+    source_ids, source_pad_mask = np.atleast_2d(source_ids, source_pad_mask)
+    if selected is not None:
+        selected = np.atleast_2d(selected)
+    outs: list[list[int]] = [[] for _ in source_ids]
     with ad.no_grad():
-        enc = M.encode(store, config, source_ids, source_pad_mask)
-        state = M.start_decode(store, config, enc, source_ids, source_pad_mask,
-                               selected)
-        out: list[int] = []
-        tok = BOS
+        enc = [M.encode(store, config, ids, pad).data
+               for ids, pad in zip(source_ids, source_pad_mask)]
+        state = M.start_decode(store, config, ad.Tensor(np.stack(enc)), source_ids,
+                               source_pad_mask, selected)
+        live = np.arange(len(outs))             # the row of outs each state row feeds
+        tokens = np.full(len(outs), BOS)
         for _ in range(max_len):
-            lp = _log_probs(M.decode_step(store, config, state, [tok]).mixed_logits)
-            tok = int(np.argmax(lp[0]))
-            if tok == EOS:
+            lp = _log_probs(M.decode_step(store, config, state, tokens).mixed_logits)
+            tokens = np.argmax(lp, axis=-1)
+            going = tokens != EOS
+            live, tokens = live[going], tokens[going]
+            for row, tok in zip(live, tokens):
+                outs[row].append(int(tok))
+            if not len(live):
                 break
-            out.append(tok)
-    return out
+            if not going.all():
+                state.reorder(np.flatnonzero(going))
+    return outs[0] if single else outs
 
 
 def beam_decode(store, config, source_ids, source_pad_mask,

@@ -11,6 +11,7 @@ generator would have drawn.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,6 +58,10 @@ class TrainReport:
     records: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_metric: float = -np.inf
+    # wall-clock seconds, kept out of `format` so the report stays
+    # reproducible: the dev score before training, and one record per epoch
+    initial_dev_eval_s: float = 0.0
+    timings: list[dict] = field(default_factory=list)
 
     def format(self) -> str:
         lines = []
@@ -177,21 +182,24 @@ def decode_corpus(store, config, examples, vocab: Vocabulary,
     """Decode every example to a detokenized summary string.
 
     selected_for, when given, maps example index to a boolean selection
-    vector masking the copy head during decoding.  mode is "greedy" or "beam".
+    vector masking the copy head during decoding.  mode is "greedy" (every
+    example in one batch) or "beam" (one example at a time).
     """
     check_decode_options(mode, beam_width)
-    out = []
-    for i, ex in enumerate(examples):
-        selected = selected_for(i) if selected_for is not None else None
-        if mode == "greedy":
-            ids = search.greedy_decode(store, config, ex.source_ids,
-                                       ex.source_pad_mask, selected)
-        else:
-            ids = search.beam_decode(store, config, ex.source_ids,
-                                     ex.source_pad_mask, selected,
-                                     beam_width=beam_width, alpha=alpha)
-        out.append(detokenize([vocab.pieces[t] for t in ids]))
-    return out
+    if not examples:
+        return []
+    selected = (None if selected_for is None else
+                np.stack([selected_for(i) for i in range(len(examples))]))
+    if mode == "greedy":
+        batch = _stack(examples)
+        decoded = search.greedy_decode(store, config, batch.source_ids,
+                                       batch.source_pad_mask, selected)
+    else:
+        decoded = [search.beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
+                                      None if selected is None else selected[i],
+                                      beam_width=beam_width, alpha=alpha)
+                   for i, ex in enumerate(examples)]
+    return [detokenize([vocab.pieces[t] for t in ids]) for ids in decoded]
 
 
 def dev_rouge_l(store, config, dev: list, vocab: Vocabulary) -> float:
@@ -255,12 +263,15 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
     rng = np.random.default_rng([tcfg.seed, 1])
     report = TrainReport()
     best_store = store.copy()
+    clock = time.perf_counter()
     best_eval = (_dev_metric(store, config, dev_data, tcfg, stage, vocab)
                  if dev_data else -np.inf)
+    report.initial_dev_eval_s = time.perf_counter() - clock
     report.best_metric = best_eval
     report.best_epoch = 0
 
     for epoch in range(1, tcfg.max_epochs + 1):
+        clock = time.perf_counter()
         order = rng.permutation(len(train_data))
         epoch_loss, epoch_count = 0.0, 0
         for start in range(0, len(order), tcfg.batch_size):
@@ -279,6 +290,7 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
             epoch_count += count
         train_loss = epoch_loss / max(epoch_count, 1)
         rec = {"epoch": epoch, "train_loss": train_loss}
+        train_s = time.perf_counter() - clock
         if dev_data:
             metric = _dev_metric(store, config, dev_data, tcfg, stage, vocab)
             rec["dev_metric"] = metric
@@ -287,6 +299,9 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
                 report.best_epoch = epoch
                 best_store = store.copy()
         report.records.append(rec)
+        report.timings.append({"epoch": epoch, "train_s": train_s,
+                               "dev_eval_s": time.perf_counter() - clock - train_s,
+                               "train_examples_per_s": len(train_data) / train_s})
     if not dev_data:
         best_store = store.copy()
         report.best_epoch = tcfg.max_epochs

@@ -3,21 +3,24 @@
 perfbench/tracing.py wraps the public functions it names in `TARGETS` on
 their modules and on every `from`-import binding; a renamed or removed
 function, or one held in a module-level dict, makes every benchmark run
-fail.  The benchmark also checks that decoding encodes each source once.
+fail.  The benchmark also checks that decoding encodes each source once,
+and its decode-step counts rest on greedy stopping when its last row ends.
 """
 
 import functools
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 from stagesum import model as M
 from stagesum import search
 from stagesum.checkpoint import init_random
+from stagesum.training import _stack
 
 from test_model import example_for, small_config
-from test_search import count_calls
+from test_search import count_calls, peaked_store
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -54,7 +57,41 @@ def test_decoding_encodes_each_source_once(decode, monkeypatch):
     config = small_config()
     store = init_random(config, 0)
     encodes = count_calls(monkeypatch, M, "encode")
-    for src in ([5, 6, 7], [8], [5, 9, 10, 11]):
+    sources = ([5, 6, 7], [8], [5, 9, 10, 11])
+    for src in sources:
         ex = example_for(config, src, [5])
         decode(store, config, ex.source_ids, ex.source_pad_mask)
     assert encodes[0] == 3
+    if decode is search.greedy_decode:
+        # a stacked call encodes each row on its own
+        batch = _stack([example_for(config, src, [5]) for src in sources])
+        decode(store, config, batch.source_ids, batch.source_pad_mask)
+        assert encodes[0] == 6
+
+
+def finishing_rows():
+    """A peaked model and six sources whose greedy decodes end in EOS at
+    different steps, all before the length limit."""
+    config = small_config(num_layers=2, hidden_size=12, num_heads=2, vocab_size=14,
+                          encoder_positions=8, decoder_positions=6,
+                          copy_enabled=False)
+    store = peaked_store(init_random(config, 2), 1.0)
+    rng = np.random.default_rng(2)
+    examples = [example_for(config, rng.integers(5, 14, rng.integers(1, 9)), [5])
+                for _ in range(6)]
+    return config, store, examples
+
+
+@pytest.mark.parametrize("max_len", [None, 1, 2])
+def test_stacked_greedy_stops_when_the_last_row_ends(max_len, monkeypatch):
+    config, store, examples = finishing_rows()
+    batch = _stack(examples)
+    steps = count_calls(monkeypatch, M, "decode_step")
+    out = search.greedy_decode(store, config, batch.source_ids, batch.source_pad_mask,
+                               max_len=max_len)
+    lengths = [len(tokens) for tokens in out]
+    if max_len is None:
+        # the rows end in EOS at different steps, all before the limit
+        assert len(set(lengths)) > 1 and max(lengths) < config.decoder_positions - 1
+    budget = config.decoder_positions - 1 if max_len is None else max_len
+    assert steps[0] == min(budget, max(lengths) + 1)

@@ -161,6 +161,38 @@ class TestPipeline:
         assert all(0.0 <= float(v) <= 1.0 for v in report.values())
 
 
+class TestTimings:
+    """Training stages write per-epoch wall-clock timings to timings.json
+    and keep them out of the reproducible train_report.txt."""
+
+    def test_timings_beside_report(self, run_env, capsys):
+        generate_corpora(run_env)
+        common = dict(seed=0, model=MODEL, vocab="data/vocab.txt",
+                      corpus={"train": "data/short.train.tsv",
+                              "dev": "data/short.dev.tsv"},
+                      train={"lr": 1e-3, "dropout": 0.1, "batch_size": 8,
+                             "max_epochs": 2})
+        for command, out in [("pretrain", "pre"), ("train", "train-0"),
+                             ("select-train", "sel"), ("train", "train-1")]:
+            assert cli.main([command, write_config(run_env, out, out_dir=out,
+                                                   **common)]) == 0
+            timings = json.loads((run_env / out / "timings.json").read_text())
+            assert timings["initial_dev_eval_s"] > 0
+            assert [t["epoch"] for t in timings["epochs"]] == [1, 2]
+            for record in timings["epochs"]:
+                assert sorted(record) == ["dev_eval_s", "epoch", "train_examples_per_s",
+                                          "train_s"]
+                assert min(record["train_s"], record["dev_eval_s"],
+                           record["train_examples_per_s"]) > 0
+            report = (run_env / out / "train_report.txt").read_text().splitlines()
+            assert [sorted(k.split("=")[0] for k in line.split()) for line in report] == (
+                [["dev_metric", "epoch", "train_loss"]] * 2 + [["best_epoch", "best_metric"]])
+        # a second run of the same stage writes the same report and checkpoint
+        for name in ("train_report.txt", "checkpoint.ckpt"):
+            assert ((run_env / "train-0" / name).read_bytes()
+                    == (run_env / "train-1" / name).read_bytes())
+
+
 class TestDecodeModes:
     """`decode` with a beam and with model selection writes what
     `training.decode_corpus` decodes from the same checkpoint and inputs."""
@@ -265,6 +297,19 @@ class TestDiagnostics:
         assert cli.main(["train", cfg]) == 1
         assert "training corpus is empty" in capsys.readouterr().err
         assert not (run_env / "trainrun").exists()
+
+    @pytest.mark.parametrize("command", ["select-train", "decode"])
+    def test_missing_dev_split(self, run_env, capsys, command):
+        generate_corpora(run_env)
+        init_random(ModelConfig(**MODEL), 0).save(str(run_env / "random.ckpt"))
+        capsys.readouterr()
+        cfg = write_config(run_env, "cfg", out_dir="r", model=MODEL,
+                           vocab="data/vocab.txt",
+                           corpus={"train": "data/short.train.tsv"},
+                           checkpoint="random.ckpt", train={"max_epochs": 1})
+        assert cli.main([command, cfg]) == 1
+        assert "corpus.dev" in capsys.readouterr().err
+        assert not (run_env / "r").exists()
 
     def test_unknown_decode_mode(self, run_env, capsys):
         generate_corpora(run_env)

@@ -94,6 +94,16 @@ def start(store, config, ex, selected=None):
                           selected)
 
 
+def start_rows(store, config, examples, selected=None):
+    """A decode state with one row per example, each source encoded on its
+    own and stacked, as `search.greedy_decode` builds it."""
+    batch = _stack(examples)
+    enc = np.stack([M.encode(store, config, ex.source_ids, ex.source_pad_mask).data
+                    for ex in examples])
+    return M.start_decode(store, config, Tensor(enc), batch.source_ids,
+                          batch.source_pad_mask, selected)
+
+
 class TestDecodeStep:
     def test_t0_with_bos_prefix(self, store, config):
         ex = example_for(config, [5, 6], [5])
@@ -137,6 +147,15 @@ class TestDecodeStep:
         with pytest.raises(ValueError):
             M.decode_step(store, config, state, [5])
 
+    def test_token_count_must_match_sources(self, store, config):
+        state = start_rows(store, config, [example_for(config, [5, 6], [5]),
+                                           example_for(config, [7], [5])])
+        for tokens in ([BOS], [BOS] * 3):
+            with pytest.raises(ValueError):
+                M.decode_step(store, config, state, tokens)
+        assert M.decode_step(store, config, state, [BOS, BOS]).mixed_logits.shape == (
+            2, config.vocab_size)
+
 
 @st.composite
 def decode_cases(draw):
@@ -156,36 +175,71 @@ def decode_cases(draw):
     return config, init_random(config, seed), ex, selected, rng
 
 
+@st.composite
+def row_cases(draw, max_rows=4):
+    """A random model (1-3 layers, 1-4 heads, copy on or off), 1-max_rows
+    examples with ragged source and target lengths, optional selection
+    vectors and optional dropout."""
+    heads = draw(st.integers(1, 4))
+    config = small_config(num_layers=draw(st.integers(1, 3)), hidden_size=12,
+                          num_heads=heads, vocab_size=14, encoder_positions=8,
+                          decoder_positions=6, copy_enabled=draw(st.booleans()),
+                          copy_head_index=draw(st.integers(0, heads - 1)))
+    rate = draw(st.sampled_from([0.0, 0.3]))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    examples = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        n_src = int(rng.integers(1, config.encoder_positions + 1))
+        n_tgt = int(rng.integers(1, config.decoder_positions + 1))
+        examples.append(example_for(config, rng.integers(5, config.vocab_size, n_src),
+                                    rng.integers(3, config.vocab_size, n_tgt)))
+    selected = (rng.random((len(examples), config.encoder_positions)) < 0.5
+                if draw(st.booleans()) else None)
+    return config, init_random(config, seed), examples, selected, seed, rate
+
+
 class TestIncrementalDecode:
     """start_decode/decode_step against the teacher-forced oracle."""
 
     @settings(deadline=None, max_examples=40)
-    @given(decode_cases(), st.integers(1, 4))
-    def test_steps_match_teacher_forced(self, case, rows):
-        config, store, ex, selected, rng = case
-        state = start(store, config, ex, selected)
+    @given(row_cases(), st.booleans())
+    def test_steps_match_teacher_forced(self, case, shared):
+        """Rows that share one source (a beam's hypotheses) or have one
+        each (a greedy batch), with a reorder part way that repeats or
+        drops rows."""
+        config, store, examples, selected, seed, _ = case
+        rng = np.random.default_rng(seed)
+        rows = len(examples)
+        sel = [None] * rows if selected is None else list(selected)
+        if shared:
+            state = start(store, config, examples[0], sel[0])
+            sources = [(examples[0], sel[0])] * rows
+        else:
+            state = start_rows(store, config, examples, selected)
+            sources = list(zip(examples, sel))
         fed = [[BOS] for _ in range(rows)]     # tokens fed to each row so far
         outs = [[] for _ in range(rows)]       # that row's step outputs
         reorder_at = int(rng.integers(1, config.decoder_positions))
         for t in range(config.decoder_positions):
             if t == reorder_at:
-                back = rng.integers(0, rows, rows)
+                back = rng.integers(0, rows, int(rng.integers(1, rows + 1)))
                 state.reorder(back)
-                fed = [list(fed[r]) for r in back]
-                outs = [list(outs[r]) for r in back]
+                fed, outs = ([list(x[r]) for r in back] for x in (fed, outs))
+                sources = [sources[r] for r in back]
             if t:
                 for row in fed:
                     row.append(int(rng.integers(5, config.vocab_size)))
             step = M.decode_step(store, config, state, [row[-1] for row in fed])
-            for j in range(rows):
+            for j in range(len(fed)):
                 outs[j].append({k: None if v is None else v[j]
                                 for k, v in vars(step).items()})
         # masked copy logits reach ~5e3, where one float64 ulp is ~1e-12
         close = dict(rtol=1e-12, atol=1e-12)
-        for row, steps in zip(fed, outs):
+        for row, steps, (ex, row_sel) in zip(fed, outs, sources):
             target = example_for(config, ex.source_ids[~ex.source_pad_mask],
                                  row[1:] + [5])
-            _, cache = M.forward_teacher_forced(store, config, target, selected)
+            _, cache = M.forward_teacher_forced(store, config, target, row_sel)
             for t, out in enumerate(steps):
                 assert np.allclose(out["mixed_logits"], cache["mixed_logits"].data[t], **close)
                 assert np.allclose(out["gen_logits"], cache["gen_logits"].data[t], **close)
@@ -199,29 +253,26 @@ class TestIncrementalDecode:
                 else:
                     assert out["p_gen"] is None
 
-
-@st.composite
-def row_cases(draw):
-    """A random model (1-3 layers, 1-4 heads, copy on or off), 1-4 examples
-    with ragged source and target lengths, optional selection vectors and
-    optional dropout."""
-    heads = draw(st.integers(1, 4))
-    config = small_config(num_layers=draw(st.integers(1, 3)), hidden_size=12,
-                          num_heads=heads, vocab_size=14, encoder_positions=8,
-                          decoder_positions=6, copy_enabled=draw(st.booleans()),
-                          copy_head_index=draw(st.integers(0, heads - 1)))
-    rate = draw(st.sampled_from([0.0, 0.3]))
-    seed = draw(st.integers(0, 2 ** 16))
-    rng = np.random.default_rng(seed)
-    examples = []
-    for _ in range(draw(st.integers(1, 4))):
-        n_src = int(rng.integers(1, config.encoder_positions + 1))
-        n_tgt = int(rng.integers(1, config.decoder_positions + 1))
-        examples.append(example_for(config, rng.integers(5, config.vocab_size, n_src),
-                                    rng.integers(3, config.vocab_size, n_tgt)))
-    selected = (rng.random((len(examples), config.encoder_positions)) < 0.5
-                if draw(st.booleans()) else None)
-    return config, init_random(config, seed), examples, selected, seed, rate
+    @settings(deadline=None, max_examples=30)
+    @given(row_cases())
+    def test_batched_rows_equal_one_row_steps_bit_for_bit(self, case):
+        """Each row of a step over per-row sources is exactly what a
+        one-row state of that source computes, so a batched greedy decode
+        picks the same tokens."""
+        config, store, examples, selected, seed, _ = case
+        rng = np.random.default_rng(seed)
+        state = start_rows(store, config, examples, selected)
+        alone = [start(store, config, ex, None if selected is None else selected[r])
+                 for r, ex in enumerate(examples)]
+        tokens = np.full(len(examples), BOS)
+        for _ in range(config.decoder_positions):
+            step = vars(M.decode_step(store, config, state, tokens))
+            for r, row_state in enumerate(alone):
+                for key, value in vars(M.decode_step(store, config, row_state,
+                                                     tokens[r:r + 1])).items():
+                    assert ((value is None and step[key] is None)
+                            or np.array_equal(step[key][r], value[0])), key
+            tokens = rng.integers(5, config.vocab_size, len(examples))
 
 
 class TestRows:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from stagesum import autodiff as ad
@@ -15,8 +15,9 @@ from stagesum.checkpoint import init_random
 from stagesum.search import (Hypothesis, beam_decode, greedy_decode,
                              length_penalty)
 from stagesum.tokenizer import BOS, EOS
+from stagesum.training import _stack
 
-from test_model import decode_cases, example_for, small_config, start
+from test_model import decode_cases, example_for, row_cases, small_config, start
 
 
 def step_log_probs(store, config, state, tokens):
@@ -122,6 +123,34 @@ class TestGreedy:
         out = greedy_decode(store, config, ex.source_ids, ex.source_pad_mask,
                             max_len=config.decoder_positions)
         assert len(out) == config.decoder_positions
+
+
+def peaked_store(store, eos_bias):
+    """Sharpen a random model so that greedy decodes vary from source to
+    source, and raise EOS by eos_bias so that rows finish at different
+    steps."""
+    for name, param in store.params.items():
+        if name.endswith("weight") or name.startswith("embedding."):
+            param.data *= 10.0
+    store["output.bias"].data[EOS] += eos_bias
+    return store
+
+
+class TestGreedyBatch:
+    @settings(deadline=None, max_examples=40)
+    @given(row_cases(max_rows=6), st.floats(0.5, 1.5), st.sampled_from([None, 3]))
+    def test_stacked_rows_match_per_row_calls(self, case, eos_bias, max_len):
+        config, store, examples, selected, _, _ = case
+        store = peaked_store(store, eos_bias)
+        batch = _stack(examples)
+        got = greedy_decode(store, config, batch.source_ids, batch.source_pad_mask,
+                            selected, max_len=max_len)
+        # steer generation toward rows that finish at different steps
+        target(float(len({len(tokens) for tokens in got})))
+        assert got == [greedy_decode(store, config, ex.source_ids, ex.source_pad_mask,
+                                     None if selected is None else selected[r],
+                                     max_len=max_len)
+                       for r, ex in enumerate(examples)]
 
 
 class TestBeam:
