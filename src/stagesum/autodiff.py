@@ -2,8 +2,14 @@
 
 Tensors wrap float64 numpy arrays.  Operations on tensors that require
 gradients are recorded on the active Tape through `_make`, each with one
-gradient rule per parent; Tensor.backward() replays the tape in reverse,
-un-broadcasting and accumulating every rule's result into its parent.
+gradient rule per parent, built only when the node is recorded;
+Tensor.backward() replays the tape in reverse, un-broadcasting and
+accumulating every rule's result into its parent.  A tensor's first
+gradient is stored as a C-ordered copy and later ones are added to it, so
+no gradient starts as a buffer of zeros.  The model's hot spots are fused
+into single nodes: `linear` (x @ W + b) and attention as `attention_scores`
+(q kᵀ · scale + mask) followed by `softmax_matmul` (softmax(s) @ v), whose
+backward reuses the saved softmax output.
 Everything is 64-bit; there is no device or dtype story.
 """
 
@@ -89,9 +95,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g: np.ndarray):
+        # The first gradient is copied, never stored as is: g may be a view
+        # of another tensor's gradient, which a later += would then change.
+        # C order, not g's strides: other strides send later matmuls down
+        # another BLAS path, which can change their last bits.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def backward(self):
         """Reverse-replay the active tape from this tensor."""
@@ -117,12 +128,12 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        return _make(self.data + other.data, (self, other), _identity, _identity)
+        return _make(self.data + other.data, (self, other), _identities)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.data, (self,), np.negative)
+        return _make(-self.data, (self,), _negation)
 
     def __sub__(self, other):
         return self + (-_as_tensor(other))
@@ -133,7 +144,7 @@ class Tensor:
     def __mul__(self, other):
         other = _as_tensor(other)
         return _make(self.data * other.data, (self, other),
-                     lambda g: g * other.data, lambda g: g * self.data)
+                     lambda: (lambda g: g * other.data, lambda g: g * self.data))
 
     __rmul__ = __mul__
 
@@ -143,38 +154,36 @@ class Tensor:
         raise TypeError("tensor division only supports scalars")
 
     def __getitem__(self, idx):
-        def grad(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
-            return full
-
-        return _make(self.data[idx], (self,), grad)
+        return _make(self.data[idx], (self,), lambda: (lambda g: _add_at(self.data, idx, g),))
 
     # -- structural ---------------------------------------------------------
 
     def reshape(self, *shape):
-        return _make(self.data.reshape(*shape), (self,), lambda g: g.reshape(self.data.shape))
+        return _make(self.data.reshape(*shape), (self,),
+                     lambda: (lambda g: g.reshape(self.data.shape),))
 
     def transpose(self, *axes):
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
         inv = np.argsort(axes)
-        return _make(self.data.transpose(axes), (self,), lambda g: g.transpose(inv))
+        return _make(self.data.transpose(axes), (self,), lambda: (lambda g: g.transpose(inv),))
 
     def swapaxes(self, a, b):
-        return _make(self.data.swapaxes(a, b), (self,), lambda g: g.swapaxes(a, b))
+        return _make(self.data.swapaxes(a, b), (self,), lambda: (lambda g: g.swapaxes(a, b),))
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        def grad(g):
-            if axis is None:
-                return np.full_like(self.data, 1.0) * g
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.data.shape).copy()
+        def rules():
+            def grad(g):
+                if axis is None:
+                    return np.full_like(self.data, 1.0) * g
+                if not keepdims:
+                    g = np.expand_dims(g, axis)
+                return np.broadcast_to(g, self.data.shape).copy()
+            return (grad,)
 
-        return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), grad)
+        return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), rules)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -185,18 +194,35 @@ def _identity(g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _identities():
+    return _identity, _identity
+
+
+def _negation():
+    return (np.negative,)
+
+
+def _add_at(like: np.ndarray, idx, g: np.ndarray) -> np.ndarray:
+    """Zeros shaped like `like` with g scatter-added at idx."""
+    full = np.zeros_like(like)
+    np.add.at(full, idx, g)
+    return full
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: tuple, *grad_fns) -> Tensor:
+def _make(data: np.ndarray, parents: tuple, rules) -> Tensor:
     """Wrap an op's result and record it on the active tape if any parent
-    needs a gradient.  grad_fns[i](g) maps the output gradient g to parent
-    i's raw gradient; the replay un-broadcasts it to the parent's shape."""
+    needs a gradient.  rules() returns one gradient rule per parent and is
+    called only for a recorded node, so no rule is built under `no_grad`:
+    rule i maps the output gradient g to parent i's raw gradient, and the
+    replay un-broadcasts it to the parent's shape."""
     out = Tensor(data)
     if _active_tape is not None and any(p.requires_grad or p._parents for p in parents):
         out._parents = parents
-        out._grad_fns = grad_fns
+        out._grad_fns = rules()
         _active_tape.nodes.append(out)
     return out
 
@@ -206,16 +232,16 @@ def _make(data: np.ndarray, parents: tuple, *grad_fns) -> Tensor:
 
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
-    return _make(e, (x,), lambda g: g * e)
+    return _make(e, (x,), lambda: (lambda g: g * e,))
 
 
 def log(x: Tensor) -> Tensor:
-    return _make(np.log(x.data), (x,), lambda g: g / x.data)
+    return _make(np.log(x.data), (x,), lambda: (lambda g: g / x.data,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
-    return _make(s, (x,), lambda g: g * s * (1.0 - s))
+    return _make(s, (x,), lambda: (lambda g: g * s * (1.0 - s),))
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -226,57 +252,115 @@ def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
 
-    def grad(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return g * (cdf + x.data * pdf)
+    def rules():
+        def grad(g):
+            pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
+            return g * (cdf + x.data * pdf)
+        return (grad,)
 
-    return _make(x.data * cdf, (x,), grad)
+    return _make(x.data * cdf, (x,), rules)
 
 
 def clamp_min(x: Tensor, lo: float) -> Tensor:
     return _make(np.maximum(x.data, lo), (x,),
-                 lambda g: g * (x.data >= lo).astype(np.float64))
+                 lambda: (lambda g: g * (x.data >= lo).astype(np.float64),))
 
 
 # -- core ops ----------------------------------------------------------------
 
 
+def _check_inner(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
+
+
+def _matmul_rules(a: np.ndarray, b: np.ndarray):
+    """The gradient rules of np.matmul(a, b) for a and for b."""
+    def grad_a(g):
+        if b.ndim == 1:
+            return np.multiply.outer(g, b) if g.ndim else g * b
+        if a.ndim == 1:
+            return np.matmul(g[..., None, :], b.swapaxes(-1, -2))[..., 0, :]
+        return np.matmul(g, b.swapaxes(-1, -2))
+
+    def grad_b(g):
+        if a.ndim == 1:
+            return a[:, None] * g[..., None, :] if g.ndim else a * g
+        if b.ndim == 1:
+            return np.matmul(a.swapaxes(-1, -2), g[..., None])[..., 0]
+        return np.matmul(a.swapaxes(-1, -2), g)
+
+    return grad_a, grad_b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.  Stacked operands broadcast over their batch axes, as
     in np.matmul (e.g. x [B, T, H] @ W [H, K]), gradients included."""
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeError(f"matmul inner extents differ: {a.data.shape} x {b.data.shape}")
+    _check_inner(a.data, b.data)
+    return _make(np.matmul(a.data, b.data), (a, b), lambda: _matmul_rules(a.data, b.data))
 
-    def grad_a(g):
-        if b.data.ndim == 1:
-            return np.multiply.outer(g, b.data) if g.ndim else g * b.data
-        if a.data.ndim == 1:
-            return np.matmul(g[..., None, :], b.data.swapaxes(-1, -2))[..., 0, :]
-        return np.matmul(g, b.data.swapaxes(-1, -2))
 
-    def grad_b(g):
-        if a.data.ndim == 1:
-            return a.data[:, None] * g[..., None, :] if g.ndim else a.data * g
-        if b.data.ndim == 1:
-            return np.matmul(a.data.swapaxes(-1, -2), g[..., None])[..., 0]
-        return np.matmul(a.data.swapaxes(-1, -2), g)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: x [..., n] projected by w [n, k] (or [n]) plus a
+    bias that broadcasts against the product.  Same values and gradients as
+    `matmul` followed by `+`; w's and b's gradients sum over x's row axes."""
+    _check_inner(x.data, w.data)
+    return _make(np.matmul(x.data, w.data) + b.data, (x, w, b),
+                 lambda: _matmul_rules(x.data, w.data) + (_identity,))
 
-    return _make(np.matmul(a.data, b.data), (a, b), grad_a, grad_b)
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    top = x.max(axis=axis, keepdims=True)
+    if np.isnan(top).any():     # max propagates NaN
+        raise NumericError("softmax received NaN input")
+    e = np.exp(x - top)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    out = g * y
+    dot = out.sum(axis=axis, keepdims=True)
+    np.subtract(g, dot, out=out)
+    out *= y
+    return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis."""
-    if np.isnan(x.data).any():
-        raise NumericError("softmax received NaN input")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
+    return _make(y, (x,), lambda: (lambda g: _softmax_grad(g, y, axis),))
 
-    def grad(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (g - dot) * y
 
-    return _make(y, (x,), grad)
+def attention_scores(q: Tensor, k: Tensor, scale: float, mask_add=None) -> Tensor:
+    """Attention logits q kᵀ · scale (+ mask_add) as one node, for queries
+    q [..., steps, d] and keys k [..., keys, d]; mask_add is a constant array
+    that broadcasts to the shape of q kᵀ.  The gradient rules are the
+    unfused chain's expressions (matmul, then * scale, then + mask)."""
+    kt = k.data.swapaxes(-1, -2)
+    s = np.matmul(q.data, kt)
+    s *= scale
+    if mask_add is not None:
+        s += mask_add
+
+    def rules():
+        grad_q, grad_kt = _matmul_rules(q.data, kt)
+        return lambda g: grad_q(g * scale), lambda g: grad_kt(g * scale).swapaxes(-1, -2)
+
+    return _make(s, (q, k), rules)
+
+
+def softmax_matmul(s: Tensor, v: Tensor) -> Tensor:
+    """softmax(s) @ v as one node, the softmax over s's last axis (NaN input
+    raises NumericError): attention weights applied to values
+    v [..., keys, d].  Backward reuses the saved softmax output."""
+    y = _softmax(s.data, -1)
+
+    def rules():
+        grad_y, grad_v = _matmul_rules(y, v.data)
+        return lambda g: _softmax_grad(_unbroadcast(grad_y(g), y.shape), y, -1), grad_v
+
+    return _make(np.matmul(y, v.data), (s, v), rules)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
@@ -291,27 +375,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
 
-    def grad_x(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return inv * (dxhat - m1 - xhat * m2)
+    def rules():
+        def grad_x(g):
+            dxhat = g * gain.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            return inv * (dxhat - m1 - xhat * m2)
+        return (grad_x, lambda g: (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0),
+                lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    return _make(gain.data * xhat + bias.data, (x, gain, bias), grad_x,
-                 lambda g: (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0),
-                 lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0))
+    return _make(gain.data * xhat + bias.data, (x, gain, bias), rules)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup into an embedding matrix; gradients scatter-add back."""
     ids = np.asarray(ids, dtype=np.int64)
-
-    def grad(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        return full
-
-    return _make(table.data[ids], (table,), grad)
+    return _make(table.data[ids], (table,), lambda: (lambda g: _add_at(table.data, ids, g),))
 
 
 def scatter_copy(att: Tensor, source_ids: np.ndarray, vocab_size: int) -> Tensor:
@@ -323,7 +402,8 @@ def scatter_copy(att: Tensor, source_ids: np.ndarray, vocab_size: int) -> Tensor
     """
     source_ids = np.asarray(source_ids, dtype=np.int64)
     return _make(kernels.scatter_copy_forward(att.data, source_ids, vocab_size), (att,),
-                 lambda g: kernels.scatter_copy_backward(g, source_ids, att.data.shape[-1]))
+                 lambda: (lambda g: kernels.scatter_copy_backward(
+                     g, source_ids, att.data.shape[-1]),))
 
 
 def dropout_tokens(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
@@ -337,5 +417,4 @@ def dropout_tokens(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -
         return x
     keep = (rng.random(x.data.shape[:-1]) >= rate).astype(np.float64)
     scale = keep[..., None] / (1.0 - rate)
-    return _make(x.data * scale, (x,), lambda g: g * scale)
-
+    return _make(x.data * scale, (x,), lambda: (lambda g: g * scale,))

@@ -1,14 +1,16 @@
 """Named-parameter checkpoint store and initialization surgery.
 
 Checkpoint container: magic, length-prefixed JSON header (tensor name
-table with shapes, config fingerprint, provenance chain), then raw
-little-endian float64 payloads in header order.  Round trips are
-bit-exact; saves are atomic and a damaged file fails to load with a
-`CheckpointError`.
+table with shapes, config fingerprint, provenance chain, the payload's
+sha256), then raw little-endian float64 payloads in header order.  Round
+trips are bit-exact; saves are atomic and a damaged file, a flipped payload
+byte included, fails to load with a `CheckpointError`.  Files written
+before the checksum existed carry no `payload_sha256` and still load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -78,8 +80,14 @@ class ParamStore:
         directory, made durable, then renamed over `path`."""
         entries = [{"name": n, "shape": list(t.data.shape)}
                    for n, t in self.params.items()]
+        payload = [np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+                   for t in self.params.values()]
+        digest = hashlib.sha256()
+        for chunk in payload:
+            digest.update(chunk)
         header = json.dumps({"fingerprint": self.fingerprint,
                              "provenance": self.provenance,
+                             "payload_sha256": digest.hexdigest(),
                              "tensors": entries}, sort_keys=True).encode("utf-8")
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
@@ -87,8 +95,8 @@ class ParamStore:
                 f.write(MAGIC)
                 f.write(struct.pack("<Q", len(header)))
                 f.write(header)
-                for t in self.params.values():
-                    f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+                for chunk in payload:
+                    f.write(chunk)
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
@@ -101,7 +109,7 @@ class ParamStore:
     def load(cls, path) -> "ParamStore":
         """Read a checkpoint; `CheckpointError` if it is not exactly one
         complete checkpoint (bad magic, short header or payload, trailing
-        bytes)."""
+        bytes, a payload that does not match the header's sha256)."""
         with open(path, "rb") as f:
             blob = f.read()
         if blob[:len(MAGIC)] != MAGIC:
@@ -118,6 +126,7 @@ class ParamStore:
         except ValueError as e:
             raise CheckpointError(f"{path}: unreadable header: {e}") from None
         at += hlen
+        start = at
         params = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])
@@ -132,6 +141,9 @@ class ParamStore:
             at += 8 * n
         if at != len(blob):
             raise CheckpointError(f"{path}: {len(blob) - at} trailing bytes after the payload")
+        expected = header.get("payload_sha256")
+        if expected is not None and hashlib.sha256(blob[start:]).hexdigest() != expected:
+            raise CheckpointError(f"{path}: payload does not match its sha256")
         return cls(params, header["fingerprint"], header["provenance"])
 
 

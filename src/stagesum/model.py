@@ -137,7 +137,7 @@ class DecoderStepState:
 
 
 def _project(store, name: str, x: Tensor) -> Tensor:
-    return ad.matmul(x, store[f"{name}.weight"]) + store[f"{name}.bias"]
+    return ad.linear(x, store[f"{name}.weight"], store[f"{name}.bias"])
 
 
 def _heads(store, name: str, x: Tensor, config: ModelConfig) -> Tensor:
@@ -160,18 +160,14 @@ def _attend(store, prefix: str, q: Tensor, k: Tensor, v: Tensor, mask_add,
     Returns (output [..., steps, hidden], pre-softmax scores after the mask).
     """
     dh = config.hidden_size // config.num_heads
-    scores = ad.matmul(q, k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
-    if mask_add is not None:
-        scores = scores + Tensor(mask_add)
-    weights = ad.softmax(scores, axis=-1)
-    ctx = ad.matmul(weights, v).swapaxes(-3, -2)
+    scores = ad.attention_scores(q, k, 1.0 / math.sqrt(dh), mask_add)
+    ctx = ad.softmax_matmul(scores, v).swapaxes(-3, -2)
     ctx = ctx.reshape(*ctx.shape[:-2], config.hidden_size)
     return _project(store, f"{prefix}.o", ctx), scores
 
 
 def _ffn(store, prefix: str, x: Tensor) -> Tensor:
-    inner = ad.gelu(ad.matmul(x, store[f"{prefix}.in.weight"]) + store[f"{prefix}.in.bias"])
-    return ad.matmul(inner, store[f"{prefix}.out.weight"]) + store[f"{prefix}.out.bias"]
+    return _project(store, f"{prefix}.out", ad.gelu(_project(store, f"{prefix}.in", x)))
 
 
 def _dropout(x: Tensor, draws: Optional[RowDraws]) -> Tensor:
@@ -319,12 +315,12 @@ def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
 
 def gate(store, d: Tensor) -> Tensor:
     """p_gen = sigmoid(d . gate.weight + gate.bias), over d's last axis."""
-    return ad.sigmoid(ad.matmul(d, store["gate.weight"]) + store["gate.bias"])
+    return ad.sigmoid(_project(store, "gate", d))
 
 
 def generation_logits(store, d: Tensor) -> Tensor:
     """Tied-embedding output projection: d V^T + b_v."""
-    return ad.matmul(d, store["embedding.word"].transpose()) + store["output.bias"]
+    return ad.linear(d, store["embedding.word"].transpose(), store["output.bias"])
 
 
 def selection_mask_add(selected: np.ndarray) -> np.ndarray:

@@ -73,8 +73,8 @@ def build_labels(source_pieces: list, summary_pieces: list) -> SelectionLabels:
 
 def selector_forward(store, encoder_out: Tensor) -> Tensor:
     """Per-position selection probability: sigmoid of a linear head."""
-    return ad.sigmoid(ad.matmul(encoder_out, store["selector.weight"])
-                      + store["selector.bias"])
+    return ad.sigmoid(ad.linear(encoder_out, store["selector.weight"],
+                                store["selector.bias"]))
 
 
 def selector_probs(store, config, examples) -> list[np.ndarray]:

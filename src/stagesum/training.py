@@ -11,6 +11,7 @@ generator would have drawn.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,8 +59,11 @@ class TrainReport:
     records: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_metric: float = -np.inf
-    # wall-clock seconds, kept out of `format` so the report stays
-    # reproducible: the dev score before training, and one record per epoch
+    # wall-clock seconds and training health, kept out of `format` so the
+    # report stays reproducible: the dev score before training, and one
+    # record per epoch (its target tokens are the loss's terms: non-pad
+    # target tokens, masked positions or labelled source positions; its
+    # gradient norm is the pre-update global L2 norm, averaged over batches)
     initial_dev_eval_s: float = 0.0
     timings: list[dict] = field(default_factory=list)
 
@@ -138,7 +142,7 @@ def _denoise_loss(store, config, items, rng: np.random.Generator,
     enc = M.encode(store, config, np.stack([c for _, c, _ in rows]),
                    np.stack([ex.source_pad_mask for ex, _, _ in rows]), draws)
     _finish(draws)
-    logits = ad.matmul(enc, store["embedding.word"].transpose()) + store["mlm.bias"]
+    logits = ad.linear(enc, store["embedding.word"].transpose(), store["mlm.bias"])
     probs = ad.softmax(logits, axis=-1)
     row = np.concatenate([np.full(len(p), r) for r, (_, _, p) in enumerate(rows)])
     pos = np.concatenate([p for _, _, p in rows])
@@ -273,7 +277,7 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
     for epoch in range(1, tcfg.max_epochs + 1):
         clock = time.perf_counter()
         order = rng.permutation(len(train_data))
-        epoch_loss, epoch_count = 0.0, 0
+        epoch_loss, epoch_count, grad_norms = 0.0, 0, []
         for start in range(0, len(order), tcfg.batch_size):
             batch = [train_data[i] for i in order[start:start + tcfg.batch_size]]
             store.zero_grads()
@@ -285,7 +289,9 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
                 if np.isnan(total.data):
                     raise StageError("training diverged (NaN loss)")
                 total.backward()
-            adam_step(store.params, store.grads(), state)
+            grads = store.grads()
+            grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
+            adam_step(store.params, grads, state)
             epoch_loss += float(total.data) * count
             epoch_count += count
         train_loss = epoch_loss / max(epoch_count, 1)
@@ -301,7 +307,10 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
         report.records.append(rec)
         report.timings.append({"epoch": epoch, "train_s": train_s,
                                "dev_eval_s": time.perf_counter() - clock - train_s,
-                               "train_examples_per_s": len(train_data) / train_s})
+                               "train_examples_per_s": len(train_data) / train_s,
+                               "target_tokens_per_s": epoch_count / train_s,
+                               "mean_grad_norm": (sum(grad_norms) / len(grad_norms)
+                                                  if grad_norms else 0.0)})
     if not dev_data:
         best_store = store.copy()
         report.best_epoch = tcfg.max_epochs

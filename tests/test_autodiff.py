@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stagesum import autodiff as ad
 from stagesum.autodiff import Tensor
+from stagesum.checkpoint import ParamStore
 
 from conftest import assert_grad_matches, grad_of
 
@@ -263,3 +264,221 @@ class TestTapeMechanics:
         a = np.random.default_rng(seed).normal(size=5)
         b = np.random.default_rng(seed).normal(size=5)
         assert np.array_equal(a, b)
+
+
+# -- fused ops against the unfused compositions they replace -----------------
+
+def unfused_linear(x, w, b):
+    return ad.matmul(x, w) + b
+
+
+def unfused_scores(q, k, scale, mask_add):
+    scores = ad.matmul(q, k.swapaxes(-1, -2)) * scale
+    return scores if mask_add is None else scores + Tensor(mask_add)
+
+
+def unfused_softmax_matmul(s, v):
+    return ad.matmul(ad.softmax(s, axis=-1), v)
+
+
+def replay(build, arrays, weight):
+    """Forward data of build(*operands) and every operand's gradient of
+    sum(build(*operands) * weight)."""
+    operands = [Tensor(a, requires_grad=True) for a in arrays]
+    with ad.new_tape():
+        out = build(*operands)
+        (out * Tensor(weight)).sum().backward()
+    return out.data, [t.grad for t in operands]
+
+
+def check_fused(fused, unfused, arrays, rng):
+    """Forward and every operand's gradient bit for bit, and every gradient
+    against finite differences."""
+    out_shape = fused(*[Tensor(a) for a in arrays]).data.shape
+    weight = rng.normal(size=out_shape)
+    got, got_grads = replay(fused, arrays, weight)
+    want, want_grads = replay(unfused, arrays, weight)
+    assert np.array_equal(got, want)
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        assert g.shape == arrays[i].shape
+        assert np.array_equal(g, w), f"operand {i}"
+
+        def build(t, i=i):
+            operands = [t if j == i else Tensor(a) for j, a in enumerate(arrays)]
+            return (fused(*operands) * Tensor(weight)).sum()
+
+        assert_grad_matches(build, arrays[i])
+
+
+leading = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
+
+
+class TestLinear:
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_matmul_plus_bias(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        rows = data.draw(leading, "row axes")
+        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        vector = data.draw(st.booleans(), "vector weight")
+        # weights unstacked against stacked inputs, or stacked like them
+        w_rows = () if vector else data.draw(st.sampled_from([(), rows]), "weight row axes")
+        w_shape = w_rows + ((n,) if vector else (n, k))
+        b_shape = () if vector else data.draw(st.sampled_from([(k,), (1, k)]))
+        arrays = [rng.normal(size=rows + (data.draw(st.integers(1, 3)), n)),
+                  rng.normal(size=w_shape), rng.normal(size=b_shape)]
+        check_fused(ad.linear, unfused_linear, arrays, rng)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ad.ShapeError):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
+
+
+def broadcast_like(shape, draw):
+    """An array of a shape that broadcasts against `shape`: every axis kept
+    or set to 1, and leading axes possibly dropped."""
+    kept = tuple(s if draw(st.booleans()) else 1 for s in shape)
+    return kept[draw(st.integers(0, len(shape) - 2)):]
+
+
+class TestAttentionScores:
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_unfused_chain(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        rows = data.draw(leading, "row and head axes")
+        t, s, d = (data.draw(st.integers(1, 4)) for _ in range(3))
+        # keys shared across rows (a beam's source) or one set per row
+        k_rows = data.draw(st.sampled_from([rows, tuple(1 for _ in rows), ()]), "key axes")
+        q = rng.normal(size=rows + (t, d))
+        k = rng.normal(size=k_rows + (s, d))
+        mask = None
+        if data.draw(st.booleans(), "masked"):
+            mask_shape = broadcast_like(rows + (t, s), data.draw)
+            # -30, not the model's -10000: a constant that large would swamp
+            # the finite differences of the weighted sum
+            mask = np.where(rng.random(mask_shape) < 0.3, -30.0, 0.0)
+        scale = 1.0 / np.sqrt(d)
+        check_fused(lambda a, b: ad.attention_scores(a, b, scale, mask),
+                    lambda a, b: unfused_scores(a, b, scale, mask), [q, k], rng)
+
+
+class TestSoftmaxMatmul:
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_softmax_then_matmul(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        rows = data.draw(leading, "row and head axes")
+        t, keys, d = (data.draw(st.integers(1, 4)) for _ in range(3))
+        s_rows, v_rows = data.draw(st.sampled_from([(rows, rows), (rows, ()), ((), rows)]))
+        s = rng.normal(size=s_rows + (t, keys)) * 3
+        # masked keys: their weights underflow to exactly 0
+        s = np.where(rng.random(s.shape) < 0.2, s - 10000.0, s)
+        v = rng.normal(size=v_rows + (keys, d))
+        check_fused(ad.softmax_matmul, unfused_softmax_matmul, [s, v], rng)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ad.NumericError):
+            ad.softmax_matmul(Tensor([[0.0, np.nan]]), Tensor(np.ones((2, 3))))
+
+    def test_scores_shared_with_copy_head(self, rng):
+        """One scores tensor feeds softmax·V and a copy-head slice, as the
+        top cross-attention does; its gradient is the two contributions'
+        sum, and q and k get the unfused chain's gradients."""
+        q, k, v = (rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 6, 5)),
+                   rng.normal(size=(2, 3, 6, 5)))
+        mask = np.where(rng.random((2, 1, 1, 6)) < 0.3, -10000.0, 0.0)
+        w_out, w_copy = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 4, 6))
+
+        def run(scores_fn, mix_fn, use_out=True, use_copy=True):
+            qt, kt = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
+            with ad.new_tape():
+                scores = scores_fn(qt, kt, 0.5, mask)
+                loss = Tensor(0.0)
+                if use_out:
+                    loss = loss + (mix_fn(scores, Tensor(v)) * Tensor(w_out)).sum()
+                if use_copy:
+                    loss = loss + (scores[:, 1] * Tensor(w_copy)).sum()
+                loss.backward()
+            return scores.grad, qt.grad, kt.grad
+
+        fused = run(ad.attention_scores, ad.softmax_matmul)
+        unfused = run(unfused_scores, unfused_softmax_matmul)
+        for got, want in zip(fused, unfused):
+            assert np.array_equal(got, want)
+        from_out = run(ad.attention_scores, ad.softmax_matmul, use_copy=False)[0]
+        from_copy = run(ad.attention_scores, ad.softmax_matmul, use_out=False)[0]
+        assert np.array_equal(fused[0], from_out + from_copy)
+
+
+class TestFirstTouchAccumulation:
+    """A tensor's first gradient is stored as a copy; later ones add to it."""
+
+    @staticmethod
+    def graph(lookup, project, bias, ids):
+        """Embeddings tied when `lookup` is `project`: the table is looked up
+        and also projects the output; x feeds a product and the sum after it."""
+        r = np.random.default_rng(0)
+        x = ad.embedding(lookup, ids)
+        m = r.normal(size=x.shape)
+        h = x + x * Tensor(m)
+        logits = ad.linear(h, project.transpose(), bias)
+        return x, h, m, (logits * Tensor(r.normal(size=logits.shape))).sum()
+
+    @staticmethod
+    def store(rng):
+        return ParamStore({"word": Tensor(rng.normal(size=(7, 3)), requires_grad=True),
+                           "bias": Tensor(rng.normal(size=7), requires_grad=True)}, {})
+
+    def test_sums_contributions_into_unshared_c_ordered_buffers(self, rng):
+        store = self.store(rng)
+        word, bias = store["word"], store["bias"]
+        ids = np.array([[1, 4, 4], [0, 6, 1]])
+        with ad.new_tape() as tape:
+            x, h, m, loss = self.graph(word, word, bias, ids)
+            loss.backward()
+        # the sum's gradient first, then the product's
+        assert np.array_equal(x.grad, h.grad + h.grad * m)
+        # the tied table's gradient is its two uses' gradients added
+        parts = []
+        for tied_use in (0, 1):
+            own = Tensor(word.data.copy(), requires_grad=True)
+            other = Tensor(word.data.copy())
+            tables = (own, other) if tied_use == 0 else (other, own)
+            with ad.new_tape():
+                self.graph(*tables, Tensor(bias.data), ids)[-1].backward()
+            parts.append(own.grad)
+        assert np.array_equal(word.grad, parts[1] + parts[0])
+        grads = [t.grad for t in [word, bias, *tape.nodes]]
+        assert all(g is not None for g in grads)
+        for i, g in enumerate(grads):
+            assert g.flags.c_contiguous
+            for other in grads[i + 1:]:
+                assert not np.shares_memory(g, other)
+
+    def test_next_minibatch_starts_fresh(self, rng):
+        store = self.store(rng)
+        fresh = store.copy()
+        for s, ids in ((store, np.array([[1, 2]])), (store, np.array([[3, 3], [5, 0]])),
+                       (fresh, np.array([[3, 3], [5, 0]]))):
+            s.zero_grads()
+            with ad.new_tape():
+                self.graph(s["word"], s["word"], s["bias"], ids)[-1].backward()
+        for name in store:
+            assert np.array_equal(store[name].grad, fresh[name].grad)
+
+
+class TestLazyRules:
+    def test_no_rules_built_without_a_tape(self, monkeypatch, rng):
+        def refuse(*_):
+            raise AssertionError("gradient rules built")
+
+        monkeypatch.setattr(ad, "_matmul_rules", refuse)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((2, 3), (3, 4), (4,)))
+        with ad.new_tape() as tape, ad.no_grad():
+            ad.linear(x, w, b)
+            ad.matmul(x, w)
+        assert tape.nodes == []
+        with ad.new_tape(), pytest.raises(AssertionError, match="rules built"):
+            ad.linear(x, w, b)

@@ -1,5 +1,8 @@
 """Checkpoint store, container format, and initialization-surgery tests."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,27 @@ class TestContainer:
         path.write_bytes(blob + b"\0")
         with pytest.raises(CheckpointError, match="1 trailing bytes"):
             ParamStore.load(path)
+
+    def test_flipped_payload_byte_rejected(self, tmp_path):
+        path, blob = self.saved_bytes(tmp_path)
+        for at in (len(blob) - 8 * 40, len(blob) - 1):
+            path.write_bytes(blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:])
+            with pytest.raises(CheckpointError, match=f"{path.name}: payload .* sha256"):
+                ParamStore.load(path)
+
+    def test_header_without_checksum_still_loads(self, tmp_path):
+        """A checkpoint written before the header carried payload_sha256."""
+        path, blob = self.saved_bytes(tmp_path)
+        (hlen,) = struct.unpack_from("<Q", blob, len(MAGIC))
+        at = len(MAGIC) + 8
+        header = json.loads(blob[at:at + hlen])
+        del header["payload_sha256"]
+        old = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack("<Q", len(old)) + old + blob[at + hlen:])
+        loaded, store = ParamStore.load(path), init_random(cfg(), 3)
+        assert loaded.names() == store.names()
+        for n in store.names():
+            assert np.array_equal(loaded[n].data, store[n].data)
 
     def test_save_load_save_byte_identical(self, tmp_path):
         path, blob = self.saved_bytes(tmp_path)

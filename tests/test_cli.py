@@ -1,6 +1,7 @@
 """CLI tests: subcommand wiring, reports, exit codes, tiny end-to-end runs."""
 
 import json
+import math
 
 import pytest
 
@@ -180,10 +181,20 @@ class TestTimings:
             assert timings["initial_dev_eval_s"] > 0
             assert [t["epoch"] for t in timings["epochs"]] == [1, 2]
             for record in timings["epochs"]:
-                assert sorted(record) == ["dev_eval_s", "epoch", "train_examples_per_s",
+                assert sorted(record) == ["dev_eval_s", "epoch", "mean_grad_norm",
+                                          "target_tokens_per_s", "train_examples_per_s",
                                           "train_s"]
                 assert min(record["train_s"], record["dev_eval_s"],
-                           record["train_examples_per_s"]) > 0
+                           record["train_examples_per_s"], record["target_tokens_per_s"],
+                           record["mean_grad_norm"]) > 0
+                assert math.isfinite(record["mean_grad_norm"])
+            if command != "pretrain":
+                # every epoch of a (non-masking) stage scores the same targets,
+                # at least one per example
+                per_example = [t["target_tokens_per_s"] / t["train_examples_per_s"]
+                               for t in timings["epochs"]]
+                assert per_example[0] >= 1
+                assert per_example[1] == pytest.approx(per_example[0], rel=1e-9)
             report = (run_env / out / "train_report.txt").read_text().splitlines()
             assert [sorted(k.split("=")[0] for k in line.split()) for line in report] == (
                 [["dev_metric", "epoch", "train_loss"]] * 2 + [["best_epoch", "best_metric"]])
