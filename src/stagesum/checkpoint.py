@@ -204,35 +204,44 @@ class InitScheme:
     decoder: Optional[str] = None
 
 
+# No scheme or loadable slot copies these (encoder-style sources have no
+# counterpart), so they keep their random values under every scheme and k.
 ALWAYS_RANDOM = ("gate.weight", "gate.bias", "output.bias")
 
 
-def _copy_param(target: ParamStore, source: ParamStore, tgt_name: str,
-                src_name: str, report: dict) -> None:
-    if src_name not in source:
-        raise SurgeryError(f"source checkpoint lacks parameter {src_name!r}")
-    src = source[src_name].data
-    tgt = target[tgt_name].data
-    if src.shape != tgt.shape:
-        raise IncompatibilityError(
-            f"{tgt_name}: source {src.shape} vs target {tgt.shape}")
-    tgt[...] = src
-    report[tgt_name] = f"copied-from {src_name}"
+def _copy(target: ParamStore, source: ParamStore, pairs, report: dict) -> None:
+    """Copy each (target name, source name) pair from `source` into `target`
+    and record it in `report`.  `embedding.pos_dec` takes the leading rows of
+    its source table (rows past the source's keep their random init); every
+    other copy needs equal shapes."""
+    for tgt_name, src_name in pairs:
+        if src_name not in source:
+            raise SurgeryError(f"source checkpoint lacks parameter {src_name!r}")
+        src, tgt = source[src_name].data, target[tgt_name].data
+        rows, note = slice(None), ""
+        if tgt_name == "embedding.pos_dec":
+            n = min(len(src), len(tgt))
+            rows, note = slice(n), f" (first {n} rows)"
+        if src[rows].shape != tgt[rows].shape:
+            raise IncompatibilityError(
+                f"{tgt_name}: source {src.shape} vs target {tgt.shape}")
+        tgt[rows] = src[rows]
+        report[tgt_name] = f"copied-from {src_name}{note}"
 
 
-def _copy_pos_dec(target: ParamStore, source: ParamStore, src_name: str,
-                  report: dict) -> None:
-    # truncate or extend to decoder length; extension rows keep random init
-    if src_name not in source:
-        raise SurgeryError(f"source checkpoint lacks parameter {src_name!r}")
-    src = source[src_name].data
-    tgt = target["embedding.pos_dec"].data
-    n = min(src.shape[0], tgt.shape[0])
-    if src.shape[1:] != tgt.shape[1:]:
-        raise IncompatibilityError(
-            f"embedding.pos_dec: source {src.shape} vs target {tgt.shape}")
-    tgt[:n] = src[:n]
-    report["embedding.pos_dec"] = f"copied-from {src_name} (first {n} rows)"
+def _build(config: ModelConfig, seed: int, arch: str, plan
+           ) -> tuple[ParamStore, dict[str, str]]:
+    """A fresh `arch` store with every (source store, pairs) step of `plan`
+    copied in, and its surgery report (every name "randomized" or
+    "copied-from <source name>").  The store takes the provenance of the
+    first source that copies something and has one."""
+    store = init_random(config, seed, arch)
+    report = {name: "randomized" for name in store.names()}
+    for source, pairs in plan:
+        _copy(store, source, pairs, report)
+    store.provenance = next((list(source.provenance) for source, pairs in plan
+                             if pairs and source.provenance), [])
+    return store, report
 
 
 def _names_under(config: ModelConfig, prefix: str) -> list[str]:
@@ -242,57 +251,40 @@ def _names_under(config: ModelConfig, prefix: str) -> list[str]:
             if name.startswith(f"{prefix}.")]
 
 
-def copy_encoder(target: ParamStore, source: ParamStore, config: ModelConfig,
-                 report: dict) -> None:
-    """Copy the word and encoder-position embeddings and every encoder layer
-    from `source` into `target`, recording each copy in `report`."""
-    for name in ["embedding.word", "embedding.pos_enc"] + _names_under(config, "encoder"):
-        _copy_param(target, source, name, name, report)
+def _same(names) -> list[tuple[str, str]]:
+    """Pairs that copy each name from the same name."""
+    return [(name, name) for name in names]
 
 
-def apply_scheme(scheme: InitScheme, config: ModelConfig, seed: int
-                 ) -> tuple[ParamStore, dict[str, str]]:
-    """Build a full seq2seq ParamStore under an initialization scheme.
-
-    Returns the store plus a surgery report mapping every parameter name to
-    its disposition ("randomized" or "copied-from <source name>").
-    """
-    store = init_random(config, seed)
-    report = {name: "randomized" for name in store.names()}
-    provenance: list[str] = []
-
+def apply_scheme(scheme: InitScheme, config: ModelConfig, seed: int,
+                 arch: str = "seq2seq") -> tuple[ParamStore, dict[str, str]]:
+    """Build an `arch` ParamStore under an initialization scheme: the word
+    and encoder-position embeddings and every encoder layer from the
+    encoder checkpoint, the decoder from its own checkpoint or mirrored from
+    the encoder's.  Returns the store and its surgery report."""
+    if scheme.decoder is not None and arch != "seq2seq":
+        raise SurgeryError(f"a {arch} has no decoder to initialize")
+    plan = []
     enc_src = ParamStore.load(scheme.encoder) if scheme.encoder else None
     if enc_src is not None:
-        provenance = list(enc_src.provenance)
-        copy_encoder(store, enc_src, config, report)
-
+        plan.append((enc_src, _same(["embedding.word", "embedding.pos_enc"]
+                                    + _names_under(config, "encoder"))))
     if scheme.decoder == "symmetric":
         if enc_src is None:
             raise SurgeryError("symmetric decoder initialization requires an "
                                "encoder checkpoint")
-        _copy_pos_dec(store, enc_src, "embedding.pos_enc", report)
         # decoder.layer.i.X mirrors encoder.layer.i.X; cross-attention has no
         # encoder counterpart and mirrors self-attention
-        for name in _names_under(config, "decoder"):
-            src_name = name.replace("decoder.", "encoder.", 1).replace(
-                "cross_attn", "self_attn")
-            _copy_param(store, enc_src, name, src_name, report)
+        mirror = [(name, name.replace("decoder.", "encoder.", 1)
+                   .replace("cross_attn", "self_attn"))
+                  for name in _names_under(config, "decoder")]
+        plan.append((enc_src, [("embedding.pos_dec", "embedding.pos_enc")] + mirror))
     elif scheme.decoder is not None:
-        dec_src = ParamStore.load(scheme.decoder)
-        if not provenance:
-            provenance = list(dec_src.provenance)
-        _copy_pos_dec(store, dec_src, "embedding.pos_dec", report)
-        if enc_src is None:
-            _copy_param(store, dec_src, "embedding.word", "embedding.word", report)
-        for name in _names_under(config, "decoder"):
-            _copy_param(store, dec_src, name, name, report)
-
-    # the gate and output bias have no counterpart in encoder-style sources
-    # and are re-randomized under every scheme
-    for name in ALWAYS_RANDOM:
-        report[name] = "randomized"
-    store.provenance = provenance
-    return store, report
+        word = [] if enc_src is not None else ["embedding.word"]
+        plan.append((ParamStore.load(scheme.decoder),
+                     _same(["embedding.pos_dec"] + word
+                           + _names_under(config, "decoder"))))
+    return _build(config, seed, arch, plan)
 
 
 def loadable_slots(config: ModelConfig) -> list[list[str]]:
@@ -316,20 +308,10 @@ def apply_partial(source: ParamStore, config: ModelConfig, k: int, seed: int
     max_k = 2 * config.num_layers
     if not 0 <= k <= max_k:
         raise ValueError(f"k must be in 0..{max_k}, got {k}")
-    store = init_random(config, seed)
-    report = {name: "randomized" for name in store.names()}
     slots = loadable_slots(config)
     n_slots = len(slots) if k == max_k else k
-    for slot in slots[:n_slots]:
-        for name in slot:
-            if name == "embedding.pos_dec":
-                _copy_pos_dec(store, source, "embedding.pos_dec", report)
-            else:
-                _copy_param(store, source, name, name, report)
-    for name in ALWAYS_RANDOM:
-        report[name] = "randomized"
-    store.provenance = list(source.provenance) if n_slots > 0 else []
-    return store, report
+    names = [name for slot in slots[:n_slots] for name in slot]
+    return _build(config, seed, "seq2seq", [(source, _same(names))])
 
 
 def format_surgery_report(report: dict[str, str]) -> str:

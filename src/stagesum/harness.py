@@ -18,8 +18,7 @@ from . import metrics
 from . import selection as sel
 from . import training
 from .checkpoint import (InitScheme, ParamStore, apply_partial, apply_scheme,
-                         check_compatible, copy_encoder, format_surgery_report,
-                         init_random)
+                         check_compatible, format_surgery_report)
 from .config import RunConfig
 from .tokenizer import (Vocabulary, encode_pair, read_corpus, wordpiece_tokenize,
                         write_corpus)
@@ -54,24 +53,15 @@ def _load_data(cfg: RunConfig, required=("train",)):
     return out
 
 
-def _labels_for(pairs, vocab):
+def _labels_for(pairs, examples, vocab):
+    """Alignment labels of each pair, cut to its encoded example's real
+    source positions (one label per source piece; truncation drops the tail)."""
     labels = []
-    for doc, summary in pairs:
+    for (doc, summary), ex in zip(pairs, examples):
         src = wordpiece_tokenize(doc, vocab)
         tgt = wordpiece_tokenize(summary, vocab)
-        labels.append(sel.build_labels(src, tgt).y)
+        labels.append(sel.build_labels(src, tgt).y[:int((~ex.source_pad_mask).sum())])
     return labels
-
-
-def _clip_labels(labels, examples):
-    """Align alignment labels with the truncated/padded source positions."""
-    out = []
-    for y, ex in zip(labels, examples):
-        n = int((~ex.source_pad_mask).sum())
-        arr = np.zeros(n, dtype=np.int64)
-        arr[: min(n, len(y))] = y[:n]
-        out.append(arr)
-    return out
 
 
 def run_generate(cfg: RunConfig) -> dict:
@@ -113,6 +103,7 @@ def run_generate(cfg: RunConfig) -> dict:
 
 def run_pretrain(cfg: RunConfig) -> str:
     """Masked-token denoising stage; writes the generic-stage checkpoint."""
+    _reject_unused_init(cfg, "pretrain")
     data = _load_data(cfg)
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
@@ -136,21 +127,36 @@ def _write_report(out_dir: str, report: training.TrainReport) -> None:
         f.write("\n")
 
 
-def build_init_store(cfg: RunConfig) -> tuple[ParamStore, dict]:
+def _reject_unused_init(cfg: RunConfig, stage: str) -> None:
+    """ValueError naming the initialization keys `stage` would ignore:
+    pretrain starts from random parameters, train initializes from
+    `partial` or `scheme` but not both, and a selector has no decoder."""
+    keys = {"pretrain": [("partial", cfg.partial), ("scheme", cfg.scheme)],
+            "train": [("partial and scheme", cfg.partial and cfg.scheme)],
+            "select-train": [("partial", cfg.partial),
+                             ("scheme.decoder", (cfg.scheme or {}).get("decoder"))]}
+    unused = [key for key, value in keys[stage] if value]
+    if unused:
+        raise ValueError(f"{stage} cannot take {' and '.join(unused)}")
+
+
+def build_init_store(cfg: RunConfig, arch: str = "seq2seq") -> tuple[ParamStore, dict]:
+    """The initial `arch` store and its surgery report, from the config's
+    `partial` source or its `scheme`."""
     mcfg = cfg.model_config()
     if cfg.partial:
         source = ParamStore.load(cfg.resolve(cfg.partial["source"]))
         return apply_partial(source, mcfg, int(cfg.partial["k"]), cfg.seed)
     scheme = cfg.scheme or {}
-    init = InitScheme(
-        encoder=cfg.resolve(scheme.get("encoder")),
-        decoder=(scheme.get("decoder") if scheme.get("decoder") == "symmetric"
-                 else cfg.resolve(scheme.get("decoder"))))
-    return apply_scheme(init, mcfg, cfg.seed)
+    decoder = scheme.get("decoder")
+    init = InitScheme(encoder=cfg.resolve(scheme.get("encoder")),
+                      decoder=decoder if decoder == "symmetric" else cfg.resolve(decoder))
+    return apply_scheme(init, mcfg, cfg.seed, arch=arch)
 
 
 def run_train(cfg: RunConfig) -> dict:
     """Summarization fine-tuning under the configured initialization."""
+    _reject_unused_init(cfg, "train")
     data = _load_data(cfg)
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
@@ -173,25 +179,26 @@ def run_train(cfg: RunConfig) -> dict:
 def run_select_train(cfg: RunConfig) -> dict:
     """Train the content selector; writes checkpoint, threshold and a report
     of the calibrated selector on the pooled dev positions."""
+    _reject_unused_init(cfg, "select-train")
     data = _load_data(cfg, ("train", "dev"))
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
     vocab = data["vocab"]
-    train_labels = _clip_labels(_labels_for(data["train"], vocab), data["train_enc"])
-    dev_labels = _clip_labels(_labels_for(data["dev"], vocab), data["dev_enc"])
-    init = init_random(mcfg, cfg.seed, arch="selector")
-    enc_src = (cfg.scheme or {}).get("encoder")
-    if enc_src:
-        copy_encoder(init, ParamStore.load(cfg.resolve(enc_src)), mcfg, {})
+    train_labels = _labels_for(data["train"], data["train_enc"], vocab)
+    dev_labels = _labels_for(data["dev"], data["dev_enc"], vocab)
+    init, surgery = build_init_store(cfg, arch="selector")
     train_data = list(zip(data["train_enc"], train_labels))
     dev_data = list(zip(data["dev_enc"], dev_labels))
     best, report = training.train_stage(init, mcfg, train_data, dev_data, tcfg,
                                         stage="select")
+    best.provenance = list(init.provenance) + ["select-stage"]
     # calibrate the mask threshold on pooled dev positions
     probs = np.concatenate(sel.selector_probs(best, mcfg, data["dev_enc"]))
     labels = np.concatenate(dev_labels)
     eps = sel.calibrate_threshold(probs, labels)
     out_dir = _ensure_dir(cfg.run_dir)
+    with open(os.path.join(out_dir, "surgery_report.txt"), "w") as f:
+        f.write(format_surgery_report(surgery))
     ckpt = os.path.join(out_dir, "selector.ckpt")
     best.save(ckpt)
     with open(os.path.join(out_dir, "threshold.txt"), "w") as f:
@@ -219,7 +226,7 @@ def _selection_fn(cfg: RunConfig, data, mcfg):
     examples = data["dev_enc"]
     vocab = data["vocab"]
     if mode == "oracle":
-        labels = _clip_labels(_labels_for(data["dev"], vocab), examples)
+        labels = _labels_for(data["dev"], examples, vocab)
         vectors = [sel.selection_vector(sel.SelectionLabels(y), ex.source_pad_mask)
                    for y, ex in zip(labels, examples)]
     elif mode == "model":

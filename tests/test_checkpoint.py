@@ -10,9 +10,8 @@ from stagesum import model as M
 from stagesum.checkpoint import (ALWAYS_RANDOM, MAGIC, CheckpointError,
                                  IncompatibilityError, InitScheme, ParamStore,
                                  SurgeryError, apply_partial, apply_scheme,
-                                 check_compatible, copy_encoder,
-                                 format_surgery_report, init_random,
-                                 loadable_slots)
+                                 check_compatible, format_surgery_report,
+                                 init_random, loadable_slots)
 
 
 def cfg(**kw):
@@ -248,6 +247,55 @@ class TestApplyScheme:
         for v in report.values():
             assert v == "randomized" or v.startswith("copied-from")
 
+    def test_symmetric_shorter_encoder_table(self, tmp_path):
+        """A decoder table longer than the encoder's takes the encoder's rows
+        and keeps init_random's for the rest."""
+        config = cfg(encoder_positions=5, decoder_positions=8)
+        src = all_random(config, 99, "mlm_encoder")
+        path = tmp_path / "short-enc.ckpt"
+        src.save(path)
+        store, report = apply_scheme(
+            InitScheme(encoder=str(path), decoder="symmetric"), config, 5)
+        pos_dec = store["embedding.pos_dec"].data
+        assert np.array_equal(pos_dec[:5], src["embedding.pos_enc"].data)
+        assert np.array_equal(pos_dec[5:],
+                              init_random(config, 5)["embedding.pos_dec"].data[5:])
+        assert report["embedding.pos_dec"] == "copied-from embedding.pos_enc (first 5 rows)"
+
+    def test_decoder_only_source(self, tmp_path):
+        config = cfg()
+        src = all_random(config, 42, "seq2seq")
+        src.provenance = ["stageA", "stageB"]
+        path = tmp_path / "full.ckpt"
+        src.save(path)
+        store, report = apply_scheme(InitScheme(decoder=str(path)), config, 5)
+        fresh = init_random(config, 5)
+        copied = ["embedding.word", "embedding.pos_dec"] + [
+            n for n in store.names() if n.startswith("decoder.layer.")]
+        assert len(copied) == 2 + config.num_layers * 26
+        for name in store.names():
+            if name in copied:
+                assert np.array_equal(store[name].data, src[name].data), name
+                assert report[name].startswith(f"copied-from {name}"), name
+            else:
+                assert np.array_equal(store[name].data, fresh[name].data), name
+                assert report[name] == "randomized", name
+        assert report["embedding.pos_dec"] == "copied-from embedding.pos_dec (first 8 rows)"
+        assert store.provenance == ["stageA", "stageB"]
+
+    def test_position_table_width_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "wide.ckpt"
+        init_random(cfg(hidden_size=32), 0).save(path)
+        with pytest.raises(IncompatibilityError, match="embedding.pos_dec"):
+            apply_scheme(InitScheme(decoder=str(path)), cfg(), 0)
+
+    def test_selector_with_decoder_scheme_rejected(self, encoder_ckpt):
+        config, _, path = encoder_ckpt
+        for decoder in ("symmetric", path):
+            with pytest.raises(SurgeryError, match="selector has no decoder"):
+                apply_scheme(InitScheme(encoder=path, decoder=decoder), config, 0,
+                             arch="selector")
+
     def test_seq2seq_decoder_source(self, tmp_path):
         config = cfg()
         src = init_random(config, 42)
@@ -337,23 +385,27 @@ class TestApplyPartial:
 
 
 class TestCopyEncoder:
-    def test_copies_embeddings_and_encoder_only(self):
+    def test_copies_embeddings_and_encoder_only(self, tmp_path):
         config = cfg()
         src = all_random(config, 42, "seq2seq")
-        target = init_random(config, 7, arch="selector")
-        before = {n: target[n].data.copy() for n in target.names()}
-        report = {}
-        copy_encoder(target, src, config, report)
+        src.provenance = ["stageA"]
+        path = tmp_path / "full.ckpt"
+        src.save(path)
+        target, report = apply_scheme(InitScheme(encoder=str(path)), config, 7,
+                                      arch="selector")
+        fresh = init_random(config, 7, arch="selector")
         expected = {"embedding.word", "embedding.pos_enc"} | {
             n for n in target.names() if n.startswith("encoder.layer.")}
-        assert set(report) == expected
+        assert set(report) == set(target.names())
         assert set(target.names()) - expected == {"selector.weight", "selector.bias"}
         for name in target.names():
             if name in expected:
                 assert np.array_equal(target[name].data, src[name].data), name
                 assert report[name] == f"copied-from {name}"
             else:
-                assert np.array_equal(target[name].data, before[name]), name
+                assert np.array_equal(target[name].data, fresh[name].data), name
+                assert report[name] == "randomized"
+        assert target.provenance == ["stageA"]
 
 
 class TestChainStage:

@@ -160,6 +160,14 @@ class TestPipeline:
         assert sorted(report) == ["auc_pr", "auc_roc", "coverage_f1",
                                   "coverage_precision", "coverage_recall"]
         assert all(0.0 <= float(v) <= 1.0 for v in report.values())
+        # the initialization is recorded as train records it
+        assert selector.provenance == ["denoise-stage", "select-stage"]
+        surgery = dict(line.split("\t") for line in
+                       (run_env / "selrun" / "surgery_report.txt").read_text().splitlines())
+        assert sorted(surgery) == sorted(selector.names())
+        for name, disposition in surgery.items():
+            copied = name.startswith(("embedding.", "encoder."))
+            assert disposition == (f"copied-from {name}" if copied else "randomized")
 
 
 class TestTimings:
@@ -346,6 +354,29 @@ class TestDiagnostics:
         assert cli.main(["train", cfg]) == 1
         assert "error" in capsys.readouterr().err
         assert not (run_env / "trainrun").exists()
+
+    @pytest.mark.parametrize("command,fields,named", [
+        ("train", dict(partial={"source": "random.ckpt", "k": 1},
+                       scheme={"encoder": "random.ckpt"}), "partial and scheme"),
+        ("select-train", dict(partial={"source": "random.ckpt", "k": 1}), "partial"),
+        ("select-train", dict(scheme={"encoder": "random.ckpt",
+                                      "decoder": "symmetric"}), "scheme.decoder"),
+        ("pretrain", dict(partial={"source": "random.ckpt", "k": 1}), "partial"),
+        ("pretrain", dict(scheme={"encoder": "random.ckpt"}), "scheme"),
+    ], ids=["train-both", "select-partial", "select-decoder", "pretrain-partial",
+            "pretrain-scheme"])
+    def test_ignored_init_keys_rejected(self, run_env, capsys, command, fields, named):
+        generate_corpora(run_env)
+        init_random(ModelConfig(**MODEL), 0).save(str(run_env / "random.ckpt"))
+        capsys.readouterr()
+        cfg = write_config(run_env, "cfg", out_dir="r", model=MODEL,
+                           vocab="data/vocab.txt",
+                           corpus={"train": "data/short.train.tsv",
+                                   "dev": "data/short.dev.tsv"},
+                           train={"max_epochs": 1}, **fields)
+        assert cli.main([command, cfg]) == 1
+        assert f"{command} cannot take {named}" in capsys.readouterr().err
+        assert not (run_env / "r").exists()
 
     def test_missing_corpus_file(self, run_env, capsys):
         cfg = write_config(run_env, "train", out_dir="r", model=MODEL,
