@@ -230,11 +230,6 @@ def _make(data: np.ndarray, parents: tuple, rules) -> Tensor:
 # -- elementwise nonlinearities ---------------------------------------------
 
 
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-    return _make(e, (x,), lambda: (lambda g: g * e,))
-
-
 def log(x: Tensor) -> Tensor:
     return _make(np.log(x.data), (x,), lambda: (lambda g: g / x.data,))
 

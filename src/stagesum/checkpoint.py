@@ -33,7 +33,7 @@ class IncompatibilityError(ValueError):
     pass
 
 
-class SurgeryError(KeyError):
+class SurgeryError(ValueError):
     pass
 
 

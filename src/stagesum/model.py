@@ -182,12 +182,35 @@ def _sublayer(store, norm_prefix: str, x: Tensor, out: Tensor, draws=None) -> Te
 def dropout_draws(config: ModelConfig, source_len: int, target_len: int = 0) -> int:
     """Dropout draws one example makes in a training forward pass.
 
-    Every position draws once at the embedding and once after each
-    sublayer (`embed`, `_sublayer`): S(1 + 2L) in the encoder, plus
-    T(1 + 3L) in the decoder when target_len is not 0.
+    Every position draws once at each dropout site (`embed`, `_sublayer`),
+    site after site: the encoder's embedding, then per layer its attention
+    and FFN, S(1 + 2L) draws; then, when target_len is not 0, the decoder's
+    embedding, then per layer its self-attention, cross-attention and FFN,
+    T(1 + 3L) draws.  A site's draws are its positions' in order, so a pass
+    over only the first s source (t target) positions reads the first s (t)
+    draws of every site: `trim_draws`.
     """
     layers = config.num_layers
     return source_len * (1 + 2 * layers) + target_len * (1 + 3 * layers)
+
+
+def trim_draws(config: ModelConfig, blocks: np.ndarray, lengths: tuple[int, int],
+               kept: tuple[int, int]) -> np.ndarray:
+    """Cut blocks [rows, dropout_draws(config, *lengths)], laid out for a
+    pass over lengths = (source, target) positions, to the draws a pass
+    over the first kept = (s, t) positions reads: the first s of every
+    encoder site's draws, then the first t of every decoder site's.  So
+    each kept position gets the mask it gets in the full-length pass."""
+    rows = blocks.shape[0]
+    if blocks.shape[1:] != (dropout_draws(config, *lengths),):
+        raise DrawError(f"{blocks.shape[1:]} draws per row for {lengths} positions")
+    (source_len, target_len), (s, t) = lengths, kept
+    # draws per source and per target position: one per site
+    enc_sites, dec_sites = dropout_draws(config, 1), dropout_draws(config, 0, 1)
+    split = source_len * enc_sites
+    enc = blocks[:, :split].reshape(rows, enc_sites, source_len)[..., :s]
+    dec = blocks[:, split:].reshape(rows, dec_sites, target_len)[..., :t]
+    return np.concatenate((enc.reshape(rows, -1), dec.reshape(rows, -1)), axis=1)
 
 
 class RowDraws:
@@ -198,7 +221,8 @@ class RowDraws:
     the next `positions` values of its block, so a row is masked exactly as
     a one-row pass drawing that block from a generator would be.  Asking
     for more than a block holds raises `DrawError`, and so does `finish`
-    while draws are left over.
+    while draws are left over.  A block laid out by `dropout_draws` for
+    longer rows is cut to these rows' lengths by `trim_draws`.
     """
 
     def __init__(self, blocks, rate: float):
@@ -221,6 +245,13 @@ class RowDraws:
         if self.used != self.blocks.shape[1]:
             raise DrawError(f"forward pass used {self.used} of "
                             f"{self.blocks.shape[1]} dropout draws per row")
+
+
+def real_length(pad_mask: np.ndarray) -> int:
+    """Positions up to the last one that is not a pad in any row of
+    pad_mask [..., positions]: cutting the rows to it drops only pads."""
+    real = np.flatnonzero(~pad_mask.reshape(-1, pad_mask.shape[-1]).all(axis=0))
+    return int(real[-1]) + 1 if len(real) else 0
 
 
 def pad_mask_add(pad_mask: np.ndarray) -> np.ndarray:

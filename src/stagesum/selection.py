@@ -78,12 +78,15 @@ def selector_forward(store, encoder_out: Tensor) -> Tensor:
 
 
 def selector_probs(store, config, examples) -> list[np.ndarray]:
-    """P_sel over each example's non-pad source positions, without a tape."""
+    """P_sel over each example's non-pad source positions, without a tape;
+    each source is encoded cut to its real length."""
     probs = []
     with ad.no_grad():
         for ex in examples:
-            enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask, None)
-            probs.append(selector_forward(store, enc).data[~ex.source_pad_mask])
+            n = M.real_length(ex.source_pad_mask)
+            pad = ex.source_pad_mask[:n]
+            enc = M.encode(store, config, ex.source_ids[:n], pad, None)
+            probs.append(selector_forward(store, enc).data[~pad])
     return probs
 
 

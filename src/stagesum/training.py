@@ -3,9 +3,9 @@
 Three stage kinds share one loop: "denoise" (masked-token pretraining of
 the encoder through the tied embeddings), "summarize" (teacher-forced
 seq2seq), and "select" (logistic training of the content selector).  Each
-minibatch is one graph over the stacked examples and one backward pass;
-its dropout masks are the ones a per-example loop drawing from the same
-generator would have drawn.
+minibatch is one graph over the stacked examples, cut to its longest real
+source and target, and one backward pass; its dropout masks are the ones a
+per-example loop drawing from the same generator would have drawn.
 """
 
 from __future__ import annotations
@@ -113,11 +113,26 @@ def _stack(examples: list) -> EncodedExample:
                              for f in dataclasses.fields(EncodedExample)})
 
 
-def _row_draws(rng: np.random.Generator, rate: float, rows: int, n: int
-               ) -> Optional[M.RowDraws]:
-    """rows consecutive blocks of n dropout draws at rate; None with
-    dropout off."""
-    return M.RowDraws(rng.random((rows, n)), rate) if rate > 0 else None
+def _cut(batch: EncodedExample) -> tuple[EncodedExample, tuple[int, int]]:
+    """batch cut to its longest real source and target (pads sit only at
+    the tail, so the cut drops nothing but pads), and the (source, target)
+    lengths it was cut to."""
+    s, t = M.real_length(batch.source_pad_mask), M.real_length(batch.target_pad_mask)
+    cut = EncodedExample(batch.source_ids[..., :s], batch.target_ids[..., :t],
+                         batch.source_pad_mask[..., :s], batch.target_pad_mask[..., :t],
+                         batch.source_truncated, batch.target_truncated)
+    return cut, (s, t)
+
+
+def _row_draws(rng: np.random.Generator, rate: float, config, rows: int,
+               lengths: tuple[int, int], kept: tuple[int, int]) -> Optional[M.RowDraws]:
+    """rows consecutive blocks of the dropout draws a pass over lengths =
+    (source, target) positions makes, each cut to the draws a pass over the
+    first kept positions reads (`M.trim_draws`); None with dropout off."""
+    if rate == 0:
+        return None
+    blocks = rng.random((rows, M.dropout_draws(config, *lengths)))
+    return M.RowDraws(M.trim_draws(config, blocks, lengths, kept), rate)
 
 
 def _finish(draws: Optional[M.RowDraws]) -> None:
@@ -138,23 +153,27 @@ def _denoise_loss(store, config, items, rng: np.random.Generator,
             blocks.append(rng.random(M.dropout_draws(config, len(ex.source_ids))))
     if not rows:
         return Tensor(0.0), 0
-    draws = M.RowDraws(blocks, rate) if rate > 0 else None
-    enc = M.encode(store, config, np.stack([c for _, c, _ in rows]),
-                   np.stack([ex.source_pad_mask for ex, _, _ in rows]), draws)
+    pad = np.stack([ex.source_pad_mask for ex, _, _ in rows])
+    n, s = pad.shape[-1], M.real_length(pad)
+    draws = (M.RowDraws(M.trim_draws(config, np.array(blocks), (n, 0), (s, 0)), rate)
+             if rate > 0 else None)
+    enc = M.encode(store, config, np.stack([c[:s] for _, c, _ in rows]), pad[:, :s], draws)
     _finish(draws)
-    logits = ad.linear(enc, store["embedding.word"].transpose(), store["mlm.bias"])
-    probs = ad.softmax(logits, axis=-1)
     row = np.concatenate([np.full(len(p), r) for r, (_, _, p) in enumerate(rows)])
     pos = np.concatenate([p for _, _, p in rows])
     original = np.concatenate([ex.source_ids[p] for ex, _, p in rows])
-    picked_p = probs[(row, pos, original)]
+    # the vocab projection and softmax only at the masked positions
+    logits = ad.linear(enc[(row, pos)], store["embedding.word"].transpose(),
+                       store["mlm.bias"])
+    picked_p = ad.softmax(logits, axis=-1)[(np.arange(len(pos)), original)]
     return -ad.log(ad.clamp_min(picked_p, CLAMP_FLOOR)).sum(), len(pos)
 
 
 def _summarize_loss(store, config, items, rng, rate) -> tuple[Tensor, int]:
-    batch = _stack(items)
-    draws = _row_draws(rng, rate, len(items), M.dropout_draws(
-        config, batch.source_ids.shape[-1], batch.target_ids.shape[-1]))
+    full = _stack(items)
+    batch, kept = _cut(full)
+    lengths = (full.source_ids.shape[-1], full.target_ids.shape[-1])
+    draws = _row_draws(rng, rate, config, len(items), lengths, kept)
     probs, _ = M.forward_teacher_forced(store, config, batch, draws=draws)
     _finish(draws)
     loss, n = mle_loss(probs, batch.target_ids, batch.target_pad_mask)
@@ -162,9 +181,10 @@ def _summarize_loss(store, config, items, rng, rate) -> tuple[Tensor, int]:
 
 
 def _select_loss(store, config, items, rng, rate) -> tuple[Tensor, int]:
-    batch = _stack([ex for ex, _ in items])
-    draws = _row_draws(rng, rate, len(items),
-                       M.dropout_draws(config, batch.source_ids.shape[-1]))
+    full = _stack([ex for ex, _ in items])
+    batch, (s, _) = _cut(full)
+    draws = _row_draws(rng, rate, config, len(items), (full.source_ids.shape[-1], 0),
+                       (s, 0))
     enc = M.encode(store, config, batch.source_ids, batch.source_pad_mask, draws)
     _finish(draws)
     pred = sel.selector_forward(store, enc)
@@ -187,7 +207,8 @@ def decode_corpus(store, config, examples, vocab: Vocabulary,
 
     selected_for, when given, maps example index to a boolean selection
     vector masking the copy head during decoding.  mode is "greedy" (every
-    example in one batch) or "beam" (one example at a time).
+    example in one batch, cut to the longest real source) or "beam" (one
+    example at a time, cut to its real source length).
     """
     check_decode_options(mode, beam_width)
     if not examples:
@@ -195,14 +216,18 @@ def decode_corpus(store, config, examples, vocab: Vocabulary,
     selected = (None if selected_for is None else
                 np.stack([selected_for(i) for i in range(len(examples))]))
     if mode == "greedy":
-        batch = _stack(examples)
+        batch, (s, _) = _cut(_stack(examples))
         decoded = search.greedy_decode(store, config, batch.source_ids,
-                                       batch.source_pad_mask, selected)
+                                       batch.source_pad_mask,
+                                       None if selected is None else selected[:, :s])
     else:
-        decoded = [search.beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                                      None if selected is None else selected[i],
-                                      beam_width=beam_width, alpha=alpha)
-                   for i, ex in enumerate(examples)]
+        decoded = []
+        for i, ex in enumerate(examples):
+            s = M.real_length(ex.source_pad_mask)
+            decoded.append(search.beam_decode(
+                store, config, ex.source_ids[:s], ex.source_pad_mask[:s],
+                None if selected is None else selected[i, :s],
+                beam_width=beam_width, alpha=alpha))
     return [detokenize([vocab.pieces[t] for t in ids]) for ids in decoded]
 
 
@@ -243,11 +268,13 @@ def _dev_metric(store, config, dev, tcfg: TrainConfig, stage: str,
 
 
 # Per stage kind: (store, config, items, rng, dropout rate) -> (loss summed
-# over the items, count), from one graph over the stacked items.  With a
-# rate above 0, rng yields one block of `M.dropout_draws` values per example
-# in item order (for denoising, each right after that example's masking
-# draws), so every example is masked as if it ran alone; a rate of 0 draws
-# no dropout.  Only denoising draws its masking from rng.
+# over the items, count), from one graph over the stacked items cut to their
+# longest real source and target (`_cut`).  With a rate above 0, rng yields
+# one full-length block of `M.dropout_draws` values per example in item
+# order (for denoising, each right after that example's masking draws),
+# and `M.trim_draws` keeps the draws of the kept positions, so every
+# example is masked as if it ran alone at full length; a rate of 0 draws no
+# dropout.  Only denoising draws its masking from rng.
 _LOSS_FNS = {"denoise": _denoise_loss, "summarize": _summarize_loss,
              "select": _select_loss}
 

@@ -175,9 +175,8 @@ class TestDropoutTokens:
 
 
 class TestElementwise:
-    def test_exp_log_sigmoid_gelu_grads(self, rng):
+    def test_log_sigmoid_gelu_grads(self, rng):
         x = rng.normal(size=7)
-        assert_grad_matches(lambda t: ad.exp(t).sum(), x)
         assert_grad_matches(lambda t: ad.log(t).sum(), np.abs(x) + 0.5)
         assert_grad_matches(lambda t: ad.sigmoid(t).sum(), x)
         assert_grad_matches(lambda t: ad.gelu(t).sum(), x)
@@ -243,7 +242,7 @@ class TestTapeMechanics:
         b = Tensor(rng.normal(size=3), requires_grad=True)
         c = Tensor(rng.normal(size=3))
         with ad.new_tape():
-            ((a * b) + ad.exp(a) * c).sum().backward()
+            ((a * b) + ad.sigmoid(a) * c).sum().backward()
         assert a.grad is not None and a.grad.shape == a.data.shape
         assert b.grad is not None and b.grad.shape == b.data.shape
         assert c.grad is None

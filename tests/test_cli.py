@@ -355,6 +355,18 @@ class TestDiagnostics:
         assert "error" in capsys.readouterr().err
         assert not (run_env / "trainrun").exists()
 
+    def test_surgery_error_printed_unquoted(self, run_env, capsys):
+        generate_corpora(run_env)
+        capsys.readouterr()
+        cfg = write_config(run_env, "train", out_dir="r", model=MODEL,
+                           vocab="data/vocab.txt",
+                           corpus={"train": "data/short.train.tsv"},
+                           scheme={"decoder": "symmetric"}, train={"max_epochs": 1})
+        assert cli.main(["train", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "stagesum train: error: symmetric decoder initialization requires an "
+            "encoder checkpoint\n")
+
     @pytest.mark.parametrize("command,fields,named", [
         ("train", dict(partial={"source": "random.ckpt", "k": 1},
                        scheme={"encoder": "random.ckpt"}), "partial and scheme"),

@@ -12,7 +12,7 @@ from stagesum import model as M
 from stagesum.autodiff import Tensor
 from stagesum.checkpoint import init_random
 from stagesum.tokenizer import BOS, PAD, EncodedExample
-from stagesum.training import _stack
+from stagesum.training import _cut, _stack
 
 
 def small_config(**kw):
@@ -361,6 +361,76 @@ class TestRowDraws:
                 M.encode(store, config, ex.source_ids[None], ex.source_pad_mask[None],
                          draws)
                 draws.finish()
+
+
+class RecordingDraws(M.RowDraws):
+    """RowDraws that keeps what every dropout site read, site after site."""
+
+    def __init__(self, blocks, rate):
+        super().__init__(blocks, rate)
+        self.sites = []
+
+    def random(self, shape):
+        out = super().random(shape)
+        self.sites.append(out.reshape(shape[0], -1))
+        return out
+
+
+class TestTrimDraws:
+    """A pass over rows cut to their longest real row, on draws cut by
+    `trim_draws`, reads the draws a full-length pass reads at the kept
+    positions."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("decoder", [False, True], ids=["encoder", "seq2seq"])
+    def test_kept_draws_are_the_full_passes_at_real_positions(self, num_layers, decoder):
+        config = small_config(num_layers=num_layers)
+        store = init_random(config, 0)
+        full = _stack([example_for(config, [5, 6, 7], [5, 6]),
+                       example_for(config, [8, 9, 5, 6, 7], [7])])
+        batch, (s, t) = _cut(full)
+        lengths = (config.encoder_positions, config.decoder_positions if decoder else 0)
+        kept = (s, t if decoder else 0)
+        blocks = np.random.default_rng(num_layers).random(
+            (2, M.dropout_draws(config, *lengths)))
+
+        def run(batch, draws):
+            if decoder:
+                M.forward_teacher_forced(store, config, batch, draws=draws)
+            else:
+                M.encode(store, config, batch.source_ids, batch.source_pad_mask, draws)
+            draws.finish()
+            return draws.sites
+
+        full_sites = run(full, RecordingDraws(blocks, 0.3))
+        cut_sites = run(batch, RecordingDraws(M.trim_draws(config, blocks, lengths, kept),
+                                              0.3))
+        enc_sites, dec_sites = 1 + 2 * num_layers, (1 + 3 * num_layers) * decoder
+        assert [a.shape[1] for a in cut_sites] == [s] * enc_sites + [t] * dec_sites
+        assert len(full_sites) == len(cut_sites)
+        for cut_site, full_site in zip(cut_sites, full_sites):
+            assert np.array_equal(cut_site, full_site[:, :cut_site.shape[1]])
+
+    def test_short_or_leftover_read_raises(self, store, config):
+        full = _stack([example_for(config, [5, 6, 7], [5]),
+                       example_for(config, [8, 9, 5, 6], [7])])
+        lengths = (config.encoder_positions, 0)
+        blocks = np.zeros((2, M.dropout_draws(config, *lengths)))
+        draws = M.trim_draws(config, blocks, lengths, (4, 0))
+        for n in (5, 3):
+            rows = M.RowDraws(draws, 0.3)
+            with pytest.raises(M.DrawError):
+                M.encode(store, config, full.source_ids[:, :n], full.source_pad_mask[:, :n],
+                         rows)
+                rows.finish()
+        with pytest.raises(M.DrawError):
+            M.trim_draws(config, blocks[:, 1:], lengths, (4, 0))
+
+    def test_real_length(self):
+        pad = np.array([[False, True, True, True], [False, False, True, True]])
+        assert M.real_length(pad) == 2
+        assert M.real_length(pad[0]) == 1
+        assert M.real_length(np.ones((2, 3), bool)) == 0
 
 
 class TestGate:

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stagesum import model as M
 from stagesum import selection as sel
 from stagesum.autodiff import Tensor
+from stagesum.checkpoint import init_random
 from stagesum.metrics import coverage_prf
 
 from conftest import assert_grad_matches
+from test_model import example_for, small_config
 
 
 def exhaustive_best_f1(probs, labels):
@@ -97,6 +100,32 @@ class TestSelectorHead:
                 sel.selector_forward(store, Tensor(enc)), labels, pad)
 
         assert_grad_matches(build, rng.normal(size=4))
+
+
+class TestSelectorProbs:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cut_sources_match_full_length_encode(self, seed, monkeypatch):
+        config = small_config(num_layers=2, hidden_size=12, num_heads=3, vocab_size=16,
+                              encoder_positions=9)
+        store = init_random(config, seed, arch="selector")
+        store["selector.weight"].data *= 10.0
+        rng = np.random.default_rng(seed)
+        examples = [example_for(config, rng.integers(5, 16, n), [5]) for n in (1, 4, 9, 6)]
+        lengths, full_encode = [], M.encode
+
+        def encode(store, config, ids, *rest):
+            lengths.append(ids.shape[-1])
+            return full_encode(store, config, ids, *rest)
+
+        monkeypatch.setattr(M, "encode", encode)
+        got = sel.selector_probs(store, config, examples)
+        monkeypatch.undo()
+        assert lengths == [1, 4, 9, 6]
+        for ex, p in zip(examples, got):
+            enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
+            ref = sel.selector_forward(store, enc).data[~ex.source_pad_mask]
+            assert p.shape == ref.shape
+            assert np.abs(p - ref).max() <= 1e-12
 
 
 class TestSelectorLoss:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stagesum import autodiff as ad
 from stagesum import model as M
+from stagesum import search
 from stagesum import selection as sel
 from stagesum import training
 from stagesum.autodiff import Tensor
@@ -15,8 +16,8 @@ from stagesum.tokenizer import EOS, MASK, PAD, RESERVED, Vocabulary
 from stagesum.training import (CLAMP_FLOOR, TrainConfig, _mask_tokens, _stack,
                                mle_loss, denoise_pretrain, train_stage)
 
-from test_model import example_for, small_config
-from test_search import count_calls
+from test_model import example_for, row_cases, small_config
+from test_search import count_calls, peaked_store
 
 
 class TestMleLoss:
@@ -255,24 +256,38 @@ def per_example_loss(stage, store, config, items, rng, rate):
 ARCH = {"denoise": "mlm_encoder", "summarize": "seq2seq", "select": "selector"}
 
 
-@st.composite
-def stage_cases(draw):
-    """A stage kind, a random model (1-3 layers, copy on or off, dropout
-    on) and a minibatch of 1-4 examples with ragged sources and targets."""
-    stage = draw(st.sampled_from(sorted(ARCH)))
-    config = small_config(num_layers=draw(st.integers(1, 3)), hidden_size=12,
-                          num_heads=3, vocab_size=16, encoder_positions=9,
-                          decoder_positions=5, copy_enabled=draw(st.booleans()))
-    seed = draw(st.integers(0, 2 ** 16))
+def build_case(stage, num_layers, copy_enabled, seed, n_items):
+    """A random model and a minibatch of n_items examples with ragged
+    sources and targets, all drawn from seed.  The norm biases are drawn
+    from N(0, 1e-3): with zero biases, a position dropped at the embedding
+    and after every sublayer reaches a layer norm as an exactly constant
+    row, which the norm scales by 1/sqrt(1e-12), and its gradient keeps no
+    digits to compare."""
+    config = small_config(num_layers=num_layers, hidden_size=12, num_heads=3,
+                          vocab_size=16, encoder_positions=9, decoder_positions=5,
+                          copy_enabled=copy_enabled)
     rng = np.random.default_rng(seed)
     items = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(n_items):
         n_src = int(rng.integers(1, config.encoder_positions + 1))
         n_tgt = int(rng.integers(1, config.decoder_positions + 1))
         ex = example_for(config, rng.integers(5, config.vocab_size, n_src),
                          rng.integers(3, config.vocab_size, n_tgt))
         items.append((ex, rng.integers(0, 2, n_src)) if stage == "select" else ex)
-    return stage, config, init_random(config, seed, arch=ARCH[stage]), items, seed
+    store = init_random(config, seed, arch=ARCH[stage])
+    for name in store.names():
+        if name.endswith("_norm.bias"):
+            store[name].data[...] = rng.normal(0.0, 1e-3, store[name].shape)
+    return stage, config, store, items, seed
+
+
+@st.composite
+def stage_cases(draw):
+    """A stage kind, a random model (1-3 layers, copy on or off, dropout
+    on) and a minibatch of 1-4 examples (`build_case`)."""
+    return build_case(draw(st.sampled_from(sorted(ARCH))), draw(st.integers(1, 3)),
+                      draw(st.booleans()), draw(st.integers(0, 2 ** 16)),
+                      draw(st.integers(1, 4)))
 
 
 def loss_and_grads(loss_fn, store, config, items, seed, rate=0.3):
@@ -292,6 +307,9 @@ class TestBatchedLosses:
 
     @settings(deadline=None, max_examples=40)
     @given(stage_cases())
+    # real source lengths 9, 8, 2 and 9: a constant layer-norm row with zero
+    # norm biases
+    @example(build_case("select", 2, False, 51244, 4))
     def test_matches_per_example_loop(self, case):
         stage, config, store, items, seed = case
         loss, n, grads = loss_and_grads(training._LOSS_FNS[stage], store, config,
@@ -329,3 +347,47 @@ class TestBatchedLosses:
         train_stage(init_random(config, 0), config, data, [],
                     TrainConfig(lr=1e-3, dropout=0.1, batch_size=3, max_epochs=2))
         assert encodes[0] == 2 * 3
+
+
+def recorded(module, name, calls):
+    """module.name, appending (args, result) to calls on every call."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append((args, out))
+        return out
+    return wrapper
+
+
+class TestDecodeCorpus:
+    """decode_corpus cuts the greedy batch to the corpus's longest real
+    source and each beam's source to its own real length; the tokens are
+    the ones the search gives on the full-length arrays."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(row_cases(max_rows=6), st.floats(0.5, 1.5), st.sampled_from(["greedy", "beam"]))
+    def test_cut_sources_decode_as_full_length(self, case, eos_bias, mode):
+        config, store, examples, selected, _, _ = case
+        store = peaked_store(store, eos_bias)
+        vocab = Vocabulary(RESERVED + [f"w{i}" for i in range(config.vocab_size - 5)])
+        name = f"{mode}_decode"
+        decode, calls = getattr(search, name), []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, name, recorded(search, name, calls))
+            training.decode_corpus(store, config, examples, vocab,
+                                   None if selected is None else selected.__getitem__,
+                                   mode=mode, beam_width=2)
+        real = [int((~ex.source_pad_mask).sum()) for ex in examples]
+        if mode == "greedy":
+            batch = _stack(examples)
+            (args, got), = calls
+            assert args[2].shape == (len(examples), max(real))
+            assert got == decode(store, config, batch.source_ids, batch.source_pad_mask,
+                                 selected)
+        else:
+            assert [args[2].shape for args, _ in calls] == [(n,) for n in real]
+            assert [got for _, got in calls] == [
+                decode(store, config, ex.source_ids, ex.source_pad_mask,
+                       None if selected is None else selected[r], beam_width=2)
+                for r, ex in enumerate(examples)]
