@@ -4,12 +4,14 @@ Tensors wrap float64 numpy arrays.  Operations on tensors that require
 gradients are recorded on the active Tape through `_make`, each with one
 gradient rule per parent, built only when the node is recorded;
 Tensor.backward() replays the tape in reverse, un-broadcasting and
-accumulating every rule's result into its parent.  A tensor's first
-gradient is stored as a C-ordered copy and later ones are added to it, so
-no gradient starts as a buffer of zeros.  The model's hot spots are fused
-into single nodes: `linear` (x @ W + b) and attention as `attention_scores`
-(q kᵀ · scale + mask) followed by `softmax_matmul` (softmax(s) @ v), whose
-backward reuses the saved softmax output.
+accumulating every rule's result into its parent.  A parameter of a
+`ParamStore` arrives with `.grad` preset to a zeroed view of the store's
+gradient arena, so every gradient is added into it; any other tensor's
+first gradient is stored as a C-ordered copy and later ones are added to
+it, so no intermediate gradient starts as a buffer of zeros.  The model's
+hot spots are fused into single nodes: `linear` (x @ W + b) and attention
+as `attention_scores` (q kᵀ · scale + mask) followed by `softmax_matmul`
+(softmax(s) @ v), whose backward reuses the saved softmax output.
 Everything is 64-bit; there is no device or dtype story.
 """
 

@@ -2,20 +2,23 @@
 
 Checkpoint container: magic, length-prefixed JSON header (tensor name
 table with shapes, config fingerprint, provenance chain, the payload's
-sha256), then raw little-endian float64 payloads in header order.  Round
-trips are bit-exact; saves are atomic and a damaged file, a flipped payload
-byte included, fails to load with a `CheckpointError`.  Files written
-before the checksum existed carry no `payload_sha256` and still load.
+sha256), then the store's arena as one raw little-endian float64 payload,
+each tensor's values in header order.  Round trips are bit-exact; saves
+are atomic and a damaged file, a flipped payload byte included, fails to
+load with a `CheckpointError`.  Files written before the checksum existed
+carry no `payload_sha256` and still load.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -38,13 +41,30 @@ class SurgeryError(ValueError):
 
 
 class ParamStore:
-    """Map from hierarchical parameter name to Tensor, plus metadata."""
+    """Named parameters packed into one arena, plus metadata: `flat` holds
+    copies of the given Tensors' values in name order as one float64 vector,
+    `grad` their gradients, and each parameter's `.data` and `.grad` are
+    views of its slice.  `params` is a read-only name -> Tensor mapping."""
 
-    def __init__(self, params: dict[str, Tensor], fingerprint: dict,
+    def __init__(self, params: Mapping[str, Tensor], fingerprint: dict,
                  provenance: Optional[list[str]] = None):
-        self.params = params
         self.fingerprint = dict(fingerprint)
         self.provenance = list(provenance or [])
+        self._pack(np.concatenate([np.zeros(0)] + [t.data.ravel() for t in params.values()]),
+                   [(name, t.data.shape) for name, t in params.items()])
+
+    def _pack(self, flat: np.ndarray, layout) -> "ParamStore":
+        """Make `flat` itself the arena, cut per its (name, shape) layout."""
+        # np.zeros, not zeros_like, leaves the pages untouched until backward
+        self.flat, self.grad, self.layout = flat, np.zeros(flat.size), tuple(layout)
+        params, at = {}, 0
+        for name, shape in self.layout:
+            end = at + math.prod(shape)
+            params[name] = t = Tensor(flat[at:end].reshape(shape), requires_grad=True)
+            t.grad = self.grad[at:end].reshape(shape)
+            at = end
+        self.params = MappingProxyType(params)
+        return self
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -62,41 +82,27 @@ class ParamStore:
         return list(self.params)
 
     def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.grad = None
-
-    def grads(self) -> dict[str, np.ndarray]:
-        """Gradient arrays per parameter; zeros where backward left none."""
-        return {n: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                for n, t in self.params.items()}
+        self.grad.fill(0.0)
 
     def copy(self) -> "ParamStore":
-        params = {n: Tensor(t.data.copy(), requires_grad=True)
-                  for n, t in self.params.items()}
-        return ParamStore(params, self.fingerprint, self.provenance)
+        blank = ParamStore({}, self.fingerprint, self.provenance)
+        return blank._pack(self.flat.copy(), self.layout)
 
     def save(self, path) -> None:
         """Write the checkpoint atomically: a temporary file in the target
         directory, made durable, then renamed over `path`."""
-        entries = [{"name": n, "shape": list(t.data.shape)}
-                   for n, t in self.params.items()]
-        payload = [np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-                   for t in self.params.values()]
-        digest = hashlib.sha256()
-        for chunk in payload:
-            digest.update(chunk)
+        payload = np.ascontiguousarray(self.flat, dtype="<f8")
         header = json.dumps({"fingerprint": self.fingerprint,
                              "provenance": self.provenance,
-                             "payload_sha256": digest.hexdigest(),
-                             "tensors": entries}, sort_keys=True).encode("utf-8")
+                             "payload_sha256": hashlib.sha256(payload).hexdigest(),
+                             "tensors": [{"name": n, "shape": list(shape)}
+                                         for n, shape in self.layout]},
+                            sort_keys=True).encode("utf-8")
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as f:
-                f.write(MAGIC)
-                f.write(struct.pack("<Q", len(header)))
-                f.write(header)
-                for chunk in payload:
-                    f.write(chunk)
+                f.write(MAGIC + struct.pack("<Q", len(header)) + header)
+                f.write(payload)
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
@@ -108,8 +114,9 @@ class ParamStore:
     @classmethod
     def load(cls, path) -> "ParamStore":
         """Read a checkpoint; `CheckpointError` if it is not exactly one
-        complete checkpoint (bad magic, short header or payload, trailing
-        bytes, a payload that does not match the header's sha256)."""
+        complete checkpoint (bad magic, a short or malformed header, a short
+        payload, trailing bytes, a payload that does not match the header's
+        sha256)."""
         with open(path, "rb") as f:
             blob = f.read()
         if blob[:len(MAGIC)] != MAGIC:
@@ -125,42 +132,47 @@ class ParamStore:
             header = json.loads(blob[at:at + hlen].decode("utf-8"))
         except ValueError as e:
             raise CheckpointError(f"{path}: unreadable header: {e}") from None
+        layout = _layout(header, path)
         at += hlen
-        start = at
-        params = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            if len(blob) < at + 8 * n:
-                raise CheckpointError(
-                    f"{path}: truncated payload at {entry['name']} "
-                    f"({len(blob) - at} of {8 * n} bytes)")
-            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=at)
-            params[entry["name"]] = Tensor(arr.astype(np.float64).reshape(shape),
-                                           requires_grad=True)
-            at += 8 * n
-        if at != len(blob):
-            raise CheckpointError(f"{path}: {len(blob) - at} trailing bytes after the payload")
+        have, need = len(blob) - at, 8 * sum(math.prod(shape) for _, shape in layout)
+        if have < need:
+            raise CheckpointError(f"{path}: truncated payload ({have} of {need} bytes)")
+        if have > need:
+            raise CheckpointError(f"{path}: {have - need} trailing bytes after the payload")
         expected = header.get("payload_sha256")
-        if expected is not None and hashlib.sha256(blob[start:]).hexdigest() != expected:
+        if expected is not None and hashlib.sha256(blob[at:]).hexdigest() != expected:
             raise CheckpointError(f"{path}: payload does not match its sha256")
-        return cls(params, header["fingerprint"], header["provenance"])
+        flat = np.frombuffer(blob, "<f8", need // 8, at).astype(np.float64)
+        return cls({}, header["fingerprint"], header["provenance"])._pack(flat, layout)
+
+
+def _layout(header, path) -> list[tuple[str, tuple[int, ...]]]:
+    """A parsed header's (name, shape) pairs; `CheckpointError` if malformed."""
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and "fingerprint" in header and "provenance" in header):
+        raise CheckpointError(f"{path}: header lacks a tensors list, fingerprint or provenance")
+    layout = {}
+    for entry in header["tensors"]:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name in layout:
+            raise CheckpointError(f"{path}: tensor entry {entry!r} lacks a name "
+                                  "or repeats one")
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape!r}, "
+                                  "not a list of non-negative ints")
+        layout[name] = tuple(shape)
+    return list(layout.items())
 
 
 def check_compatible(store: ParamStore, config: ModelConfig, arch: str) -> None:
     """Raise unless the store holds exactly the parameters the config expects."""
-    spec = param_spec(config, arch)
-    problems = []
-    names = set(store.names())
-    for name, shape, _ in spec:
-        if name not in store:
-            problems.append(f"missing {name} {shape}")
-        elif store[name].data.shape != shape:
-            problems.append(f"{name}: checkpoint {store[name].data.shape} vs model {shape}")
-        else:
-            names.discard(name)
-    for extra in sorted(names):
-        problems.append(f"unexpected {extra}")
+    spec = {name: shape for name, shape, _ in param_spec(config, arch)}
+    have = dict(store.layout)
+    problems = [f"missing {name} {shape}" if name not in have else
+                f"{name}: checkpoint {have[name]} vs model {shape}"
+                for name, shape in spec.items() if have.get(name) != shape]
+    problems += [f"unexpected {name}" for name in sorted(have) if spec.get(name) != have[name]]
     if problems:
         raise IncompatibilityError(
             "checkpoint incompatible with model config:\n  " + "\n  ".join(problems))

@@ -231,6 +231,7 @@ def _selection_fn(cfg: RunConfig, data, mcfg):
                    for y, ex in zip(labels, examples)]
     elif mode == "model":
         selector = ParamStore.load(cfg.resolve(cfg.selection["selector"]))
+        check_compatible(selector, mcfg, "selector")
         thr = cfg.selection["threshold"]
         if isinstance(thr, str):
             with open(cfg.resolve(thr)) as f:
@@ -293,8 +294,9 @@ def _grid_run_one(base: dict, overrides: dict) -> dict:
     merged.update(overrides)
     sub = RunConfig(**merged)
     result = run_train(sub)
-    # decode + score the dev set with the trained checkpoint
-    sub2 = RunConfig(**{**merged, "checkpoint": result["checkpoint"]})
+    # decode + score the dev set with the trained checkpoint, whose path is
+    # already resolved: made absolute, run_decode's resolve leaves it as is
+    sub2 = RunConfig(**{**merged, "checkpoint": os.path.abspath(result["checkpoint"])})
     decoded = run_decode(sub2)
     data_pairs = read_corpus(sub.resolve(sub.corpus["dev"]))
     with open(decoded, encoding="utf-8") as f:

@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter trees."""
+"""Adam over a parameter arena: every parameter in one flat vector."""
 
 from __future__ import annotations
 
@@ -12,36 +12,25 @@ class TrainingError(RuntimeError):
 
 
 class AdamState:
-    """Per-parameter first/second moment buffers plus a shared step counter."""
+    """Moment vectors of an arena of `size` floats, and the step counter."""
 
-    def __init__(self, lr: float = 2e-5, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, size: int, lr: float = 2e-5, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
 
-def adam_step(params, grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One in-place Adam update over every parameter in `params`.
-
-    `params` is any mapping from name to Tensor; `grads` must cover every name.
-    """
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One in-place Adam update of the flat parameter vector `params` (a
+    store's `flat`) by the matching gradient vector `grads` (its `grad`)."""
+    if not params.shape == grads.shape == state.m.shape:
+        raise TrainingError(f"shapes differ: parameters {params.shape}, gradients "
+                            f"{grads.shape}, moments {state.m.shape}")
     state.step += 1
-    for name in params:
-        if name not in grads:
-            raise TrainingError(f"missing gradient for parameter {name!r}")
-        p = params[name]
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise TrainingError(
-                f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}"
-            )
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        kernels.adam_update(p.data, g, state.m[name], state.v[name],
-                            state.lr, state.beta1, state.beta2, state.eps, state.step)
+    kernels.adam_update(params, grads, state.m, state.v,
+                        state.lr, state.beta1, state.beta2, state.eps, state.step)

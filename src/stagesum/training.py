@@ -11,7 +11,6 @@ per-example loop drawing from the same generator would have drawn.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -290,7 +289,7 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
     if not train_data:
         raise StageError("training corpus is empty")
     store = init.copy()
-    state = AdamState(lr=tcfg.lr)
+    state = AdamState(store.flat.size, lr=tcfg.lr)
     rng = np.random.default_rng([tcfg.seed, 1])
     report = TrainReport()
     best_store = store.copy()
@@ -316,9 +315,8 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
                 if np.isnan(total.data):
                     raise StageError("training diverged (NaN loss)")
                 total.backward()
-            grads = store.grads()
-            grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
-            adam_step(store.params, grads, state)
+            grad_norms.append(float(np.linalg.norm(store.grad)))
+            adam_step(store.flat, store.grad, state)
             epoch_loss += float(total.data) * count
             epoch_count += count
         train_loss = epoch_loss / max(epoch_count, 1)

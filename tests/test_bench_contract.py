@@ -3,8 +3,9 @@
 perfbench/tracing.py wraps the public functions it names in `TARGETS` on
 their modules and on every `from`-import binding; a renamed or removed
 function, or one held in a module-level dict, makes every benchmark run
-fail.  The benchmark also checks that decoding encodes each source once,
-and its decode-step counts rest on greedy stopping when its last row ends.
+fail.  The benchmark also checks that decoding encodes each source once
+and that training takes one `training.adam_step` per minibatch, and its
+decode-step counts rest on greedy stopping when its last row ends.
 """
 
 import functools
@@ -16,8 +17,9 @@ import pytest
 
 from stagesum import model as M
 from stagesum import search
+from stagesum import training
 from stagesum.checkpoint import init_random
-from stagesum.training import _stack
+from stagesum.training import TrainConfig, _stack
 
 from test_model import example_for, small_config
 from test_search import count_calls, peaked_store
@@ -95,3 +97,34 @@ def test_stacked_greedy_stops_when_the_last_row_ends(max_len, monkeypatch):
         assert len(set(lengths)) > 1 and max(lengths) < config.decoder_positions - 1
     budget = config.decoder_positions - 1 if max_len is None else max_len
     assert steps[0] == min(budget, max(lengths) + 1)
+
+
+@pytest.mark.parametrize("stage", ["summarize", "denoise"])
+def test_one_adam_step_per_minibatch_with_a_loss(stage, monkeypatch):
+    """train_stage calls `training.adam_step` (the binding the benchmark
+    wraps) once per minibatch whose loss has terms, and skips the others:
+    one-token denoise batches often mask nothing."""
+    config = small_config()
+    rng = np.random.default_rng(0)
+    data = [example_for(config, rng.integers(5, 12, 1 if stage == "denoise" else 4), [5])
+            for _ in range(9)]
+    steps = count_calls(monkeypatch, training, "adam_step")
+    losses = []
+    loss_fn = training._LOSS_FNS[stage]
+
+    def counted(*args):
+        loss, n = loss_fn(*args)
+        losses.append(n)
+        return loss, n
+
+    monkeypatch.setitem(training._LOSS_FNS, stage, counted)
+    init = init_random(config, 0, arch="mlm_encoder" if stage == "denoise" else "seq2seq")
+    training.train_stage(init, config, data, [],
+                         TrainConfig(lr=1e-3, dropout=0.1, batch_size=2, max_epochs=3),
+                         stage=stage)
+    assert len(losses) == 3 * 5
+    assert steps[0] == sum(n > 0 for n in losses)
+    if stage == "summarize":
+        assert steps[0] == 3 * 5
+    else:
+        assert 0 < steps[0] < 3 * 5

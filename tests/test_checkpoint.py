@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from stagesum import model as M
+from stagesum import training
+from stagesum.autodiff import Tensor
 from stagesum.checkpoint import (ALWAYS_RANDOM, MAGIC, CheckpointError,
                                  IncompatibilityError, InitScheme, ParamStore,
                                  SurgeryError, apply_partial, apply_scheme,
                                  check_compatible, format_surgery_report,
                                  init_random, loadable_slots)
+
+from test_model import example_for, small_config
 
 
 def cfg(**kw):
@@ -132,9 +136,54 @@ class TestContainer:
 
     def test_extra_parameter_reported(self):
         store = init_random(cfg(), 0)
-        store.params["rogue.weight"] = store["gate.weight"]
+        store = ParamStore({**store.params, "rogue.weight": store["gate.weight"]},
+                           store.fingerprint)
         with pytest.raises(IncompatibilityError, match="rogue"):
             check_compatible(store, cfg(), "seq2seq")
+
+    def test_params_read_only(self):
+        store = init_random(cfg(), 0)
+        with pytest.raises(TypeError):
+            store.params["rogue.weight"] = store["gate.weight"]
+        with pytest.raises(TypeError):
+            del store.params["gate.weight"]
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda h: [h], "header lacks"),
+        (lambda h: {k: v for k, v in h.items() if k != "tensors"}, "header lacks"),
+        (lambda h: {k: v for k, v in h.items() if k != "fingerprint"},
+         "header lacks"),
+        (lambda h: {k: v for k, v in h.items() if k != "provenance"},
+         "header lacks"),
+        (lambda h: {**h, "tensors": {"a": [2]}}, "header lacks"),
+        (lambda h: {**h, "tensors": [{"shape": [2]}] + h["tensors"][1:]}, "lacks a name"),
+        (lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [-1, 3]}]
+                    + h["tensors"][1:]}, "not a list of non-negative ints"),
+        (lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": 3}]
+                    + h["tensors"][1:]}, "not a list of non-negative ints"),
+        (lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [2.0]}]
+                    + h["tensors"][1:]}, "not a list of non-negative ints"),
+        (lambda h: {**h, "tensors": h["tensors"][:1] + h["tensors"][:1]
+                    + h["tensors"][1:]}, "repeats one"),
+    ], ids=["list", "no-tensors", "no-fingerprint", "no-provenance", "tensors-not-list",
+            "no-name", "negative-extent", "shape-not-list", "float-extent",
+            "repeated-name"])
+    def test_malformed_header_rejected(self, tmp_path, damage, message):
+        """A header with the payload's sha256 intact but a damaged tensor
+        table or key set fails by name; a repeated name would otherwise
+        load and drop a tensor."""
+        path = tmp_path / "m.ckpt"
+        store = ParamStore({"a": Tensor(np.zeros(2)), "b": Tensor(np.ones((3, 2)))},
+                           {"arch": "x"}, ["stage"])
+        store.save(path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", blob, len(MAGIC))
+        at = len(MAGIC) + 8
+        header = json.dumps(damage(json.loads(blob[at:at + hlen]))).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header
+                         + blob[at + hlen:])
+        with pytest.raises(CheckpointError, match=f"{path.name}: .*{message}"):
+            ParamStore.load(path)
 
 
 class TestInitRandom:
@@ -232,8 +281,9 @@ class TestApplyScheme:
 
     def test_missing_source_param_named(self, tmp_path):
         config = cfg()
-        src = init_random(config, 0, arch="mlm_encoder")
-        del src.params["encoder.layer.1.ffn.out.weight"]
+        full = init_random(config, 0, arch="mlm_encoder")
+        src = ParamStore({name: t for name, t in full.params.items()
+                          if name != "encoder.layer.1.ffn.out.weight"}, full.fingerprint)
         path = tmp_path / "broken.ckpt"
         src.save(path)
         with pytest.raises(SurgeryError, match="encoder.layer.1.ffn.out.weight"):
@@ -412,3 +462,58 @@ class TestChainStage:
     def test_format_surgery_report(self):
         text = format_surgery_report({"b": "randomized", "a": "copied-from a"})
         assert text == "a\tcopied-from a\nb\trandomized\n"
+
+
+def assert_in_arena(store):
+    """Every parameter's .data and .grad are C-ordered views of its own
+    slice of the store's `flat` and `grad`, in name order, covering both."""
+    at = 0
+    for name, t in store.params.items():
+        for view, arena in ((t.data, store.flat), (t.grad, store.grad)):
+            assert view.flags.c_contiguous, name
+            assert np.shares_memory(view, arena), name
+            start = view.__array_interface__["data"][0] - arena.__array_interface__["data"][0]
+            assert start == 8 * at, name
+        at += t.data.size
+    assert at == store.flat.size == store.grad.size
+
+
+class TestArena:
+    def test_views_after_training_copy_load_and_surgery(self, tmp_path, monkeypatch):
+        config = small_config()
+        data = [example_for(config, [5 + i, 6, 7], [5 + i, 3]) for i in range(4)]
+        loss_fn, seen = training._LOSS_FNS["summarize"], []
+
+        def checked(store, *args):
+            # the store being trained, after the previous step's update
+            assert_in_arena(store)
+            seen.append(store)
+            return loss_fn(store, *args)
+
+        monkeypatch.setitem(training._LOSS_FNS, "summarize", checked)
+        trained, _ = training.train_stage(
+            init_random(config, 0), config, data, [],
+            training.TrainConfig(lr=1e-2, dropout=0.1, batch_size=2, max_epochs=2))
+        assert len(seen) == 4
+        assert_in_arena(trained)
+        assert_in_arena(trained.copy())
+        path = tmp_path / "t.ckpt"
+        trained.save(path)
+        loaded = ParamStore.load(path)
+        assert_in_arena(loaded)
+        assert loaded.flat.tobytes() == trained.flat.tobytes()
+        enc = tmp_path / "enc.ckpt"
+        init_random(config, 1, arch="mlm_encoder").save(enc)
+        for store, _ in (apply_scheme(InitScheme(encoder=str(enc), decoder="symmetric"),
+                                      config, 2),
+                         apply_partial(loaded, config, 1, 3)):
+            assert_in_arena(store)
+
+    def test_copy_owns_its_arena(self):
+        store = init_random(cfg(), 0)
+        twin = store.copy()
+        assert not np.shares_memory(store.flat, twin.flat)
+        assert not np.shares_memory(store.grad, twin.grad)
+        twin["gate.bias"].data += 1.0
+        twin["gate.bias"].grad += 1.0
+        assert not store["gate.bias"].data.any() and not store.grad.any()

@@ -278,6 +278,30 @@ class TestGrid:
         points = (run_env / "grid" / "layerwise_points.txt").read_text()
         assert len(points.splitlines()) == 6
 
+    @pytest.mark.parametrize("kind", ["schemes", "layerwise"])
+    def test_grid_under_relative_output_root(self, tmp_path, monkeypatch, capsys, kind):
+        """With a relative STAGESUM_OUT, each cell decodes the checkpoint its
+        training wrote and scores a row."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("STAGESUM_OUT", "out")
+        (tmp_path / "out").mkdir()
+        generate_corpora(tmp_path / "out")
+        capsys.readouterr()
+        base = dict(model=MODEL, vocab="data/vocab.txt",
+                    corpus={"train": "data/short.train.tsv", "dev": "data/short.dev.tsv"},
+                    train={"lr": 1e-3, "dropout": 0.0, "batch_size": 8, "max_epochs": 1})
+        if kind == "schemes":
+            grid = {"kind": "schemes", "runs": [{"name": "random"}], "base": base}
+        else:
+            init_random(ModelConfig(**MODEL), 0).save("out/random.ckpt")
+            grid = {"kind": "layerwise", "ks": [0, 1], "source": "random.ckpt",
+                    "base": base}
+        cfg = write_config(tmp_path, "grid", out_dir="grid", grid=grid)
+        assert cli.main(["grid", cfg]) == 0
+        report = (tmp_path / "out" / "grid" / "grid_report.txt").read_text()
+        assert "absent" not in report
+        assert report.count("rougeL_f1=") == (1 if kind == "schemes" else 2)
+
 
 class TestDiagnostics:
     def test_missing_config_file(self, run_env, capsys):
@@ -339,6 +363,26 @@ class TestDiagnostics:
                            checkpoint="random.ckpt", decode={"mode": "beem"})
         assert cli.main(["decode", cfg]) == 1
         assert "'beem'" in capsys.readouterr().err
+        assert not (run_env / "decoderun").exists()
+
+    @pytest.mark.parametrize("arch, layers, named", [
+        ("selector", 2, "unexpected encoder.layer.1."),
+        ("seq2seq", 1, "missing selector.weight"),
+    ], ids=["deeper-selector", "seq2seq-as-selector"])
+    def test_incompatible_selector(self, run_env, capsys, arch, layers, named):
+        generate_corpora(run_env)
+        init_random(ModelConfig(**MODEL), 0).save(str(run_env / "random.ckpt"))
+        init_random(ModelConfig(**{**MODEL, "num_layers": layers}), 0, arch=arch).save(
+            str(run_env / "selector.ckpt"))
+        capsys.readouterr()
+        cfg = write_config(run_env, "decode", out_dir="decoderun", model=MODEL,
+                           vocab="data/vocab.txt", corpus={"dev": "data/short.dev.tsv"},
+                           checkpoint="random.ckpt",
+                           selection={"mode": "model", "selector": "selector.ckpt",
+                                      "threshold": 0.5})
+        assert cli.main(["decode", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint incompatible with model config" in err and named in err
         assert not (run_env / "decoderun").exists()
 
     def test_incompatible_partial_source(self, run_env, capsys):

@@ -3,33 +3,29 @@
 import numpy as np
 import pytest
 
+from stagesum import kernels
 from stagesum.autodiff import Tensor
+from stagesum.checkpoint import ParamStore
 from stagesum.optim import AdamState, TrainingError, adam_step
 
 
-def make_params(values):
-    return {name: Tensor(np.array(v, dtype=float), requires_grad=True)
-            for name, v in values.items()}
-
-
 def test_zero_gradient_leaves_params_unchanged():
-    params = make_params({"w": [1.0, -2.0]})
-    state = AdamState(lr=0.1)
-    adam_step(params, {"w": np.zeros(2)}, state)
-    assert np.array_equal(params["w"].data, [1.0, -2.0])
+    params = np.array([1.0, -2.0])
+    state = AdamState(2, lr=0.1)
+    adam_step(params, np.zeros(2), state)
+    assert np.array_equal(params, [1.0, -2.0])
     assert state.step == 1
-    # moment buffers exist and decayed to zero
-    assert np.array_equal(state.m["w"], np.zeros(2))
-    assert np.array_equal(state.v["w"], np.zeros(2))
+    # the moment vectors decayed to zero
+    assert np.array_equal(state.m, np.zeros(2))
+    assert np.array_equal(state.v, np.zeros(2))
 
 
 def test_first_step_magnitude_is_lr():
     # closed form at step 1: m_hat = g, v_hat = g^2, update = lr*g/(|g|+eps)
-    params = make_params({"w": 0.0})
-    state = AdamState(lr=0.1)
-    adam_step(params, {"w": np.array(1.0)}, state)
+    params = np.zeros(1)
+    adam_step(params, np.ones(1), AdamState(1, lr=0.1))
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
-    assert abs(float(params["w"].data) - expected) < 1e-15
+    assert abs(float(params[0]) - expected) < 1e-15
 
 
 def test_two_steps_match_scalar_reference():
@@ -44,30 +40,54 @@ def test_two_steps_match_scalar_reference():
         v_hat = v / (1 - b2**step)
         w_ref -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    params = make_params({"w": 2.0})
-    state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    params = np.array([2.0])
+    state = AdamState(1, lr=lr, beta1=b1, beta2=b2, eps=eps)
     for _ in range(2):
-        adam_step(params, {"w": np.array(g)}, state)
-    assert abs(float(params["w"].data) - w_ref) < 1e-14
-
-
-def test_missing_gradient_names_parameter():
-    params = make_params({"w": 1.0, "b": 0.0})
-    with pytest.raises(TrainingError, match="'b'"):
-        adam_step(params, {"w": np.array(1.0)}, AdamState())
+        adam_step(params, np.array([g]), state)
+    assert abs(float(params[0]) - w_ref) < 1e-14
 
 
 def test_gradient_shape_mismatch():
-    params = make_params({"w": [1.0, 2.0]})
     with pytest.raises(TrainingError, match="shape"):
-        adam_step(params, {"w": np.zeros(3)}, AdamState())
+        adam_step(np.zeros(2), np.zeros(3), AdamState(2))
+    # moment vectors sized for another arena
+    with pytest.raises(TrainingError, match="shape"):
+        adam_step(np.zeros(2), np.zeros(2), AdamState(3))
 
 
 def test_step_counter_strictly_increases():
-    params = make_params({"w": 1.0})
-    state = AdamState()
+    params = np.ones(1)
+    state = AdamState(1)
     seen = []
     for _ in range(3):
-        adam_step(params, {"w": np.array(0.5)}, state)
+        adam_step(params, np.full(1, 0.5), state)
         seen.append(state.step)
     assert seen == [1, 2, 3]
+
+
+def test_flat_step_equals_per_parameter_updates():
+    """One update of a store's arena is, bit for bit, one
+    `kernels.adam_update` per parameter with its own moment buffers."""
+    rng = np.random.default_rng(3)
+    shapes = {"scalar": (), "bias": (5,), "weight": (4, 3), "table": (2, 3, 2),
+              "empty": (0, 4)}
+    store = ParamStore({n: Tensor(rng.normal(size=s), requires_grad=True)
+                        for n, s in shapes.items()}, {})
+    ref = {n: store[n].data.copy() for n in shapes}
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    state = AdamState(store.flat.size, lr=0.01)
+    for step in range(1, 6):
+        for n, s in shapes.items():
+            # mixed magnitudes and signed zeros in every step's gradient
+            g = rng.normal(size=s) * 10.0 ** rng.integers(-8, 3, size=s)
+            g = np.where(rng.random(s) < 0.2, -0.0, g)
+            store[n].grad[...] = g
+            kernels.adam_update(ref[n], g, m[n], v[n], 0.01, 0.9, 0.999, 1e-8, step)
+        adam_step(store.flat, store.grad, state)
+        for n in shapes:
+            assert store[n].data.tobytes() == ref[n].tobytes(), (n, step)
+    packed = np.concatenate([ref[n].ravel() for n in shapes])
+    assert store.flat.tobytes() == packed.tobytes()
+    assert state.m.tobytes() == np.concatenate([m[n].ravel() for n in shapes]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v[n].ravel() for n in shapes]).tobytes()

@@ -298,7 +298,7 @@ def loss_and_grads(loss_fn, store, config, items, seed, rate=0.3):
         loss, n = loss_fn(store, config, items, rng, rate)
         if n:
             (loss / n).backward()
-    return float(loss.data), n, {k: g.copy() for k, g in store.grads().items()}
+    return float(loss.data), n, {name: store[name].grad.copy() for name in store}
 
 
 class TestBatchedLosses:
