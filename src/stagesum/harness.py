@@ -29,14 +29,20 @@ def _ensure_dir(path):
     return path
 
 
-def encode_corpus(pairs, vocab, source_limit, target_limit):
-    return [encode_pair(doc, summary, vocab, source_limit, target_limit)
+def tokenize_corpus(pairs, vocab):
+    """Each (document, summary) pair as its two word-piece lists."""
+    return [(wordpiece_tokenize(doc, vocab), wordpiece_tokenize(summary, vocab))
             for doc, summary in pairs]
 
 
+def encode_corpus(pieces, vocab, source_limit, target_limit):
+    return [encode_pair(src, tgt, vocab, source_limit, target_limit)
+            for src, tgt in pieces]
+
+
 def _load_data(cfg: RunConfig, required=("train",)):
-    """The vocabulary and each configured split, raw and encoded; a
-    `required` split the config does not name is rejected first."""
+    """The vocabulary and each configured split: raw, tokenized once and
+    encoded; a `required` split the config does not name is rejected first."""
     for split in required:
         if not cfg.corpus.get(split):
             raise ValueError(f"this stage needs corpus.{split}, which the config "
@@ -47,21 +53,20 @@ def _load_data(cfg: RunConfig, required=("train",)):
         path = cfg.corpus.get(split)
         if path:
             pairs = read_corpus(cfg.resolve(path))
+            pieces = tokenize_corpus(pairs, vocab)
             out[split] = pairs
-            out[f"{split}_enc"] = encode_corpus(pairs, vocab, cfg.source_limit(),
+            out[f"{split}_pieces"] = pieces
+            out[f"{split}_enc"] = encode_corpus(pieces, vocab, cfg.source_limit(),
                                                 cfg.target_limit())
     return out
 
 
-def _labels_for(pairs, examples, vocab):
-    """Alignment labels of each pair, cut to its encoded example's real
-    source positions (one label per source piece; truncation drops the tail)."""
-    labels = []
-    for (doc, summary), ex in zip(pairs, examples):
-        src = wordpiece_tokenize(doc, vocab)
-        tgt = wordpiece_tokenize(summary, vocab)
-        labels.append(sel.build_labels(src, tgt).y[:int((~ex.source_pad_mask).sum())])
-    return labels
+def _labels_for(pieces, examples):
+    """Alignment labels of each tokenized pair, cut to its encoded example's
+    real source positions (one label per source piece; truncation drops the
+    tail)."""
+    return [sel.build_labels(src, tgt)[:int((~ex.source_pad_mask).sum())]
+            for (src, tgt), ex in zip(pieces, examples)]
 
 
 def run_generate(cfg: RunConfig) -> dict:
@@ -183,9 +188,8 @@ def run_select_train(cfg: RunConfig) -> dict:
     data = _load_data(cfg, ("train", "dev"))
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
-    vocab = data["vocab"]
-    train_labels = _labels_for(data["train"], data["train_enc"], vocab)
-    dev_labels = _labels_for(data["dev"], data["dev_enc"], vocab)
+    train_labels = _labels_for(data["train_pieces"], data["train_enc"])
+    dev_labels = _labels_for(data["dev_pieces"], data["dev_enc"])
     init, surgery = build_init_store(cfg, arch="selector")
     train_data = list(zip(data["train_enc"], train_labels))
     dev_data = list(zip(data["dev_enc"], dev_labels))
@@ -218,31 +222,43 @@ def _selector_report(probs, labels, eps: float) -> dict:
     return report
 
 
+def _threshold(cfg: RunConfig) -> float:
+    """selection.threshold: a number, or a file holding one; ValueError
+    naming the key or file when it is not one finite float."""
+    thr = cfg.selection.get("threshold")
+    where = "selection.threshold"
+    if isinstance(thr, str):
+        where = cfg.resolve(thr)
+        with open(where) as f:
+            thr = f.read().strip()
+    try:
+        value = None if isinstance(thr, bool) else float(thr)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not np.isfinite(value):
+        raise ValueError(f"{where}: threshold {thr!r} is not a finite number")
+    return value
+
+
 def _selection_fn(cfg: RunConfig, data, mcfg):
-    """Per-example selection vectors for decoding, or None."""
+    """The [dev examples, source positions] selection mask for decoding, or
+    None."""
     mode = cfg.selection.get("mode", "none")
     if mode == "none":
         return None
     examples = data["dev_enc"]
-    vocab = data["vocab"]
     if mode == "oracle":
-        labels = _labels_for(data["dev"], examples, vocab)
-        vectors = [sel.selection_vector(sel.SelectionLabels(y), ex.source_pad_mask)
-                   for y, ex in zip(labels, examples)]
+        values = _labels_for(data["dev_pieces"], examples)
     elif mode == "model":
         selector = ParamStore.load(cfg.resolve(cfg.selection["selector"]))
         check_compatible(selector, mcfg, "selector")
-        thr = cfg.selection["threshold"]
-        if isinstance(thr, str):
-            with open(cfg.resolve(thr)) as f:
-                thr = float(f.read().strip())
-        probs = sel.selector_probs(selector, mcfg, examples)
-        vectors = [sel.selection_vector(sel.SelectionPrediction(p=p, threshold=thr),
-                                        ex.source_pad_mask)
-                   for p, ex in zip(probs, examples)]
+        thr = _threshold(cfg)
+        values = [p > thr for p in sel.selector_probs(selector, mcfg, examples)]
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
-    return lambda i: vectors[i]
+    if not examples:
+        return None
+    return sel.selection_mask(values, np.stack([ex.source_pad_mask for ex in examples]))
 
 
 def run_decode(cfg: RunConfig) -> str:
@@ -254,10 +270,9 @@ def run_decode(cfg: RunConfig) -> str:
     mcfg = cfg.model_config()
     store = ParamStore.load(cfg.resolve(cfg.checkpoint))
     check_compatible(store, mcfg, "seq2seq")
-    selected_for = _selection_fn(cfg, data, mcfg)
     hyps = training.decode_corpus(
-        store, mcfg, data["dev_enc"], data["vocab"], selected_for, mode=mode,
-        beam_width=beam_width, alpha=float(cfg.decode.get("alpha", 0.6)))
+        store, mcfg, data["dev_enc"], data["vocab"], _selection_fn(cfg, data, mcfg),
+        mode=mode, beam_width=beam_width, alpha=float(cfg.decode.get("alpha", 0.6)))
     path = os.path.join(_ensure_dir(cfg.run_dir), "decoded.txt")
     with open(path, "w", encoding="utf-8") as f:
         for h in hyps:
@@ -306,57 +321,49 @@ def _grid_run_one(base: dict, overrides: dict) -> dict:
     return rep
 
 
+def _grid_cells(cfg: RunConfig) -> list[tuple[dict, dict, str]]:
+    """(report row, config overrides, cell directory prefix) per grid row:
+    one per named run of a "schemes" grid, one per k of a "layerwise" grid."""
+    kind = cfg.grid.get("kind", "schemes")
+    if kind == "schemes":
+        return [({"name": entry["name"]},
+                 {k: v for k, v in entry.items() if k != "name"}, entry["name"])
+                for entry in cfg.grid["runs"]]
+    if kind == "layerwise":
+        return [({"name": f"k={k}", "k": int(k)},
+                 {"partial": {"source": cfg.grid["source"], "k": int(k)}}, f"k{k}")
+                for k in cfg.grid["ks"]]
+    raise ValueError(f"unknown grid kind {kind!r}")
+
+
 def run_grid(cfg: RunConfig) -> dict:
-    """Comparative experiment grid; emits one report row per configuration."""
+    """Comparative experiment grid; emits one report row per configuration.
+    Every cell trains, decodes and scores; any cell that fails fails the grid."""
     base = dict(cfg.grid.get("base", {}))
     seeds = cfg.grid.get("seeds", [cfg.seed])
-    kind = cfg.grid.get("kind", "schemes")
     rows = []
-    if kind == "schemes":
-        for entry in cfg.grid["runs"]:
-            per_seed = []
-            for seed in seeds:
-                overrides = {k: v for k, v in entry.items() if k != "name"}
-                overrides["seed"] = seed
-                overrides["out_dir"] = os.path.join(
-                    cfg.out_dir, f"{entry['name']}-seed{seed}")
-                try:
-                    per_seed.append(_grid_run_one(base, overrides))
-                except FileNotFoundError as e:
-                    per_seed.append({"absent": str(e)})
-            rows.append({"name": entry["name"], "seeds": per_seed})
-    elif kind == "layerwise":
-        for k in cfg.grid["ks"]:
-            per_seed = []
-            for seed in seeds:
-                overrides = {
-                    "seed": seed,
-                    "partial": {"source": cfg.grid["source"], "k": int(k)},
-                    "out_dir": os.path.join(cfg.out_dir, f"k{k}-seed{seed}"),
-                }
-                per_seed.append(_grid_run_one(base, overrides))
-            rows.append({"name": f"k={k}", "k": int(k), "seeds": per_seed})
-    else:
-        raise ValueError(f"unknown grid kind {kind!r}")
+    for row, overrides, prefix in _grid_cells(cfg):
+        row["seeds"] = [_grid_run_one(base, {
+            **overrides, "seed": seed,
+            "out_dir": os.path.join(cfg.out_dir, f"{prefix}-seed{seed}")})
+            for seed in seeds]
+        rows.append(row)
 
     lines = []
     xs, ys = [], []
     for row in rows:
-        valid = [r for r in row["seeds"] if "rougeL_f1" in r]
-        if not valid:
-            lines.append(f"{row['name']}\tabsent")
-            continue
-        mean = {key: float(np.mean([r[key] for r in valid]))
+        cells = row["seeds"]
+        mean = {key: float(np.mean([r[key] for r in cells]))
                 for key in ("rouge1_f1", "rouge2_f1", "rougeL_f1", "abstraction_rate")}
-        spread = float(np.std([r["rougeL_f1"] for r in valid]))
-        epochs = [r["best_epoch"] for r in valid]
+        spread = float(np.std([r["rougeL_f1"] for r in cells]))
+        epochs = [r["best_epoch"] for r in cells]
         lines.append(
             f"{row['name']}\trouge1_f1={mean['rouge1_f1']!r}"
             f"\trouge2_f1={mean['rouge2_f1']!r}\trougeL_f1={mean['rougeL_f1']!r}"
             f"\tabstraction_rate={mean['abstraction_rate']!r}"
             f"\trougeL_spread={spread!r}\tbest_epochs={epochs!r}")
         if "k" in row:
-            for r in valid:
+            for r in cells:
                 xs.append(row["k"])
                 ys.append(r["rougeL_f1"])
     result = {"rows": rows}

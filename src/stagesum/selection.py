@@ -8,8 +8,6 @@ logistic head; its (thresholded) output masks the copy head's logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -21,20 +19,8 @@ class CalibrationError(ValueError):
     pass
 
 
-@dataclass
-class SelectionLabels:
-    y: np.ndarray             # binary over non-pad source positions
-    provenance: str = "aligned"
-
-
-@dataclass
-class SelectionPrediction:
-    p: np.ndarray             # P_sel per non-pad source position
-    threshold: float | None = None
-
-
-def build_labels(source_pieces: list, summary_pieces: list) -> SelectionLabels:
-    """Greedy longest-shared-n-gram alignment.
+def build_labels(source_pieces: list, summary_pieces: list) -> np.ndarray:
+    """Greedy longest-shared-n-gram alignment: 0/1 per source piece.
 
     Repeatedly find the longest contiguous subsequence present in both the
     (remaining) summary and the document, mark the leftmost document
@@ -68,7 +54,7 @@ def build_labels(source_pieces: list, summary_pieces: list) -> SelectionLabels:
             remaining.append(left)
         if right:
             remaining.append(right)
-    return SelectionLabels(y=y)
+    return y
 
 
 def selector_forward(store, encoder_out: Tensor) -> Tensor:
@@ -133,21 +119,20 @@ def calibrate_threshold(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(midpoints[np.argmax(f1)])
 
 
-def selection_vector(pred_or_labels, pad_mask: np.ndarray) -> np.ndarray:
-    """Boolean selected-vector over all source positions (pads False).
+def selection_mask(values: list, pad_mask: np.ndarray) -> np.ndarray:
+    """Boolean [rows, positions] selection mask, pads False.
 
-    Accepts a thresholded SelectionPrediction or oracle SelectionLabels.
+    values holds one array per row of pad_mask [rows, positions], one truthy
+    entry per non-pad position in order: alignment labels, or selector
+    probabilities already compared with the threshold.
     """
-    selected = np.zeros(len(pad_mask), dtype=bool)
-    idx = np.flatnonzero(~pad_mask)
-    if isinstance(pred_or_labels, SelectionLabels):
-        values = pred_or_labels.y.astype(bool)
-    else:
-        if pred_or_labels.threshold is None:
-            raise ValueError("prediction has no calibrated threshold")
-        values = pred_or_labels.p > pred_or_labels.threshold
-    if len(values) != len(idx):
-        raise ValueError(f"selection length {len(values)} vs {len(idx)} non-pad positions")
-    selected[idx] = values
-    return selected
-
+    counts = (~pad_mask).sum(axis=-1)
+    if len(values) != len(counts):
+        raise ValueError(f"{len(values)} selection rows vs {len(counts)} examples")
+    for row, (v, n) in enumerate(zip(values, counts)):
+        if len(v) != n:
+            raise ValueError(f"selection row {row}: {len(v)} values vs {n} "
+                             "non-pad source positions")
+    mask = np.zeros(pad_mask.shape, dtype=bool)
+    mask[~pad_mask] = np.concatenate(values).astype(bool)
+    return mask

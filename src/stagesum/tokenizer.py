@@ -139,13 +139,14 @@ def _pad_to(ids: list[int], limit: int) -> tuple[np.ndarray, np.ndarray, bool]:
     return arr, pad_mask, truncated
 
 
-def encode_pair(doc: str, summary: str, vocab: Vocabulary,
+def encode_pair(source_pieces: list[str], summary_pieces: list[str], vocab: Vocabulary,
                 source_limit: int, target_limit: int) -> EncodedExample:
-    """Tokenize, tail-truncate to the limits, append EOS to the target, pad."""
+    """Map a tokenized (document, summary) pair to ids, tail-truncate to the
+    limits, append EOS to the target, pad."""
     if source_limit <= 0 or target_limit <= 0:
         raise ConfigError("sequence limits must be positive")
-    src = [vocab.id_of(p) for p in wordpiece_tokenize(doc, vocab)]
-    tgt = [vocab.id_of(p) for p in wordpiece_tokenize(summary, vocab)]
+    src = [vocab.id_of(p) for p in source_pieces]
+    tgt = [vocab.id_of(p) for p in summary_pieces]
     if tgt:
         tgt = tgt + [EOS]
     source_ids, source_pad, src_trunc = _pad_to(src, source_limit)

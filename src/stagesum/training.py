@@ -200,20 +200,19 @@ def check_decode_options(mode: str, beam_width: int) -> None:
 
 
 def decode_corpus(store, config, examples, vocab: Vocabulary,
-                  selected_for=None, mode: str = "greedy",
+                  selected: Optional[np.ndarray] = None, mode: str = "greedy",
                   beam_width: int = 4, alpha: float = 0.6) -> list[str]:
     """Decode every example to a detokenized summary string.
 
-    selected_for, when given, maps example index to a boolean selection
-    vector masking the copy head during decoding.  mode is "greedy" (every
-    example in one batch, cut to the longest real source) or "beam" (one
-    example at a time, cut to its real source length).
+    selected, when given, is the boolean [examples, source positions]
+    selection mask (`selection.selection_mask`) that masks the copy head
+    during decoding.  mode is "greedy" (every example in one batch, cut to
+    the longest real source) or "beam" (one example at a time, cut to its
+    real source length).
     """
     check_decode_options(mode, beam_width)
     if not examples:
         return []
-    selected = (None if selected_for is None else
-                np.stack([selected_for(i) for i in range(len(examples))]))
     if mode == "greedy":
         batch, (s, _) = _cut(_stack(examples))
         decoded = search.greedy_decode(store, config, batch.source_ids,

@@ -61,6 +61,11 @@ def norm(text):
     return metrics.normalize_for_rouge(text)
 
 
+def encode_corpus(pairs, vocab, source_limit, target_limit):
+    return harness.encode_corpus(harness.tokenize_corpus(pairs, vocab), vocab,
+                                 source_limit, target_limit)
+
+
 @pytest.fixture(scope="session")
 def pipeline(tmp_path_factory):
     """3-seed multi-stage chains plus the layer-wise longform sweep."""
@@ -74,11 +79,11 @@ def pipeline(tmp_path_factory):
                                  output_range=(1, 1), alpha_abs=0.5, seed=12))
     lf = C.generate(C.CorpusSpec("longform", 150, input_range=(11, 15),
                                  output_range=(3, 3), alpha_abs=0.2, seed=13))
-    gen_enc = harness.encode_corpus(gen, vocab, 40, 1)
-    sf_enc = harness.encode_corpus(sf, vocab, 24, 8)
+    gen_enc = encode_corpus(gen, vocab, 40, 1)
+    sf_enc = encode_corpus(sf, vocab, 24, 8)
     sf_dev = list(zip(sf_enc[360:], [s for _, s in sf[360:]]))
-    lf_tr = harness.encode_corpus(lf[:120], vocab, 112, 16)
-    lf_dev_enc = harness.encode_corpus(lf[120:], vocab, 112, 16)
+    lf_tr = encode_corpus(lf[:120], vocab, 112, 16)
+    lf_dev_enc = encode_corpus(lf[120:], vocab, 112, 16)
     lf_dev = list(zip(lf_dev_enc, [s for _, s in lf[120:]]))
 
     k_scores = {k: [] for k in range(5)}
@@ -114,7 +119,7 @@ def pipeline(tmp_path_factory):
         labels = []
         for (doc, summary), ex in zip(pairs, encs):
             y = sel.build_labels(wordpiece_tokenize(doc, vocab),
-                                 wordpiece_tokenize(summary, vocab)).y
+                                 wordpiece_tokenize(summary, vocab))
             labels.append(y[: int((~ex.source_pad_mask).sum())])
         return labels
 
@@ -303,7 +308,7 @@ def test_criterion_4_oracle_selection_semantics(pipeline):
     for doc, summary in pipeline["lf_pairs"]:
         src = wordpiece_tokenize(doc, vocab)
         tgt = wordpiece_tokenize(summary, vocab)
-        y = sel.build_labels(src, tgt).y
+        y = sel.build_labels(src, tgt)
         p, _, _ = metrics.coverage_prf(y.astype(bool), y.astype(bool))
         precisions.append(p)
         covered = {src[i] for i in np.flatnonzero(y)}
@@ -359,12 +364,10 @@ def test_criterion_7_oracle_selection_uplift(pipeline):
     dev_enc = pipeline["lf_dev_enc"]
     dev_labels = pipeline["lf_dev_labels"]
 
-    def oracle_for(i):
-        return sel.selection_vector(sel.SelectionLabels(dev_labels[i]),
-                                    dev_enc[i].source_pad_mask)
-
+    dev_pad = np.stack([ex.source_pad_mask for ex in dev_enc])
     oracle_rl = dev_rouge_l(pipeline, training.decode_corpus(
-        lf_model, mcfg, dev_enc, vocab, selected_for=oracle_for))
+        lf_model, mcfg, dev_enc, vocab,
+        selected=sel.selection_mask(dev_labels, dev_pad)))
 
     train_data = list(zip(pipeline["lf_tr"][:SELECTOR_TRAIN_N],
                           pipeline["lf_train_labels"][:SELECTOR_TRAIN_N]))
@@ -381,15 +384,15 @@ def test_criterion_7_oracle_selection_uplift(pipeline):
             labels.append(y)
     eps = sel.calibrate_threshold(np.concatenate(probs), np.concatenate(labels))
 
-    def model_for(i):
-        ex = dev_enc[i]
-        with ad.no_grad():
+    model_selected = []
+    with ad.no_grad():
+        for ex in dev_enc:
             enc = M.encode(selector, mcfg, ex.source_ids, ex.source_pad_mask)
             p = sel.selector_forward(selector, enc).data
-        return (p > eps) & ~ex.source_pad_mask
+            model_selected.append((p > eps) & ~ex.source_pad_mask)
 
     model_rl = dev_rouge_l(pipeline, training.decode_corpus(
-        lf_model, mcfg, dev_enc, vocab, selected_for=model_for))
+        lf_model, mcfg, dev_enc, vocab, selected=np.stack(model_selected)))
     gap = 100.0 * (oracle_rl - model_rl)
     report(7, "oracle-selection uplift", gap >= 5.0,
            f"oracle RL {oracle_rl:.3f} vs model-selected RL {model_rl:.3f}, "
@@ -543,7 +546,7 @@ def test_criterion_10_overfit_sanity():
     doc, summary = C.generate(C.CorpusSpec("shortform", 1, input_range=(2, 3),
                                            output_range=(1, 1),
                                            alpha_abs=0.5, seed=21))[0]
-    ex = harness.encode_corpus([(doc, summary)], vocab, 24, 8)[0]
+    ex = encode_corpus([(doc, summary)], vocab, 24, 8)[0]
     _, rep = training.train_stage(
         init_random(mcfg, 0), mcfg, [ex], [(ex, summary)],
         TrainConfig(lr=3e-3, dropout=0.0, batch_size=1, max_epochs=60, seed=0),

@@ -3,14 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from stagesum import cli, harness, training
+from stagesum import cli, harness, tokenizer, training
 from stagesum import selection as sel
 from stagesum.checkpoint import ParamStore, check_compatible, init_random
 from stagesum.config import RunConfig
 from stagesum.model import ModelConfig
-from stagesum.tokenizer import Vocabulary, read_corpus, write_corpus
+from stagesum.tokenizer import Vocabulary, read_corpus, wordpiece_tokenize, write_corpus
 
 MODEL = {"num_layers": 1, "hidden_size": 8, "num_heads": 2, "ffn_size": 16,
          "vocab_size": 96, "encoder_positions": 24, "decoder_positions": 8}
@@ -169,6 +170,27 @@ class TestPipeline:
             copied = name.startswith(("embedding.", "encoder."))
             assert disposition == (f"copied-from {name}" if copied else "randomized")
 
+    def test_select_train_tokenizes_each_text_once(self, run_env, monkeypatch):
+        """Labels come from the pieces encoding used: one tokenizer call per
+        document and per summary of the 20 train and 4 dev pairs."""
+        generate_corpora(run_env)
+        calls = []
+
+        def counted(text, vocab):
+            calls.append(text)
+            return wordpiece_tokenize(text, vocab)
+
+        for module in (tokenizer, harness):
+            monkeypatch.setattr(module, "wordpiece_tokenize", counted)
+        cfg = write_config(run_env, "sel", out_dir="selrun", seed=0, model=MODEL,
+                           vocab="data/vocab.txt",
+                           corpus={"train": "data/short.train.tsv",
+                                   "dev": "data/short.dev.tsv"},
+                           train={"lr": 1e-3, "dropout": 0.0, "batch_size": 8,
+                                  "max_epochs": 1})
+        assert cli.main(["select-train", cfg]) == 0
+        assert len(calls) == 2 * (20 + 4)
+
 
 class TestTimings:
     """Training stages write per-epoch wall-clock timings to timings.json
@@ -242,19 +264,18 @@ class TestDecodeModes:
 
         mcfg = ModelConfig(**MODEL)
         vocab = Vocabulary.load(data / "vocab.txt")
-        examples = harness.encode_corpus(read_corpus(data / "short.dev.tsv"), vocab,
-                                         mcfg.encoder_positions, mcfg.decoder_positions)
-        selected_for = None
+        pieces = harness.tokenize_corpus(read_corpus(data / "short.dev.tsv"), vocab)
+        examples = harness.encode_corpus(pieces, vocab, mcfg.encoder_positions,
+                                         mcfg.decoder_positions)
+        selected = None
         if selection == "model":
             threshold = float((run_env / "selrun" / "threshold.txt").read_text())
             probs = sel.selector_probs(
                 ParamStore.load(run_env / "selrun" / "selector.ckpt"), mcfg, examples)
-            vectors = [sel.selection_vector(sel.SelectionPrediction(p=p, threshold=threshold),
-                                            ex.source_pad_mask)
-                       for p, ex in zip(probs, examples)]
-            selected_for = vectors.__getitem__
+            selected = sel.selection_mask([p > threshold for p in probs],
+                                          np.stack([ex.source_pad_mask for ex in examples]))
         store = ParamStore.load(run_env / "trainrun" / "checkpoint.ckpt")
-        expected = training.decode_corpus(store, mcfg, examples, vocab, selected_for,
+        expected = training.decode_corpus(store, mcfg, examples, vocab, selected,
                                           mode="beam", beam_width=4)
         assert len(lines) == 4
         assert lines == expected
@@ -301,6 +322,32 @@ class TestGrid:
         report = (tmp_path / "out" / "grid" / "grid_report.txt").read_text()
         assert "absent" not in report
         assert report.count("rougeL_f1=") == (1 if kind == "schemes" else 2)
+
+    @pytest.mark.parametrize("kind, missing", [
+        ("schemes", "missing-encoder.ckpt"),
+        ("schemes", "data/missing.dev.tsv"),
+        ("layerwise", "missing-source.ckpt"),
+    ])
+    def test_missing_input_fails_the_grid(self, run_env, capsys, kind, missing):
+        """A cell whose corpus or checkpoint is missing fails the grid with
+        an error naming the path, and no report is written."""
+        generate_corpora(run_env)
+        capsys.readouterr()
+        base = dict(model=MODEL, vocab="data/vocab.txt",
+                    corpus={"train": "data/short.train.tsv", "dev": "data/short.dev.tsv"},
+                    train={"lr": 1e-3, "dropout": 0.0, "batch_size": 8, "max_epochs": 1})
+        if kind == "layerwise":
+            grid = {"kind": "layerwise", "ks": [0], "source": missing, "base": base}
+        elif missing.endswith(".ckpt"):
+            grid = {"kind": "schemes", "base": base,
+                    "runs": [{"name": "bert", "scheme": {"encoder": missing}}]}
+        else:
+            base["corpus"] = dict(base["corpus"], dev=missing)
+            grid = {"kind": "schemes", "base": base, "runs": [{"name": "random"}]}
+        cfg = write_config(run_env, "grid", out_dir="grid", grid=grid)
+        assert cli.main(["grid", cfg]) == 1
+        assert missing in capsys.readouterr().err
+        assert not (run_env / "grid" / "grid_report.txt").exists()
 
 
 class TestDiagnostics:
@@ -383,6 +430,34 @@ class TestDiagnostics:
         assert cli.main(["decode", cfg]) == 1
         err = capsys.readouterr().err
         assert "checkpoint incompatible with model config" in err and named in err
+        assert not (run_env / "decoderun").exists()
+
+    @pytest.mark.parametrize("threshold, text", [
+        ("thr.txt", ""), ("thr.txt", "high\n"), ("thr.txt", "nan\n"),
+        ("thr.txt", "inf\n"), ("thr.txt", "0.2 0.4\n"), (None, None),
+        (float("nan"), None), (float("-inf"), None), (True, None), ([0.5], None),
+    ], ids=["empty-file", "text-file", "nan-file", "inf-file", "two-values-file",
+            "missing", "nan", "-inf", "bool", "list"])
+    def test_invalid_decode_threshold(self, run_env, capsys, threshold, text):
+        """A selection threshold that is not one finite number is rejected,
+        naming the file that holds it or the config key."""
+        generate_corpora(run_env)
+        init_random(ModelConfig(**MODEL), 0).save(str(run_env / "random.ckpt"))
+        init_random(ModelConfig(**MODEL), 0, arch="selector").save(
+            str(run_env / "selector.ckpt"))
+        if text is not None:
+            (run_env / threshold).write_text(text)
+        selection = {"mode": "model", "selector": "selector.ckpt"}
+        if threshold is not None:
+            selection["threshold"] = threshold
+        capsys.readouterr()
+        cfg = write_config(run_env, "decode", out_dir="decoderun", model=MODEL,
+                           vocab="data/vocab.txt", corpus={"dev": "data/short.dev.tsv"},
+                           checkpoint="random.ckpt", selection=selection)
+        assert cli.main(["decode", cfg]) == 1
+        named = str(run_env / "thr.txt") if text is not None else "selection.threshold"
+        err = capsys.readouterr().err
+        assert f"{named}: threshold" in err and "is not a finite number" in err
         assert not (run_env / "decoderun").exists()
 
     def test_incompatible_partial_source(self, run_env, capsys):

@@ -37,27 +37,27 @@ def exhaustive_best_f1(probs, labels):
 class TestBuildLabels:
     def test_spec_example(self):
         out = sel.build_labels(list("abcd"), list("bce"))
-        assert out.y.tolist() == [0, 1, 1, 0]
+        assert out.tolist() == [0, 1, 1, 0]
 
     def test_disjoint_all_zero(self):
-        assert sel.build_labels(list("abc"), list("xyz")).y.tolist() == [0, 0, 0]
+        assert sel.build_labels(list("abc"), list("xyz")).tolist() == [0, 0, 0]
 
     def test_identical_all_one(self):
-        assert sel.build_labels(list("abc"), list("abc")).y.tolist() == [1, 1, 1]
+        assert sel.build_labels(list("abc"), list("abc")).tolist() == [1, 1, 1]
 
     def test_longest_match_preferred(self):
         # "bc" in the summary matches the contiguous pair, not scattered singles
         out = sel.build_labels(list("abcabc"), list("bc"))
-        assert out.y.tolist() == [0, 1, 1, 0, 0, 0]
+        assert out.tolist() == [0, 1, 1, 0, 0, 0]
 
     def test_leftmost_tie(self):
         out = sel.build_labels(list("abab"), list("ab"))
-        assert out.y.tolist() == [1, 1, 0, 0]
+        assert out.tolist() == [1, 1, 0, 0]
 
     def test_summary_span_consumed_once(self):
         # one summary "a" marks one document position, not all of them
         out = sel.build_labels(list("aaa"), list("a"))
-        assert out.y.tolist() == [1, 0, 0]
+        assert out.tolist() == [1, 0, 0]
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ class TestBuildLabels:
     @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
            st.lists(st.sampled_from("abc"), min_size=1, max_size=4))
     def test_marked_positions_have_summary_tokens(self, doc, summ):
-        y = sel.build_labels(doc, summ).y
+        y = sel.build_labels(doc, summ)
         for i, flag in enumerate(y):
             if flag:
                 assert doc[i] in summ
@@ -203,22 +203,25 @@ class TestCalibrateThreshold:
             sel.calibrate_threshold(np.array([0.5, 0.5]), np.array([0, 1]))
 
 
-class TestSelectionVector:
+class TestSelectionMask:
     def test_oracle_labels_placed_at_nonpad(self):
-        labels = sel.SelectionLabels(np.array([1, 0, 1]))
-        pad = np.array([False, False, False, True, True])
-        v = sel.selection_vector(labels, pad)
-        assert v.tolist() == [True, False, True, False, False]
-
-    def test_prediction_requires_threshold(self):
-        pred = sel.SelectionPrediction(np.array([0.9, 0.1]))
-        with pytest.raises(ValueError):
-            sel.selection_vector(pred, np.zeros(2, bool))
+        pad = np.array([[False, False, False, True, True],
+                        [False, False, True, True, True]])
+        mask = sel.selection_mask([np.array([1, 0, 1]), np.array([0, 1])], pad)
+        assert mask.tolist() == [[True, False, True, False, False],
+                                 [False, True, False, False, False]]
 
     def test_thresholded_prediction(self):
-        pred = sel.SelectionPrediction(np.array([0.9, 0.1]), threshold=0.5)
-        v = sel.selection_vector(pred, np.zeros(2, bool))
-        assert v.tolist() == [True, False]
+        probs = [np.array([0.9, 0.1]), np.array([0.4, 0.6])]
+        mask = sel.selection_mask([p > 0.5 for p in probs], np.zeros((2, 2), bool))
+        assert mask.tolist() == [[True, False], [False, True]]
+
+    def test_count_mismatch_rejected(self):
+        pad = np.array([[False, False, True], [False, True, True]])
+        with pytest.raises(ValueError, match="row 1: 2 values vs 1"):
+            sel.selection_mask([np.array([1, 0]), np.array([1, 1])], pad)
+        with pytest.raises(ValueError, match="1 selection rows vs 2"):
+            sel.selection_mask([np.array([1, 0])], pad)
 
 
 class TestOraclePrecisionSemantics:
@@ -237,7 +240,7 @@ class TestOraclePrecisionSemantics:
         # measured against groundtruth summary pieces:
         doc = list("abcd")
         summ = list("bce")
-        y = sel.build_labels(doc, summ).y
+        y = sel.build_labels(doc, summ)
         covered = {doc[i] for i in np.flatnonzero(y)}
         recall_vs_summary = sum(1 for t in summ if t in covered) / len(summ)
         assert recall_vs_summary < 1.0

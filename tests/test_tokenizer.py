@@ -74,13 +74,18 @@ class TestWordpiece:
         assert detokenize(["un", "##able", "to", "[EOS]"]) == "unable to"
 
 
+def encode_text(doc, summary, vocab, source_limit, target_limit):
+    return encode_pair(wordpiece_tokenize(doc, vocab), wordpiece_tokenize(summary, vocab),
+                       vocab, source_limit, target_limit)
+
+
 class TestEncodePair:
     def setup_method(self):
         self.vocab = make_vocab(["w" + str(i) for i in range(20)] + ["tok"])
 
     def test_short_doc_padded(self):
         doc = " ".join(["tok"] * 10)
-        ex = encode_pair(doc, "", self.vocab, 128, 16)
+        ex = encode_text(doc, "", self.vocab, 128, 16)
         assert len(ex.source_ids) == 128
         assert (ex.source_ids[:10] == self.vocab.id_of("tok")).all()
         assert (ex.source_ids[10:] == PAD).all()
@@ -89,35 +94,35 @@ class TestEncodePair:
 
     def test_long_doc_truncated(self):
         doc = " ".join(["tok"] * 700)
-        ex = encode_pair(doc, "", self.vocab, 640, 16)
+        ex = encode_text(doc, "", self.vocab, 640, 16)
         assert len(ex.source_ids) == 640
         assert ex.source_truncated
         assert not ex.source_pad_mask.any()
 
     def test_long_summary_truncated(self):
         summary = " ".join(["tok"] * 100)
-        ex = encode_pair("tok", summary, self.vocab, 16, 96)
+        ex = encode_text("tok", summary, self.vocab, 16, 96)
         assert ex.target_truncated
         assert len(ex.target_ids) == 96
 
     def test_eos_is_final_nonpad(self):
-        ex = encode_pair("tok tok", "tok", self.vocab, 8, 8)
+        ex = encode_text("tok tok", "tok", self.vocab, 8, 8)
         nonpad = ex.target_ids[~ex.target_pad_mask]
         assert nonpad[-1] == EOS
         assert nonpad[0] == self.vocab.id_of("tok")
 
     def test_empty_strings_all_pad_no_flags(self):
-        ex = encode_pair("", "", self.vocab, 4, 4)
+        ex = encode_text("", "", self.vocab, 4, 4)
         assert (ex.source_ids == PAD).all()
         assert (ex.target_ids == PAD).all()
         assert not ex.source_truncated and not ex.target_truncated
 
     def test_nonpositive_limits_rejected(self):
         with pytest.raises(ConfigError):
-            encode_pair("tok", "", self.vocab, 0, 4)
+            encode_text("tok", "", self.vocab, 0, 4)
 
     def test_pad_mask_complements_content(self):
-        ex = encode_pair("tok tok tok", "tok", self.vocab, 6, 6)
+        ex = encode_text("tok tok tok", "tok", self.vocab, 6, 6)
         assert np.array_equal(ex.source_ids == PAD, ex.source_pad_mask)
         assert np.array_equal(ex.target_ids == PAD, ex.target_pad_mask)
 

@@ -375,8 +375,7 @@ class TestDecodeCorpus:
         decode, calls = getattr(search, name), []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, name, recorded(search, name, calls))
-            training.decode_corpus(store, config, examples, vocab,
-                                   None if selected is None else selected.__getitem__,
+            training.decode_corpus(store, config, examples, vocab, selected,
                                    mode=mode, beam_width=2)
         real = [int((~ex.source_pad_mask).sum()) for ex in examples]
         if mode == "greedy":
