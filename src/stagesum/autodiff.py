@@ -401,17 +401,3 @@ def scatter_copy(att: Tensor, source_ids: np.ndarray, vocab_size: int) -> Tensor
     return _make(kernels.scatter_copy_forward(att.data, source_ids, vocab_size), (att,),
                  lambda: (lambda g: kernels.scatter_copy_backward(
                      g, source_ids, att.data.shape[-1]),))
-
-
-def dropout_tokens(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Token-level dropout: whole rows (last-axis vectors) are zeroed together.
-
-    Identity when rng is None (evaluation mode).
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
-        return x
-    keep = (rng.random(x.data.shape[:-1]) >= rate).astype(np.float64)
-    scale = keep[..., None] / (1.0 - rate)
-    return _make(x.data * scale, (x,), lambda: (lambda g: g * scale,))

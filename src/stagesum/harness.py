@@ -42,7 +42,8 @@ def encode_corpus(pieces, vocab, source_limit, target_limit):
 
 def _load_data(cfg: RunConfig, required=("train",)):
     """The vocabulary and each configured split: raw, tokenized once and
-    encoded; a `required` split the config does not name is rejected first."""
+    encoded; a `required` split the config does not name, and a split file
+    with no pairs, are rejected."""
     for split in required:
         if not cfg.corpus.get(split):
             raise ValueError(f"this stage needs corpus.{split}, which the config "
@@ -53,6 +54,10 @@ def _load_data(cfg: RunConfig, required=("train",)):
         path = cfg.corpus.get(split)
         if path:
             pairs = read_corpus(cfg.resolve(path))
+            if not pairs:
+                name = "training" if split == "train" else split
+                raise ValueError(f"{name} corpus is empty: corpus.{split} "
+                                 f"{cfg.resolve(path)} holds no pairs")
             pieces = tokenize_corpus(pairs, vocab)
             out[split] = pairs
             out[f"{split}_pieces"] = pieces
@@ -256,8 +261,6 @@ def _selection_fn(cfg: RunConfig, data, mcfg):
         values = [p > thr for p in sel.selector_probs(selector, mcfg, examples)]
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
-    if not examples:
-        return None
     return sel.selection_mask(values, np.stack([ex.source_pad_mask for ex in examples]))
 
 

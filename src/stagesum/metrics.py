@@ -105,40 +105,28 @@ def auc(scores, labels) -> dict[str, float]:
     if n_pos == 0 or n_neg == 0:
         raise MetricError("auc requires both label classes")
 
-    # ROC via the Mann-Whitney U statistic; average ranks resolve ties
+    # ROC via the Mann-Whitney U statistic; each run of tied scores gets
+    # its average rank
     order = np.argsort(scores, kind="stable")
+    first, last = _tie_runs(scores[order])
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     auc_roc = (ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
-    # PR: walk thresholds in descending score order, one step per distinct score
+    # PR: one step per distinct score in descending score order, at the
+    # counts up to the end of that score's run, summed in order
     desc = np.argsort(-scores, kind="stable")
-    tp = fp = 0
-    auc_pr = 0.0
-    prev_recall = 0.0
-    k = 0
-    while k < len(desc):
-        j = k
-        while j + 1 < len(desc) and scores[desc[j + 1]] == scores[desc[k]]:
-            j += 1
-        for idx in desc[k:j + 1]:
-            if labels[idx] == 1:
-                tp += 1
-            else:
-                fp += 1
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        auc_pr += (recall - prev_recall) * precision
-        prev_recall = recall
-        k = j + 1
+    _, last = _tie_runs(scores[desc])
+    tp = np.cumsum(labels[desc] == 1)[last]
+    recall = tp / n_pos
+    auc_pr = np.cumsum(np.diff(recall, prepend=0.0) * (tp / (last + 1)))[-1]
     return {"auc_roc": float(auc_roc), "auc_pr": float(auc_pr)}
+
+
+def _tie_runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, last) index of each run of equal values in a sorted array."""
+    new = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return np.append(0, new), np.append(new - 1, len(ordered) - 1)
 
 
 def coverage_prf(selected: np.ndarray, labels: np.ndarray

@@ -7,9 +7,10 @@ logits, mixed with the generation logits through a learned sigmoid gate.
 Training runs the decoder over whole target sequences (`decoder_stack`,
 `forward_teacher_forced`), one row per example: every function takes
 optional leading row axes, so a stack of examples is one call and one
-graph.  Dropout is on exactly when a function is given `draws`, a
-`RowDraws` holding the rate and per-row draws, so each row is masked
-exactly as a one-row pass with its own draws would be.
+graph.  Dropout is on exactly when a function is given `drop`, its half's
+`dropout_scales` array: each dropout site multiplies by its own
+[rows, positions, 1] scales, so each row is masked exactly as a one-row
+pass with its own draws would be.
 Inference decodes incrementally: `start_decode`
 projects the cross-attention keys and values once per source, and each
 `decode_step` computes only the newest position of every row, attending
@@ -39,7 +40,7 @@ class DecodeError(RuntimeError):
 
 
 class DrawError(RuntimeError):
-    """A forward pass asked for more or fewer dropout draws than were drawn."""
+    """Dropout draws or scales that do not fit the pass they are given to."""
 
 
 @dataclass
@@ -170,37 +171,51 @@ def _ffn(store, prefix: str, x: Tensor) -> Tensor:
     return _project(store, f"{prefix}.out", ad.gelu(_project(store, f"{prefix}.in", x)))
 
 
-def _dropout(x: Tensor, draws: Optional[RowDraws]) -> Tensor:
-    return x if draws is None else ad.dropout_tokens(x, draws.rate, draws)
+def _dropout(x: Tensor, drop: Optional[np.ndarray], site: int) -> Tensor:
+    """x [rows, positions, hidden] times its dropout site's scales
+    drop[site] [rows, positions, 1], or x itself when drop is None."""
+    if drop is None:
+        return x
+    scale = drop[site]
+    if scale.shape[:-1] != x.shape[:-1]:
+        raise DrawError(f"dropout scales for {scale.shape[:-1]} [rows, positions] "
+                        f"at a site over {x.shape[:-1]}")
+    return x * scale
 
 
-def _sublayer(store, norm_prefix: str, x: Tensor, out: Tensor, draws=None) -> Tensor:
-    out = _dropout(out, draws)
+def _sublayer(store, norm_prefix: str, x: Tensor, out: Tensor,
+              drop: Optional[np.ndarray], site: int) -> Tensor:
+    out = _dropout(out, drop, site)
     return ad.layer_norm(x + out, store[f"{norm_prefix}.gain"], store[f"{norm_prefix}.bias"])
 
 
 def dropout_draws(config: ModelConfig, source_len: int, target_len: int = 0) -> int:
     """Dropout draws one example makes in a training forward pass.
 
-    Every position draws once at each dropout site (`embed`, `_sublayer`),
-    site after site: the encoder's embedding, then per layer its attention
-    and FFN, S(1 + 2L) draws; then, when target_len is not 0, the decoder's
-    embedding, then per layer its self-attention, cross-attention and FFN,
-    T(1 + 3L) draws.  A site's draws are its positions' in order, so a pass
-    over only the first s source (t target) positions reads the first s (t)
-    draws of every site: `trim_draws`.
+    Every position draws once at each dropout site (the embedding and each
+    `_sublayer`), site after site: the encoder's embedding, then per layer
+    its attention and FFN, S(1 + 2L) draws; then, when target_len is not 0,
+    the decoder's embedding, then per layer its self-attention,
+    cross-attention and FFN, T(1 + 3L) draws.  A site's draws are its
+    positions' in order, so a pass over only the first s source (t target)
+    positions reads the first s (t) draws of every site: `dropout_scales`.
     """
     layers = config.num_layers
     return source_len * (1 + 2 * layers) + target_len * (1 + 3 * layers)
 
 
-def trim_draws(config: ModelConfig, blocks: np.ndarray, lengths: tuple[int, int],
-               kept: tuple[int, int]) -> np.ndarray:
-    """Cut blocks [rows, dropout_draws(config, *lengths)], laid out for a
-    pass over lengths = (source, target) positions, to the draws a pass
-    over the first kept = (s, t) positions reads: the first s of every
-    encoder site's draws, then the first t of every decoder site's.  So
-    each kept position gets the mask it gets in the full-length pass."""
+def dropout_scales(config: ModelConfig, blocks: np.ndarray, lengths: tuple[int, int],
+                   kept: tuple[int, int], rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site dropout scales from blocks [rows, dropout_draws(config,
+    *lengths)], laid out for a pass over lengths = (source, target)
+    positions, for a pass over the first kept = (s, t) positions.
+
+    Returns (encoder [1 + 2L, rows, s, 1], decoder [1 + 3L, rows, t, 1]):
+    site k of a half (`dropout_draws` order) scales position p of row r by
+    0 where its draw is below `rate` and by 1 / (1 - rate) elsewhere, so
+    each kept position gets the mask it gets in the full-length pass and a
+    whole hidden vector is dropped at once.
+    """
     rows = blocks.shape[0]
     if blocks.shape[1:] != (dropout_draws(config, *lengths),):
         raise DrawError(f"{blocks.shape[1:]} draws per row for {lengths} positions")
@@ -210,41 +225,8 @@ def trim_draws(config: ModelConfig, blocks: np.ndarray, lengths: tuple[int, int]
     split = source_len * enc_sites
     enc = blocks[:, :split].reshape(rows, enc_sites, source_len)[..., :s]
     dec = blocks[:, split:].reshape(rows, dec_sites, target_len)[..., :t]
-    return np.concatenate((enc.reshape(rows, -1), dec.reshape(rows, -1)), axis=1)
-
-
-class RowDraws:
-    """Dropout at `rate` for a forward pass over stacked rows: row r reads
-    its own block of draws, blocks[r], from the front.
-
-    `ad.dropout_tokens` asks for `random((rows, positions))`; every row gets
-    the next `positions` values of its block, so a row is masked exactly as
-    a one-row pass drawing that block from a generator would be.  Asking
-    for more than a block holds raises `DrawError`, and so does `finish`
-    while draws are left over.  A block laid out by `dropout_draws` for
-    longer rows is cut to these rows' lengths by `trim_draws`.
-    """
-
-    def __init__(self, blocks, rate: float):
-        self.blocks = np.asarray(blocks, dtype=np.float64)   # [rows, draws]
-        self.rate = rate
-        self.used = 0
-
-    def random(self, shape) -> np.ndarray:
-        rows, n = shape[0], math.prod(shape[1:])
-        if rows != self.blocks.shape[0]:
-            raise DrawError(f"{rows} rows asked for draws from {self.blocks.shape[0]} blocks")
-        if self.used + n > self.blocks.shape[1]:
-            raise DrawError(f"forward pass asked for more than {self.blocks.shape[1]} "
-                            "dropout draws per row")
-        out = self.blocks[:, self.used:self.used + n]
-        self.used += n
-        return out.reshape(shape)
-
-    def finish(self) -> None:
-        if self.used != self.blocks.shape[1]:
-            raise DrawError(f"forward pass used {self.used} of "
-                            f"{self.blocks.shape[1]} dropout draws per row")
+    return tuple(np.ascontiguousarray(((d >= rate) / (1.0 - rate)).swapaxes(0, 1)[..., None])
+                 for d in (enc, dec))
 
 
 def real_length(pad_mask: np.ndarray) -> int:
@@ -266,7 +248,7 @@ def causal_mask_add(n: int) -> np.ndarray:
 
 
 def embed(store, ids: np.ndarray, pos_table: str, config: ModelConfig,
-          draws=None, start: int = 0) -> Tensor:
+          start: int = 0) -> Tensor:
     """Word plus position embeddings [..., positions, hidden]; the last axis
     of `ids` holds positions start, start + 1, ..."""
     if np.any(ids >= config.vocab_size) or np.any(ids < 0):
@@ -276,59 +258,64 @@ def embed(store, ids: np.ndarray, pos_table: str, config: ModelConfig,
     if end > pos.shape[0]:
         raise ad.ShapeError(
             f"sequence length {end} exceeds {pos_table} table {pos.shape[0]}")
-    x = ad.embedding(store["embedding.word"], ids) + pos[start:end]
-    return _dropout(x, draws)
+    return ad.embedding(store["embedding.word"], ids) + pos[start:end]
 
 
 def encode(store, config: ModelConfig, source_ids: np.ndarray,
-           source_pad_mask: np.ndarray, draws=None) -> Tensor:
+           source_pad_mask: np.ndarray, drop: Optional[np.ndarray] = None) -> Tensor:
     """Run the encoder stack over source_ids [..., positions]; pad positions
-    are hidden from attention."""
+    are hidden from attention.  drop is the encoder's `dropout_scales`
+    array: the embedding is site 0, and layer i's attention and FFN are
+    sites 1 + 2i and 2 + 2i."""
     if source_pad_mask.all(axis=-1).any():
         raise ValueError("encode requires at least one non-pad source position per row")
-    x = embed(store, source_ids, "embedding.pos_enc", config, draws)
+    x = _dropout(embed(store, source_ids, "embedding.pos_enc", config), drop, 0)
     mask = pad_mask_add(source_pad_mask)
     for i in range(config.num_layers):
         p = f"encoder.layer.{i}"
         q = _heads(store, f"{p}.self_attn.q", x, config)
         att, _ = _attend(store, f"{p}.self_attn", q,
                          *_key_values(store, f"{p}.self_attn", x, config), mask, config)
-        x = _sublayer(store, f"{p}.self_attn_norm", x, att, draws)
-        x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), draws)
+        x = _sublayer(store, f"{p}.self_attn_norm", x, att, drop, 1 + 2 * i)
+        x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), drop, 2 + 2 * i)
     return x
 
 
 def _decoder_layer(store, config: ModelConfig, i: int, x: Tensor, self_kv, cross_kv,
-                   self_mask, src_mask, draws=None) -> tuple[Tensor, Tensor]:
+                   self_mask, src_mask, drop: Optional[np.ndarray] = None
+                   ) -> tuple[Tensor, Tensor]:
     """Decoder block i over x [..., steps, hidden].
 
     self_kv(prefix, x) and cross_kv(prefix) return the keys and values the
     self- and cross-attention attend over: projected afresh in training,
-    cached while decoding.  Returns (x, cross-attention scores).
+    cached while decoding.  drop is the decoder's `dropout_scales` array:
+    the self-attention, cross-attention and FFN are sites 1 + 3i, 2 + 3i
+    and 3 + 3i.  Returns (x, cross-attention scores).
     """
     p = f"decoder.layer.{i}"
     q = _heads(store, f"{p}.self_attn.q", x, config)
     att, _ = _attend(store, f"{p}.self_attn", q, *self_kv(f"{p}.self_attn", x),
                      self_mask, config)
-    x = _sublayer(store, f"{p}.self_attn_norm", x, att, draws)
+    x = _sublayer(store, f"{p}.self_attn_norm", x, att, drop, 1 + 3 * i)
     q = _heads(store, f"{p}.cross_attn.q", x, config)
     cross, scores = _attend(store, f"{p}.cross_attn", q, *cross_kv(f"{p}.cross_attn"),
                             src_mask, config)
-    x = _sublayer(store, f"{p}.cross_attn_norm", x, cross, draws)
-    x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), draws)
+    x = _sublayer(store, f"{p}.cross_attn_norm", x, cross, drop, 2 + 3 * i)
+    x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), drop, 3 + 3 * i)
     return x, scores
 
 
 def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
                   source_pad_mask: np.ndarray, input_ids: np.ndarray,
-                  draws=None) -> tuple[Tensor, Tensor]:
+                  drop: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
     """Causal decoder over `input_ids` [..., steps]; returns (hidden states,
     top-layer cross-attention logits [..., heads, steps, source_positions],
-    pre-softmax)."""
+    pre-softmax).  drop is the decoder's `dropout_scales` array, whose site
+    0 is the embedding (`_decoder_layer` for the others)."""
     t = input_ids.shape[-1]
     if t > config.decoder_positions:
         raise DecodeError(f"decoder length {t} exceeds limit {config.decoder_positions}")
-    x = embed(store, input_ids, "embedding.pos_dec", config, draws)
+    x = _dropout(embed(store, input_ids, "embedding.pos_dec", config), drop, 0)
     causal = causal_mask_add(t)
     src_mask = pad_mask_add(source_pad_mask)
 
@@ -340,7 +327,7 @@ def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
 
     for i in range(config.num_layers):
         x, cross = _decoder_layer(store, config, i, x, self_kv, cross_kv, causal,
-                                  src_mask, draws)
+                                  src_mask, drop)
     return x, cross
 
 
@@ -354,15 +341,11 @@ def generation_logits(store, d: Tensor) -> Tensor:
     return ad.linear(d, store["embedding.word"].transpose(), store["output.bias"])
 
 
-def selection_mask_add(selected: np.ndarray) -> np.ndarray:
-    """Additive copy-logit mask: 0 where selected, -10000 elsewhere."""
-    return (1.0 - selected.astype(np.float64)) * NEG_MASK
-
-
 def selection_vocab_mask_add(source_ids: np.ndarray, source_pad_mask: np.ndarray,
                              selected: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Additive vocab-space copy mask: -10000 for source token types with no
-    selected occurrence, 0 elsewhere.
+    """Additive vocab-space copy mask [..., vocab] for sources [...,
+    positions]: per row, -10000 for source token types with no selected
+    occurrence, 0 elsewhere.
 
     Applied after the copy scatter so that a token type repeated at both
     selected and unselected source positions keeps its selected logits
@@ -370,13 +353,14 @@ def selection_vocab_mask_add(source_ids: np.ndarray, source_pad_mask: np.ndarray
     sources without repeated tokens this equals masking each position's
     logit before the scatter.
     """
-    mask = np.zeros(vocab_size)
-    nonpad = ~source_pad_mask
-    present = source_ids[nonpad]
-    kept = source_ids[nonpad & selected.astype(bool)]
-    blocked = np.setdiff1d(present, kept)
-    mask[blocked] = NEG_MASK
-    return mask
+    # per row, which types occur and which occur selected; pads and
+    # unselected positions mark a spare last column
+    present = np.zeros(source_ids.shape[:-1] + (vocab_size + 1,), bool)
+    kept = np.zeros_like(present)
+    np.put_along_axis(present, np.where(source_pad_mask, vocab_size, source_ids), True, -1)
+    np.put_along_axis(kept, np.where(source_pad_mask | ~selected.astype(bool), vocab_size,
+                                     source_ids), True, -1)
+    return np.where((present & ~kept)[..., :vocab_size], NEG_MASK, 0.0)
 
 
 def copy_inputs(source_ids: np.ndarray, source_pad_mask: np.ndarray,
@@ -384,15 +368,11 @@ def copy_inputs(source_ids: np.ndarray, source_pad_mask: np.ndarray,
                 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(scatter ids [..., positions] with -1 at pad positions, vocab-space
     selection mask [..., vocab] or None): what `mixed_logits` needs to know
-    about the source, built per row."""
+    about the source."""
     ids = np.where(source_pad_mask, -1, source_ids)
     if selected is None:
         return ids, None
-    n = source_ids.shape[-1]
-    masks = [selection_vocab_mask_add(*row, vocab_size) for row in zip(
-        source_ids.reshape(-1, n), source_pad_mask.reshape(-1, n),
-        selected.reshape(-1, n))]
-    return ids, np.stack(masks).reshape(*source_ids.shape[:-1], vocab_size)
+    return ids, selection_vocab_mask_add(source_ids, source_pad_mask, selected, vocab_size)
 
 
 def mixed_logits(store, config: ModelConfig, d: Tensor, copy_logits: Tensor,
@@ -417,20 +397,22 @@ def mixed_logits(store, config: ModelConfig, d: Tensor, copy_logits: Tensor,
 
 def forward_teacher_forced(store, config: ModelConfig, example,
                            selected: Optional[np.ndarray] = None,
-                           draws=None):
+                           drop: Optional[tuple[np.ndarray, np.ndarray]] = None):
     """Teacher-forced decode over all target positions.
 
     `example` holds one example's arrays, or [rows, ·] stacks of several
     (with `selected` [rows, source_positions]).  Returns (P [..., steps,
     vocab] as a Tensor of per-position distributions, cache dict).  Dropout
-    is on iff `draws` (a `RowDraws`) is given.
+    is on iff `drop`, the (encoder, decoder) pair of `dropout_scales`, is
+    given.
     """
-    enc = encode(store, config, example.source_ids, example.source_pad_mask, draws)
+    enc_drop, dec_drop = drop or (None, None)
+    enc = encode(store, config, example.source_ids, example.source_pad_mask, enc_drop)
     targets = example.target_ids
     bos = np.full(targets.shape[:-1] + (1,), BOS, dtype=targets.dtype)
     dec_input = np.concatenate((bos, targets[..., :-1]), axis=-1)
     d, cross = decoder_stack(store, config, enc, example.source_pad_mask,
-                             dec_input, draws)
+                             dec_input, dec_drop)
     cache = {"encoder_out": enc, "decoder_out": d, "cross_logits": cross}
     if config.copy_enabled:
         copy = cross[..., config.copy_head_index, :, :]

@@ -124,19 +124,14 @@ def _cut(batch: EncodedExample) -> tuple[EncodedExample, tuple[int, int]]:
 
 
 def _row_draws(rng: np.random.Generator, rate: float, config, rows: int,
-               lengths: tuple[int, int], kept: tuple[int, int]) -> Optional[M.RowDraws]:
-    """rows consecutive blocks of the dropout draws a pass over lengths =
-    (source, target) positions makes, each cut to the draws a pass over the
-    first kept positions reads (`M.trim_draws`); None with dropout off."""
+               lengths: tuple[int, int], kept: tuple[int, int]) -> Optional[tuple]:
+    """The (encoder, decoder) `M.dropout_scales` of a pass over the first
+    kept positions, from rows consecutive blocks of the draws a pass over
+    lengths = (source, target) positions makes; None with dropout off."""
     if rate == 0:
         return None
     blocks = rng.random((rows, M.dropout_draws(config, *lengths)))
-    return M.RowDraws(M.trim_draws(config, blocks, lengths, kept), rate)
-
-
-def _finish(draws: Optional[M.RowDraws]) -> None:
-    if draws is not None:
-        draws.finish()
+    return M.dropout_scales(config, blocks, lengths, kept, rate)
 
 
 def _denoise_loss(store, config, items, rng: np.random.Generator,
@@ -154,10 +149,9 @@ def _denoise_loss(store, config, items, rng: np.random.Generator,
         return Tensor(0.0), 0
     pad = np.stack([ex.source_pad_mask for ex, _, _ in rows])
     n, s = pad.shape[-1], M.real_length(pad)
-    draws = (M.RowDraws(M.trim_draws(config, np.array(blocks), (n, 0), (s, 0)), rate)
-             if rate > 0 else None)
-    enc = M.encode(store, config, np.stack([c[:s] for _, c, _ in rows]), pad[:, :s], draws)
-    _finish(draws)
+    drop = (M.dropout_scales(config, np.array(blocks), (n, 0), (s, 0), rate)[0]
+            if rate > 0 else None)
+    enc = M.encode(store, config, np.stack([c[:s] for _, c, _ in rows]), pad[:, :s], drop)
     row = np.concatenate([np.full(len(p), r) for r, (_, _, p) in enumerate(rows)])
     pos = np.concatenate([p for _, _, p in rows])
     original = np.concatenate([ex.source_ids[p] for ex, _, p in rows])
@@ -172,9 +166,8 @@ def _summarize_loss(store, config, items, rng, rate) -> tuple[Tensor, int]:
     full = _stack(items)
     batch, kept = _cut(full)
     lengths = (full.source_ids.shape[-1], full.target_ids.shape[-1])
-    draws = _row_draws(rng, rate, config, len(items), lengths, kept)
-    probs, _ = M.forward_teacher_forced(store, config, batch, draws=draws)
-    _finish(draws)
+    drop = _row_draws(rng, rate, config, len(items), lengths, kept)
+    probs, _ = M.forward_teacher_forced(store, config, batch, drop=drop)
     loss, n = mle_loss(probs, batch.target_ids, batch.target_pad_mask)
     return loss * n, n
 
@@ -182,10 +175,10 @@ def _summarize_loss(store, config, items, rng, rate) -> tuple[Tensor, int]:
 def _select_loss(store, config, items, rng, rate) -> tuple[Tensor, int]:
     full = _stack([ex for ex, _ in items])
     batch, (s, _) = _cut(full)
-    draws = _row_draws(rng, rate, config, len(items), (full.source_ids.shape[-1], 0),
-                       (s, 0))
-    enc = M.encode(store, config, batch.source_ids, batch.source_pad_mask, draws)
-    _finish(draws)
+    drop = _row_draws(rng, rate, config, len(items), (full.source_ids.shape[-1], 0),
+                      (s, 0))
+    enc = M.encode(store, config, batch.source_ids, batch.source_pad_mask,
+                   None if drop is None else drop[0])
     pred = sel.selector_forward(store, enc)
     labels = np.concatenate([y for _, y in items])
     return sel.selector_loss(pred, labels, batch.source_pad_mask) * len(labels), len(labels)
@@ -270,9 +263,10 @@ def _dev_metric(store, config, dev, tcfg: TrainConfig, stage: str,
 # longest real source and target (`_cut`).  With a rate above 0, rng yields
 # one full-length block of `M.dropout_draws` values per example in item
 # order (for denoising, each right after that example's masking draws),
-# and `M.trim_draws` keeps the draws of the kept positions, so every
-# example is masked as if it ran alone at full length; a rate of 0 draws no
-# dropout.  Only denoising draws its masking from rng.
+# and `M.dropout_scales` turns the draws of the kept positions into each
+# dropout site's scales, so every example is masked as if it ran alone at
+# full length; a rate of 0 draws no dropout.  Only denoising draws its
+# masking from rng.
 _LOSS_FNS = {"denoise": _denoise_loss, "summarize": _summarize_loss,
              "select": _select_loss}
 

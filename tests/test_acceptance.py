@@ -288,7 +288,7 @@ def test_criterion_3_masking_suppression():
             worst = max(worst, float(copy_dist[blocked_types].max()))
             # per-position form on the raw copy logits
             pos_dist = softmax_np(state.copy_logits[:8]
-                                  + M.selection_mask_add(selected[:8]))
+                                  + np.where(selected[:8], 0.0, M.NEG_MASK))
             worst = max(worst, float(pos_dist[~selected[:8]].max()))
             checked += 1
             nxt = int(np.argmax(state.mixed_logits))

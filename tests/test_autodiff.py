@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagesum import autodiff as ad
+from stagesum import model as M
+from stagesum import training
 from stagesum.autodiff import Tensor
 from stagesum.checkpoint import ParamStore
 
@@ -126,52 +128,70 @@ class TestLayerNorm:
 
 
 class TestDropoutTokens:
-    def test_rate_zero_identity(self, rng):
-        x = Tensor(rng.normal(size=(4, 3)))
-        out = ad.dropout_tokens(x, 0.0, rng)
-        assert out is x
+    """Token-level dropout: a site multiplies x [rows, positions, hidden] by
+    its `model.dropout_scales` [rows, positions, 1], one `Tensor.__mul__`
+    node, so a position's whole hidden vector is dropped or kept."""
+
+    config = M.ModelConfig(num_layers=1, hidden_size=4, num_heads=2, ffn_size=4)
+
+    def scales(self, draws, rate):
+        """Encoder scales of a one-layer model for draws [rows, 3 sites, positions]."""
+        rows, _, n = draws.shape
+        return M.dropout_scales(self.config, draws.reshape(rows, -1), (n, 0), (n, 0), rate)[0]
+
+    def test_rate_zero_identity(self):
+        # a rate of 0 draws nothing and drops nothing
+        rng = np.random.default_rng(0)
+        assert training._row_draws(rng, 0.0, self.config, 2, (5, 3), (4, 2)) is None
+        assert rng.random() == np.random.default_rng(0).random()
+        assert np.array_equal(self.scales(np.random.default_rng(1).random((2, 3, 5)), 0.0),
+                              np.ones((3, 2, 5, 1)))
 
     def test_eval_mode_identity(self, rng):
-        x = Tensor(rng.normal(size=(4, 3)))
-        assert ad.dropout_tokens(x, 0.5, None) is x
+        x = Tensor(rng.normal(size=(2, 4, 3)))
+        assert M._dropout(x, None, 0) is x
 
     def test_row_granularity(self):
-        x = Tensor(np.ones((50, 4)))
-        out = ad.dropout_tokens(x, 0.3, np.random.default_rng(7)).data
-        # each row is either entirely zero or entirely scaled by 1/(1-rate)
-        for row in out:
-            assert np.all(row == 0.0) or np.allclose(row, 1.0 / 0.7)
-        assert (out == 0).all(axis=1).any(), "seed 7 should drop some rows"
+        draws = np.random.default_rng(7).random((2, 3, 25))
+        x = Tensor(np.random.default_rng(8).normal(size=(2, 25, 4)))
+        drop = self.scales(draws, 0.3)
+        for site, scale in enumerate(drop):
+            out = M._dropout(x, drop, site).data
+            # the mask product token-level dropout has always computed
+            keep = (draws[:, site] >= 0.3).astype(np.float64)
+            assert np.array_equal(out, x.data * (keep[..., None] / (1.0 - 0.3)))
+            # each position's vector is either entirely zero or entirely
+            # scaled by 1/(1-rate)
+            assert set(np.unique(scale)) <= {0.0, 1.0 / 0.7}
+            dropped = (out == 0).all(axis=-1)
+            assert np.array_equal(dropped, draws[:, site] < 0.3)
+            assert dropped.any(), "seed 7 should drop some rows"
 
     def test_deterministic(self):
-        x = Tensor(np.ones((20, 3)))
-        a = ad.dropout_tokens(x, 0.3, np.random.default_rng(3)).data
-        b = ad.dropout_tokens(x, 0.3, np.random.default_rng(3)).data
-        assert np.array_equal(a, b)
+        draws = np.random.default_rng(3).random((2, 3, 10))
+        a, b = self.scales(draws, 0.3), self.scales(draws.copy(), 0.3)
+        assert np.array_equal(a, b) and a.flags.c_contiguous
 
     def test_expectation(self):
-        x = Tensor(np.full((10, 2), 5.0))
-        total = np.zeros((10, 2))
-        n = 10_000
-        rng = np.random.default_rng(0)
-        for _ in range(n):
-            total += ad.dropout_tokens(x, 0.3, rng).data
-        assert np.allclose(total / n, x.data, rtol=0.02)
+        x = Tensor(np.full((10_000, 2, 2), 5.0))
+        drop = self.scales(np.random.default_rng(0).random((10_000, 3, 2)), 0.3)
+        mean = M._dropout(x, drop, 1).data.mean(axis=0)
+        assert np.allclose(mean, 5.0, rtol=0.02)
 
     def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            ad.dropout_tokens(Tensor(np.ones((2, 2))), 1.0, np.random.default_rng(0))
+        for rate in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                training.TrainConfig(dropout=rate)
 
     def test_grad(self, rng):
-        mask_rng = np.random.default_rng(11)
-        x = rng.normal(size=(6, 3))
-
-        def build(t):
-            return (ad.dropout_tokens(t, 0.3, np.random.default_rng(11))
-                    * Tensor(np.ones((6, 3)))).sum()
-
-        assert_grad_matches(build, x)
-        del mask_rng
+        drop = self.scales(np.random.default_rng(11).random((2, 3, 3)), 0.3)
+        w = Tensor(rng.normal(size=(2, 3, 4)))
+        assert drop.min() == 0.0
+        with ad.new_tape() as tape:
+            M._dropout(Tensor(np.ones((2, 3, 4)), requires_grad=True), drop, 2)
+        assert len(tape.nodes) == 1
+        assert_grad_matches(lambda t: (M._dropout(t, drop, 2) * w).sum(),
+                            rng.normal(size=(2, 3, 4)))
 
 
 class TestElementwise:

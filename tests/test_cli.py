@@ -388,6 +388,27 @@ class TestDiagnostics:
         assert "training corpus is empty" in capsys.readouterr().err
         assert not (run_env / "trainrun").exists()
 
+    @pytest.mark.parametrize("command, split", [
+        ("train", "dev"), ("select-train", "dev"), ("select-train", "train"),
+        ("decode", "dev")])
+    def test_empty_corpus_split(self, run_env, capsys, command, split):
+        """A configured split whose file holds no pairs (blank lines only)
+        fails the stage, naming the key and the file, before a run
+        directory exists."""
+        generate_corpora(run_env)
+        init_random(ModelConfig(**MODEL), 0).save(str(run_env / "random.ckpt"))
+        (run_env / "empty.tsv").write_text("\n\n")
+        capsys.readouterr()
+        corpus = {"train": "data/short.train.tsv", "dev": "data/short.dev.tsv",
+                  split: "empty.tsv"}
+        cfg = write_config(run_env, "cfg", out_dir="r", model=MODEL,
+                           vocab="data/vocab.txt", corpus=corpus,
+                           checkpoint="random.ckpt", train={"max_epochs": 1})
+        assert cli.main([command, cfg]) == 1
+        assert f"corpus.{split} {run_env / 'empty.tsv'} holds no pairs" in (
+            capsys.readouterr().err)
+        assert not (run_env / "r").exists()
+
     @pytest.mark.parametrize("command", ["select-train", "decode"])
     def test_missing_dev_split(self, run_env, capsys, command):
         generate_corpora(run_env)

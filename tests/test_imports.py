@@ -1,9 +1,13 @@
-"""Source hygiene: every imported name in the package and the tests is used.
+"""Source hygiene: every imported name in the package and the tests is used,
+and every function and class the package defines is referenced in it.
 
 No lint tool is a dependency, so this walks the syntax tree with `ast`: a
 name bound by `import` / `from ... import` must appear somewhere else in the
 same file as a name (attribute chains start with one) or inside a string
-annotation.  `from __future__ import ...` binds nothing and is skipped.
+annotation.  `from __future__ import ...` binds nothing and is skipped.  A
+function, method or class defined in `src/stagesum` (dunders exempt) must
+appear somewhere in `src/stagesum` as a name or as an attribute; what only
+the tests call is dead code.
 """
 
 import ast
@@ -12,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "stagesum").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "stagesum").glob("*.py"))
+FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -62,3 +67,32 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(sources: dict) -> list[str]:
+    """Functions and classes defined in `sources` (file name -> text) whose
+    name no node of any of them uses as a name or an attribute."""
+    defined, used = [], set()
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append(f"{path}:{node.lineno}: {node.name}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [d for d in defined if d.rsplit(" ", 1)[1] not in used]
+
+
+def test_scan_finds_a_dead_definition():
+    sources = {"a.py": "def f(): pass\ndef g(): f()\nclass C:\n"
+                       "    def m(self): pass\n    def __len__(self): return 0\n",
+               "b.py": "import a\na.C().m()\n"}
+    assert dead_definitions(sources) == ["a.py:2: g"]
+    # a name that appears only in a string or a comment is not a use
+    assert dead_definitions({"a.py": "def f(): pass\nprint('f')  # f\n"}) == ["a.py:1: f"]
+
+
+def test_no_dead_definitions():
+    assert dead_definitions({p.name: p.read_text(encoding="utf-8") for p in SOURCES}) == []

@@ -170,7 +170,58 @@ def brute_auc_pr(scores, labels):
     return area
 
 
+def loop_auc(scores, labels):
+    """`auc` as it was written with hand-made tie loops: the exact oracle
+    of the vectorized version."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    auc_roc = (ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    desc = np.argsort(-scores, kind="stable")
+    tp = fp = 0
+    auc_pr = prev_recall = 0.0
+    k = 0
+    while k < len(desc):
+        j = k
+        while j + 1 < len(desc) and scores[desc[j + 1]] == scores[desc[k]]:
+            j += 1
+        for idx in desc[k:j + 1]:
+            if labels[idx] == 1:
+                tp += 1
+            else:
+                fp += 1
+        recall = tp / n_pos
+        auc_pr += (recall - prev_recall) * (tp / (tp + fp))
+        prev_recall = recall
+        k = j + 1
+    return {"auc_roc": float(auc_roc), "auc_pr": float(auc_pr)}
+
+
 class TestAuc:
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 3.0]),
+                              st.integers(0, 1)), min_size=2, max_size=60),
+           st.lists(st.floats(-5, 5, width=16), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_tie_loops_exactly(self, pairs, extra):
+        """Tie-heavy scores (a few values, +0 and -0 among them) plus
+        arbitrary ones: the same floats as the loop version."""
+        scores = [s for s, _ in pairs] + extra
+        labels = [y for _, y in pairs] + [i % 2 for i in range(len(extra))]
+        if len(set(labels)) < 2:
+            return
+        assert auc(scores, labels) == loop_auc(scores, labels)
+
     def test_perfect_ranking(self):
         out = auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
         assert out["auc_roc"] == 1.0

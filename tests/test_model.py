@@ -282,21 +282,25 @@ class TestRows:
     @given(row_cases())
     def test_forward_teacher_forced_matches_rows(self, case):
         config, store, examples, selected, seed, rate = case
-        n = M.dropout_draws(config, config.encoder_positions, config.decoder_positions)
-        blocks = [np.random.default_rng([seed, r]).random(n) for r in range(len(examples))]
-        draws = M.RowDraws(blocks, rate) if rate > 0 else None
-        probs, cache = M.forward_teacher_forced(store, config, _stack(examples), selected,
-                                                draws=draws)
-        if draws is not None:
-            draws.finish()
+        lengths = (config.encoder_positions, config.decoder_positions)
+        n = M.dropout_draws(config, *lengths)
+
+        def drop(rows):
+            return M.dropout_scales(config, np.array(
+                [np.random.default_rng([seed, r]).random(n) for r in rows]), lengths, lengths,
+                rate)
+
+        probs, cache = M.forward_teacher_forced(
+            store, config, _stack(examples), selected,
+            drop=drop(range(len(examples))) if rate > 0 else None)
         close = dict(rtol=1e-12, atol=1e-12)
         for r, ex in enumerate(examples):
             row_sel = None if selected is None else selected[r]
             if rate > 0:
-                # a one-row call on row r's block draws it in the same order
+                # a one-row call on row r's block is masked the same way
                 row_probs, row_cache = M.forward_teacher_forced(
                     store, config, _stack([ex]), None if row_sel is None else row_sel[None],
-                    draws=M.RowDraws(np.random.default_rng([seed, r]).random((1, n)), rate))
+                    drop=drop([r]))
                 row_probs = row_probs[0]
                 row_cache = {key: value[0] for key, value in row_cache.items()}
             else:
@@ -332,58 +336,55 @@ class TestRows:
         assert np.array_equal(pm[1, 0, 0], [M.NEG_MASK, 0.0])
 
 
-class TestRowDraws:
-    def test_over_draw_raises(self):
-        draws = M.RowDraws(np.zeros((2, 5)), 0.3)
-        draws.random((2, 3))
-        with pytest.raises(M.DrawError):
-            draws.random((2, 3))
+class TestDropoutScales:
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_layout_and_values(self, num_layers):
+        """Site k of a half holds that site's draws (`dropout_draws` order)
+        of the kept positions as 0 below the rate and 1/(1-rate) elsewhere,
+        one C-contiguous [sites, rows, positions, 1] array per half."""
+        config = small_config(num_layers=num_layers)
+        lengths, kept = (6, 4), (3, 2)
+        blocks = np.random.default_rng(num_layers).random(
+            (2, M.dropout_draws(config, *lengths)))
+        enc, dec = M.dropout_scales(config, blocks, lengths, kept, 0.3)
+        assert enc.shape == (1 + 2 * num_layers, 2, 3, 1)
+        assert dec.shape == (1 + 3 * num_layers, 2, 2, 1)
+        assert enc.flags.c_contiguous and dec.flags.c_contiguous
+        split = 6 * len(enc)
+        for half, offset, n in ((enc, 0, 6), (dec, split, 4)):
+            for k, site in enumerate(half):
+                draws = blocks[:, offset + k * n:offset + k * n + site.shape[1]]
+                assert np.array_equal(site[..., 0], np.where(draws < 0.3, 0.0, 1.0 / 0.7))
 
-    def test_under_draw_raises(self):
-        draws = M.RowDraws(np.zeros((2, 5)), 0.3)
-        draws.random((2, 3))
+    def test_row_count_must_match(self, store, config):
+        lengths = (config.encoder_positions, 0)
+        blocks = np.zeros((3, M.dropout_draws(config, *lengths)))
+        enc, _ = M.dropout_scales(config, blocks, lengths, lengths, 0.3)
+        ex = example_for(config, [5, 6, 7], [5])
         with pytest.raises(M.DrawError):
-            draws.finish()
-        draws.random((2, 2))
-        draws.finish()
+            M.encode(store, config, np.stack([ex.source_ids] * 2),
+                     np.stack([ex.source_pad_mask] * 2), enc)
 
-    def test_row_count_must_match(self):
-        with pytest.raises(M.DrawError):
-            M.RowDraws(np.zeros((2, 5)), 0.3).random((3, 1))
-
-    def test_encode_uses_exactly_its_draws(self, store):
+    def test_encode_uses_exactly_its_scales(self, store):
         config = small_config()
         ex = example_for(config, [5, 6, 7], [5])
-        n = M.dropout_draws(config, config.encoder_positions)
+        n = config.encoder_positions
         for extra in (-1, 1):
-            draws = M.RowDraws(np.zeros((1, n + extra)), 0.3)
+            blocks = np.zeros((1, M.dropout_draws(config, n + extra)))
+            enc, _ = M.dropout_scales(config, blocks, (n + extra, 0), (n + extra, 0), 0.3)
             with pytest.raises(M.DrawError):
-                M.encode(store, config, ex.source_ids[None], ex.source_pad_mask[None],
-                         draws)
-                draws.finish()
-
-
-class RecordingDraws(M.RowDraws):
-    """RowDraws that keeps what every dropout site read, site after site."""
-
-    def __init__(self, blocks, rate):
-        super().__init__(blocks, rate)
-        self.sites = []
-
-    def random(self, shape):
-        out = super().random(shape)
-        self.sites.append(out.reshape(shape[0], -1))
-        return out
+                M.encode(store, config, ex.source_ids[None], ex.source_pad_mask[None], enc)
 
 
 class TestTrimDraws:
-    """A pass over rows cut to their longest real row, on draws cut by
-    `trim_draws`, reads the draws a full-length pass reads at the kept
-    positions."""
+    """A pass over rows cut to their longest real row, on the scales
+    `dropout_scales` builds for the kept positions from full-length draws,
+    scales every kept position as a full-length pass does."""
 
     @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize("decoder", [False, True], ids=["encoder", "seq2seq"])
-    def test_kept_draws_are_the_full_passes_at_real_positions(self, num_layers, decoder):
+    def test_kept_draws_are_the_full_passes_at_real_positions(self, num_layers, decoder,
+                                                              monkeypatch):
         config = small_config(num_layers=num_layers)
         store = init_random(config, 0)
         full = _stack([example_for(config, [5, 6, 7], [5, 6]),
@@ -393,22 +394,31 @@ class TestTrimDraws:
         kept = (s, t if decoder else 0)
         blocks = np.random.default_rng(num_layers).random(
             (2, M.dropout_draws(config, *lengths)))
+        sites = []
+        dropout = M._dropout
 
-        def run(batch, draws):
+        def recording(x, drop, site):
+            sites.append((site, drop[site][..., 0]))
+            return dropout(x, drop, site)
+
+        monkeypatch.setattr(M, "_dropout", recording)
+
+        def run(batch, kept):
+            sites.clear()
+            drop = M.dropout_scales(config, blocks, lengths, kept, 0.3)
             if decoder:
-                M.forward_teacher_forced(store, config, batch, draws=draws)
+                M.forward_teacher_forced(store, config, batch, drop=drop)
             else:
-                M.encode(store, config, batch.source_ids, batch.source_pad_mask, draws)
-            draws.finish()
-            return draws.sites
+                M.encode(store, config, batch.source_ids, batch.source_pad_mask, drop[0])
+            return list(sites)
 
-        full_sites = run(full, RecordingDraws(blocks, 0.3))
-        cut_sites = run(batch, RecordingDraws(M.trim_draws(config, blocks, lengths, kept),
-                                              0.3))
+        full_sites, cut_sites = run(full, lengths), run(batch, kept)
         enc_sites, dec_sites = 1 + 2 * num_layers, (1 + 3 * num_layers) * decoder
-        assert [a.shape[1] for a in cut_sites] == [s] * enc_sites + [t] * dec_sites
-        assert len(full_sites) == len(cut_sites)
-        for cut_site, full_site in zip(cut_sites, full_sites):
+        # every site once, in order: the encoder's, then the decoder's
+        assert [k for k, _ in cut_sites] == list(range(enc_sites)) + list(range(dec_sites))
+        assert [a.shape[1] for _, a in cut_sites] == [s] * enc_sites + [t] * dec_sites
+        assert [k for k, _ in full_sites] == [k for k, _ in cut_sites]
+        for (_, cut_site), (_, full_site) in zip(cut_sites, full_sites):
             assert np.array_equal(cut_site, full_site[:, :cut_site.shape[1]])
 
     def test_short_or_leftover_read_raises(self, store, config):
@@ -416,15 +426,16 @@ class TestTrimDraws:
                        example_for(config, [8, 9, 5, 6], [7])])
         lengths = (config.encoder_positions, 0)
         blocks = np.zeros((2, M.dropout_draws(config, *lengths)))
-        draws = M.trim_draws(config, blocks, lengths, (4, 0))
+        enc, _ = M.dropout_scales(config, blocks, lengths, (4, 0), 0.3)
+        # scales for 4 positions on a pass over 5 or 3
         for n in (5, 3):
-            rows = M.RowDraws(draws, 0.3)
             with pytest.raises(M.DrawError):
                 M.encode(store, config, full.source_ids[:, :n], full.source_pad_mask[:, :n],
-                         rows)
-                rows.finish()
-        with pytest.raises(M.DrawError):
-            M.trim_draws(config, blocks[:, 1:], lengths, (4, 0))
+                         enc)
+        # a block one draw short or long of a full-length pass
+        for cut in (blocks[:, 1:], np.hstack((blocks, blocks[:, :1]))):
+            with pytest.raises(M.DrawError):
+                M.dropout_scales(config, cut, lengths, (4, 0), 0.3)
 
     def test_real_length(self):
         pad = np.array([[False, True, True, True], [False, False, True, True]])
@@ -509,6 +520,22 @@ class TestMixCopyLogits:
         # type 0 appears only at a pad position -> untouched
         assert np.array_equal(mask, [0.0, M.NEG_MASK, 0.0, 0.0])
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2 ** 16), st.integers(1, 5), st.integers(1, 9))
+    def test_vocab_mask_rows_match_setdiff(self, seed, rows, positions):
+        """All rows in one call: each row's mask blocks the types in its
+        non-pad positions minus those at its selected ones."""
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, 6, (rows, positions))
+        pad = np.arange(positions) >= rng.integers(1, positions + 1, (rows, 1))
+        selected = rng.random((rows, positions)) < 0.4
+        masks = M.selection_vocab_mask_add(ids, pad, selected, 7)
+        assert masks.shape == (rows, 7)
+        for r in range(rows):
+            want = np.zeros(7)
+            want[np.setdiff1d(ids[r][~pad[r]], ids[r][~pad[r] & selected[r]])] = M.NEG_MASK
+            assert np.array_equal(masks[r], want)
+
 
 class TestForwardTeacherForced:
     def test_copy_disabled_is_pure_generation(self, config):
@@ -533,11 +560,11 @@ class TestForwardTeacherForced:
 
     def test_deterministic(self, config, store):
         ex = _stack([example_for(config, [5, 6, 7], [5, 7])])
-        n = M.dropout_draws(config, config.encoder_positions, config.decoder_positions)
-        a, _ = M.forward_teacher_forced(
-            store, config, ex, draws=M.RowDraws(np.random.default_rng(3).random((1, n)), 0.3))
-        b, _ = M.forward_teacher_forced(
-            store, config, ex, draws=M.RowDraws(np.random.default_rng(3).random((1, n)), 0.3))
+        lengths = (config.encoder_positions, config.decoder_positions)
+        n = M.dropout_draws(config, *lengths)
+        a, b = (M.forward_teacher_forced(store, config, ex, drop=M.dropout_scales(
+            config, np.random.default_rng(3).random((1, n)), lengths, lengths, 0.3))[0]
+            for _ in range(2))
         assert np.array_equal(a.data, b.data)
 
     def test_distributions_normalized(self, config, store):
@@ -559,6 +586,3 @@ class TestForwardTeacherForced:
         assert pm[0, 0, 0] == 0.0 and pm[0, 0, 1] == M.NEG_MASK
         cm = M.causal_mask_add(3)[0]
         assert cm[0, 1] == M.NEG_MASK and cm[1, 0] == 0.0 and cm[2, 2] == 0.0
-        sm = M.selection_mask_add(np.array([True, False]))
-        assert np.array_equal(np.array([2.0, 3.0]) + sm, [2.0, 3.0 + M.NEG_MASK])
-        assert np.array_equal(M.selection_mask_add(np.ones(3, bool)), np.zeros(3))

@@ -214,9 +214,10 @@ def per_example_loss(stage, store, config, items, rng, rate):
     """The loop the batched stage losses replace: one one-row graph per
     item, each drawing its dropout from rng as it runs, the items' summed
     losses added in order."""
-    def draws(target_len=0):
-        n = M.dropout_draws(config, config.encoder_positions, target_len)
-        return M.RowDraws(rng.random((1, n)), rate)
+    def drop(target_len=0):
+        lengths = (config.encoder_positions, target_len)
+        return M.dropout_scales(config, rng.random((1, M.dropout_draws(config, *lengths))),
+                                lengths, lengths, rate)
 
     parts, count = [], 0
     for item in items:
@@ -226,20 +227,20 @@ def per_example_loss(stage, store, config, items, rng, rate):
             if len(picked) == 0:
                 continue
             enc = M.encode(store, config, corrupted[None], item.source_pad_mask[None],
-                           draws())[0]
+                           drop()[0])[0]
             probs = ad.softmax(ad.matmul(enc, store["embedding.word"].transpose())
                                + store["mlm.bias"], axis=-1)
             picked_p = probs[(picked, item.source_ids[picked])]
             loss, n = -ad.log(ad.clamp_min(picked_p, CLAMP_FLOOR)).sum(), len(picked)
         elif stage == "summarize":
             probs, _ = M.forward_teacher_forced(store, config, _stack([item]),
-                                                draws=draws(config.decoder_positions))
+                                                drop=drop(config.decoder_positions))
             loss, n = mle_loss(probs[0], item.target_ids, item.target_pad_mask)
             loss = loss * n
         else:
             ex, labels = item
             enc = M.encode(store, config, ex.source_ids[None], ex.source_pad_mask[None],
-                           draws())[0]
+                           drop()[0])[0]
             n = int((~ex.source_pad_mask).sum())
             loss = sel.selector_loss(sel.selector_forward(store, enc), labels,
                                      ex.source_pad_mask) * n
