@@ -360,8 +360,8 @@ def softmax_matmul(s: Tensor, v: Tensor) -> Tensor:
     return _make(np.matmul(y, v.data), (s, v), rules)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis to zero mean / unit variance (+1e-12), then affine."""
     if gain.data.shape != x.data.shape[-1:] or bias.data.shape != x.data.shape[-1:]:
         raise ShapeError(
             f"layer_norm gain/bias {gain.data.shape}/{bias.data.shape} "
@@ -369,7 +369,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         )
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-12)
     xhat = (x.data - mu) * inv
 
     def rules():

@@ -5,8 +5,7 @@ table with shapes, config fingerprint, provenance chain, the payload's
 sha256), then the store's arena as one raw little-endian float64 payload,
 each tensor's values in header order.  Round trips are bit-exact; saves
 are atomic and a damaged file, a flipped payload byte included, fails to
-load with a `CheckpointError`.  Files written before the checksum existed
-carry no `payload_sha256` and still load.
+load with a `CheckpointError`.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ class ParamStore:
         """Read a checkpoint; `CheckpointError` if it is not exactly one
         complete checkpoint (bad magic, a short or malformed header, a short
         payload, trailing bytes, a payload that does not match the header's
-        sha256)."""
+        sha256, or none)."""
         with open(path, "rb") as f:
             blob = f.read()
         if blob[:len(MAGIC)] != MAGIC:
@@ -140,7 +139,9 @@ class ParamStore:
         if have > need:
             raise CheckpointError(f"{path}: {have - need} trailing bytes after the payload")
         expected = header.get("payload_sha256")
-        if expected is not None and hashlib.sha256(blob[at:]).hexdigest() != expected:
+        if expected is None:
+            raise CheckpointError(f"{path}: header has no payload_sha256")
+        if hashlib.sha256(blob[at:]).hexdigest() != expected:
             raise CheckpointError(f"{path}: payload does not match its sha256")
         flat = np.frombuffer(blob, "<f8", need // 8, at).astype(np.float64)
         return cls({}, header["fingerprint"], header["provenance"])._pack(flat, layout)
@@ -166,20 +167,28 @@ def _layout(header, path) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def check_compatible(store: ParamStore, config: ModelConfig, arch: str) -> None:
-    """Raise unless the store holds exactly the parameters the config expects."""
+    """Raise unless the store holds exactly the parameters the config expects
+    and its fingerprint is the config's: a field such as num_heads changes no
+    shape but changes what the parameters compute."""
     spec = {name: shape for name, shape, _ in param_spec(config, arch)}
     have = dict(store.layout)
     problems = [f"missing {name} {shape}" if name not in have else
                 f"{name}: checkpoint {have[name]} vs model {shape}"
                 for name, shape in spec.items() if have.get(name) != shape]
     problems += [f"unexpected {name}" for name in sorted(have) if spec.get(name) != have[name]]
+    want = config.fingerprint(arch)
+    problems += [f"fingerprint {key}: checkpoint {store.fingerprint.get(key)!r} "
+                 f"vs model {want.get(key)!r}"
+                 for key in sorted(want.keys() | store.fingerprint.keys())
+                 if store.fingerprint.get(key) != want.get(key)]
     if problems:
         raise IncompatibilityError(
             "checkpoint incompatible with model config:\n  " + "\n  ".join(problems))
 
 
-def _truncated_normal(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:
-    """Normal(0, std) resampled until within two standard deviations."""
+def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, 0.02) resampled until within two standard deviations."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2 * std
     while bad.any():

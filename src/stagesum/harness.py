@@ -29,6 +29,11 @@ def _ensure_dir(path):
     return path
 
 
+def _write(out_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(out_dir, name), "w") as f:
+        f.write(text)
+
+
 def tokenize_corpus(pairs, vocab):
     """Each (document, summary) pair as its two word-piece lists."""
     return [(wordpiece_tokenize(doc, vocab), wordpiece_tokenize(summary, vocab))
@@ -40,17 +45,25 @@ def encode_corpus(pieces, vocab, source_limit, target_limit):
             for src, tgt in pieces]
 
 
-def _load_data(cfg: RunConfig, required=("train",)):
-    """The vocabulary and each configured split: raw, tokenized once and
-    encoded; a `required` split the config does not name, and a split file
-    with no pairs, are rejected."""
+# the corpus splits each stage reads: (required, read when configured)
+_SPLITS = {"pretrain": (("train",), ("dev",)), "train": (("train",), ("dev",)),
+           "select-train": (("train", "dev"), ()), "decode": (("dev",), ())}
+
+
+def _load_data(cfg: RunConfig, stage: str):
+    """The vocabulary and each split `stage` reads: raw, tokenized once and
+    encoded, with its pair count and the shares of its sources and targets
+    the limits truncated in data["report"].  A required split the config
+    does not name, and a split file with no pairs, are rejected; splits the
+    stage does not read are not opened."""
+    required, optional = _SPLITS[stage]
     for split in required:
         if not cfg.corpus.get(split):
             raise ValueError(f"this stage needs corpus.{split}, which the config "
                              "does not name")
     vocab = Vocabulary.load(cfg.resolve(cfg.vocab))
-    out = {"vocab": vocab}
-    for split in ("train", "dev"):
+    out = {"vocab": vocab, "report": {}}
+    for split in required + optional:
         path = cfg.corpus.get(split)
         if path:
             pairs = read_corpus(cfg.resolve(path))
@@ -61,8 +74,12 @@ def _load_data(cfg: RunConfig, required=("train",)):
             pieces = tokenize_corpus(pairs, vocab)
             out[split] = pairs
             out[f"{split}_pieces"] = pieces
-            out[f"{split}_enc"] = encode_corpus(pieces, vocab, cfg.source_limit(),
-                                                cfg.target_limit())
+            out[f"{split}_enc"] = enc = encode_corpus(pieces, vocab, cfg.source_limit(),
+                                                      cfg.target_limit())
+            out["report"][f"{split}_pairs"] = len(enc)
+            for side in ("source", "target"):
+                out["report"][f"{split}_{side}_truncated_rate"] = float(
+                    np.mean([getattr(ex, f"{side}_truncated") for ex in enc]))
     return out
 
 
@@ -106,21 +123,21 @@ def run_generate(cfg: RunConfig) -> dict:
             dev_path = os.path.join(out_dir, f"{name}.dev.tsv")
             write_corpus(dev_pairs, dev_path)
             written[f"{name}.dev"] = dev_path
-        with open(os.path.join(out_dir, f"{name}.spec.json"), "w") as f:
-            f.write(corpus_mod.spec_sidecar(spec))
+        _write(out_dir, f"{name}.spec.json", corpus_mod.spec_sidecar(spec))
     return written
 
 
 def run_pretrain(cfg: RunConfig) -> str:
     """Masked-token denoising stage; writes the generic-stage checkpoint."""
     _reject_unused_init(cfg, "pretrain")
-    data = _load_data(cfg)
+    data = _load_data(cfg, "pretrain")
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
     store, report = training.denoise_pretrain(mcfg, tcfg, data["train_enc"],
                                               data.get("dev_enc", []))
     store.provenance = ["denoise-stage"]
     out_dir = _ensure_dir(cfg.run_dir)
+    _write(out_dir, "data_report.txt", metrics.format_report(data["report"]))
     ckpt = os.path.join(out_dir, "checkpoint.ckpt")
     store.save(ckpt)
     _write_report(out_dir, report)
@@ -129,8 +146,7 @@ def run_pretrain(cfg: RunConfig) -> str:
 
 def _write_report(out_dir: str, report: training.TrainReport) -> None:
     """train_report.txt, and its wall-clock timings in timings.json beside it."""
-    with open(os.path.join(out_dir, "train_report.txt"), "w") as f:
-        f.write(report.format())
+    _write(out_dir, "train_report.txt", report.format())
     with open(os.path.join(out_dir, "timings.json"), "w") as f:
         json.dump({"initial_dev_eval_s": report.initial_dev_eval_s,
                    "epochs": report.timings}, f, indent=1)
@@ -167,7 +183,7 @@ def build_init_store(cfg: RunConfig, arch: str = "seq2seq") -> tuple[ParamStore,
 def run_train(cfg: RunConfig) -> dict:
     """Summarization fine-tuning under the configured initialization."""
     _reject_unused_init(cfg, "train")
-    data = _load_data(cfg)
+    data = _load_data(cfg, "train")
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
     store, surgery = build_init_store(cfg)
@@ -177,8 +193,8 @@ def run_train(cfg: RunConfig) -> dict:
                                         tcfg, data["vocab"])
     best.provenance = list(store.provenance) + ["summarize-stage"]
     out_dir = _ensure_dir(cfg.run_dir)
-    with open(os.path.join(out_dir, "surgery_report.txt"), "w") as f:
-        f.write(format_surgery_report(surgery))
+    _write(out_dir, "data_report.txt", metrics.format_report(data["report"]))
+    _write(out_dir, "surgery_report.txt", format_surgery_report(surgery))
     ckpt = os.path.join(out_dir, "checkpoint.ckpt")
     best.save(ckpt)
     _write_report(out_dir, report)
@@ -190,7 +206,7 @@ def run_select_train(cfg: RunConfig) -> dict:
     """Train the content selector; writes checkpoint, threshold and a report
     of the calibrated selector on the pooled dev positions."""
     _reject_unused_init(cfg, "select-train")
-    data = _load_data(cfg, ("train", "dev"))
+    data = _load_data(cfg, "select-train")
     mcfg = cfg.model_config()
     tcfg = cfg.train_config()
     train_labels = _labels_for(data["train_pieces"], data["train_enc"])
@@ -206,14 +222,13 @@ def run_select_train(cfg: RunConfig) -> dict:
     labels = np.concatenate(dev_labels)
     eps = sel.calibrate_threshold(probs, labels)
     out_dir = _ensure_dir(cfg.run_dir)
-    with open(os.path.join(out_dir, "surgery_report.txt"), "w") as f:
-        f.write(format_surgery_report(surgery))
+    _write(out_dir, "data_report.txt", metrics.format_report(data["report"]))
+    _write(out_dir, "surgery_report.txt", format_surgery_report(surgery))
     ckpt = os.path.join(out_dir, "selector.ckpt")
     best.save(ckpt)
-    with open(os.path.join(out_dir, "threshold.txt"), "w") as f:
-        f.write(f"{eps!r}\n")
-    with open(os.path.join(out_dir, "selector_report.txt"), "w") as f:
-        f.write(metrics.format_report(_selector_report(probs, labels, eps)))
+    _write(out_dir, "threshold.txt", f"{eps!r}\n")
+    _write(out_dir, "selector_report.txt",
+           metrics.format_report(_selector_report(probs, labels, eps)))
     _write_report(out_dir, report)
     return {"checkpoint": ckpt, "threshold": eps, "best_f1": report.best_metric}
 
@@ -269,14 +284,16 @@ def run_decode(cfg: RunConfig) -> str:
     mode = cfg.decode.get("mode", "greedy")
     beam_width = int(cfg.decode.get("beam_width", 4))
     training.check_decode_options(mode, beam_width)
-    data = _load_data(cfg, ("dev",))
+    data = _load_data(cfg, "decode")
     mcfg = cfg.model_config()
     store = ParamStore.load(cfg.resolve(cfg.checkpoint))
     check_compatible(store, mcfg, "seq2seq")
     hyps = training.decode_corpus(
         store, mcfg, data["dev_enc"], data["vocab"], _selection_fn(cfg, data, mcfg),
         mode=mode, beam_width=beam_width, alpha=float(cfg.decode.get("alpha", 0.6)))
-    path = os.path.join(_ensure_dir(cfg.run_dir), "decoded.txt")
+    out_dir = _ensure_dir(cfg.run_dir)
+    _write(out_dir, "data_report.txt", metrics.format_report(data["report"]))
+    path = os.path.join(out_dir, "decoded.txt")
     with open(path, "w", encoding="utf-8") as f:
         for h in hyps:
             f.write(h + "\n")
@@ -302,8 +319,7 @@ def run_eval(cfg: RunConfig) -> dict:
     with open(cfg.resolve(cfg.eval["hypotheses"]), encoding="utf-8") as f:
         hyps = [line.rstrip("\n") for line in f]
     report = eval_summaries(ref_pairs, hyps)
-    with open(os.path.join(_ensure_dir(cfg.run_dir), "metrics.txt"), "w") as f:
-        f.write(metrics.format_report(report))
+    _write(_ensure_dir(cfg.run_dir), "metrics.txt", metrics.format_report(report))
     return report
 
 
@@ -379,8 +395,7 @@ def run_grid(cfg: RunConfig) -> dict:
             # every cell scored the same: the correlation is undefined
             lines.append("pearson_r\tundefined (zero variance)")
     out_dir = _ensure_dir(cfg.run_dir)
-    with open(os.path.join(out_dir, "grid_report.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(out_dir, "grid_report.txt", "\n".join(lines) + "\n")
     if xs:
         with open(os.path.join(out_dir, "layerwise_points.txt"), "w") as f:
             for x, y in zip(xs, ys):

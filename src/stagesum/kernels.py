@@ -57,12 +57,12 @@ def scatter_copy_backward(d_out: np.ndarray, ids: np.ndarray, n_src: int) -> np.
     return np.where(valid, taken, 0.0)
 
 
-def adam_update(param, grad, m, v, lr, beta1, beta2, eps, step) -> None:
-    """In-place fused Adam update with bias correction."""
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
+def adam_update(param, grad, m, v, lr, b1, b2, eps, step) -> None:
+    """In-place fused Adam update with bias correction (moment decays b1, b2)."""
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1**step)
+    v_hat = v / (1.0 - b2**step)
     param -= lr * m_hat / (np.sqrt(v_hat) + eps)

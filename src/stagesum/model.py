@@ -1,8 +1,9 @@
 """Transformer encoder-decoder with tied embeddings and a copy-attention head.
 
-The output projection reuses the input embedding matrix.  One designated
-head of the top decoder layer's cross-attention provides pre-softmax copy
-logits, mixed with the generation logits through a learned sigmoid gate.
+The output projection reuses the input embedding matrix.  Head `COPY_HEAD`
+of the top decoder layer's cross-attention provides pre-softmax copy
+logits, always mixed with the generation logits through a learned sigmoid
+gate.
 
 Training runs the decoder over whole target sequences (`decoder_stack`,
 `forward_teacher_forced`), one row per example: every function takes
@@ -23,7 +24,7 @@ same attention, block, copy-scatter and gate code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,6 +34,8 @@ from .autodiff import Tensor
 from .tokenizer import BOS
 
 NEG_MASK = -10000.0
+# the top decoder layer's cross-attention head whose scores are the copy logits
+COPY_HEAD = 0
 
 
 class DecodeError(RuntimeError):
@@ -52,26 +55,13 @@ class ModelConfig:
     vocab_size: int = 64
     encoder_positions: int = 32
     decoder_positions: int = 16
-    copy_enabled: bool = True
-    copy_head_index: int = 0
 
     def __post_init__(self):
         if self.hidden_size % self.num_heads != 0:
             raise ValueError("hidden_size must be divisible by num_heads")
-        if self.copy_enabled and not 0 <= self.copy_head_index < self.num_heads:
-            raise ValueError("copy_head_index out of range")
 
     def fingerprint(self, arch: str) -> dict:
-        return {
-            "arch": arch,
-            "num_layers": self.num_layers,
-            "hidden_size": self.hidden_size,
-            "num_heads": self.num_heads,
-            "ffn_size": self.ffn_size,
-            "vocab_size": self.vocab_size,
-            "encoder_positions": self.encoder_positions,
-            "decoder_positions": self.decoder_positions,
-        }
+        return {"arch": arch, **asdict(self)}
 
 
 def _attn_names(prefix):
@@ -131,9 +121,9 @@ class DecoderStepState:
     """What one decode step computes, one row per decoded sequence."""
     d_t: np.ndarray                # [rows, hidden], top decoder layer
     cross_logits: np.ndarray       # [rows, heads, source_positions], top layer
-    copy_logits: np.ndarray        # [rows, source_positions], designated head
+    copy_logits: np.ndarray        # [rows, source_positions], head COPY_HEAD
     gen_logits: np.ndarray         # [rows, vocab]
-    p_gen: Optional[np.ndarray]    # [rows]; None when copy is disabled
+    p_gen: np.ndarray              # [rows]
     mixed_logits: np.ndarray       # [rows, vocab]
 
 
@@ -413,18 +403,12 @@ def forward_teacher_forced(store, config: ModelConfig, example,
     dec_input = np.concatenate((bos, targets[..., :-1]), axis=-1)
     d, cross = decoder_stack(store, config, enc, example.source_pad_mask,
                              dec_input, dec_drop)
-    cache = {"encoder_out": enc, "decoder_out": d, "cross_logits": cross}
-    if config.copy_enabled:
-        copy = cross[..., config.copy_head_index, :, :]
-        z, y, p = mixed_logits(store, config, d, copy, *copy_inputs(
-            example.source_ids, example.source_pad_mask, selected, config.vocab_size))
-        cache.update(copy_logits=copy, gen_logits=y, p_gen=p)
-    else:
-        z = generation_logits(store, d)
-        cache["gen_logits"] = z
-    probs = ad.softmax(z, axis=-1)
-    cache["mixed_logits"] = z
-    return probs, cache
+    copy = cross[..., COPY_HEAD, :, :]
+    z, y, p = mixed_logits(store, config, d, copy, *copy_inputs(
+        example.source_ids, example.source_pad_mask, selected, config.vocab_size))
+    cache = {"encoder_out": enc, "decoder_out": d, "cross_logits": cross,
+             "copy_logits": copy, "gen_logits": y, "p_gen": p, "mixed_logits": z}
+    return ad.softmax(z, axis=-1), cache
 
 
 @dataclass
@@ -530,17 +514,12 @@ def decode_step(store, config: ModelConfig, state: DecodeState,
             x, cross = _decoder_layer(store, config, i, x, self_kv,
                                       state.cross_kv.__getitem__, None,
                                       state.source_mask_add)
-        copy = cross[:, config.copy_head_index]
-        if config.copy_enabled:
-            z, y, p = mixed_logits(store, config, x, copy, state.copy_ids,
-                                   state.vocab_mask_add)
-            p = p.data.reshape(rows)
-        else:
-            z = y = generation_logits(store, x)
-            p = None
+        copy = cross[:, COPY_HEAD]
+        z, y, p = mixed_logits(store, config, x, copy, state.copy_ids,
+                               state.vocab_mask_add)
     state.position = t + 1
     return DecoderStepState(d_t=x.data.reshape(rows, -1),
                             cross_logits=cross.data.reshape(rows, config.num_heads, -1),
                             copy_logits=copy.data.reshape(rows, -1),
-                            gen_logits=y.data.reshape(rows, -1), p_gen=p,
+                            gen_logits=y.data.reshape(rows, -1), p_gen=p.data.reshape(rows),
                             mixed_logits=z.data.reshape(rows, -1))

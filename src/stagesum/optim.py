@@ -6,20 +6,21 @@ import numpy as np
 
 from . import kernels
 
+# moment decay rates and the denominator's epsilon (Kingma & Ba 2015)
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 class TrainingError(RuntimeError):
     pass
 
 
 class AdamState:
-    """Moment vectors of an arena of `size` floats, and the step counter."""
+    """Moment vectors of an arena of `size` floats, the learning rate and
+    the step counter."""
 
-    def __init__(self, size: int, lr: float = 2e-5, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -32,5 +33,4 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         raise TrainingError(f"shapes differ: parameters {params.shape}, gradients "
                             f"{grads.shape}, moments {state.m.shape}")
     state.step += 1
-    kernels.adam_update(params, grads, state.m, state.v,
-                        state.lr, state.beta1, state.beta2, state.eps, state.step)
+    kernels.adam_update(params, grads, state.m, state.v, state.lr, *BETAS, EPS, state.step)

@@ -4,7 +4,9 @@ Both run on the incremental decoder (`model.start_decode`,
 `model.decode_step`).  Greedy decodes a whole corpus as one batch, one row
 per source, and drops each row once it emits EOS.  Beam search decodes one
 source at a time: it steps every live hypothesis as one batch and stops as
-soon as no live hypothesis can beat the best finished one.
+soon as no live hypothesis can beat the best finished one.  Both decode at
+most `decoder_positions - 1` tokens: the longest summary that a target of
+`decoder_positions` tokens, EOS included, holds.
 """
 
 from __future__ import annotations
@@ -39,31 +41,15 @@ def _log_probs(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _budget(config, max_len: Optional[int]) -> int:
-    """max_len, defaulting to decoder_positions - 1; at most one step per
-    decoder position."""
-    max_len = config.decoder_positions - 1 if max_len is None else max_len
-    if not 0 <= max_len <= config.decoder_positions:
-        raise M.DecodeError(
-            f"max_len {max_len} outside 0..{config.decoder_positions} decoder positions")
-    return max_len
-
-
 def greedy_decode(store, config, source_ids, source_pad_mask,
-                  selected: Optional[np.ndarray] = None,
-                  max_len: Optional[int] = None) -> list:
+                  selected: Optional[np.ndarray] = None) -> list[list[int]]:
     """Argmax decoding (ties to the lowest id) of every row of source_ids
-    [rows, source_positions] as one batch; a row stops at EOS or max_len.
+    [rows, source_positions] as one batch; a row stops at EOS or after
+    config.decoder_positions - 1 tokens.
 
     Each source is encoded on its own, and a row's tokens are the ones a
-    one-row decode of it gives.  Returns one token list per row, or one
-    list for a 1-D source.
+    one-row decode of it gives.  Returns one token list per row.
     """
-    max_len = _budget(config, max_len)
-    single = np.ndim(source_ids) == 1
-    source_ids, source_pad_mask = np.atleast_2d(source_ids, source_pad_mask)
-    if selected is not None:
-        selected = np.atleast_2d(selected)
     outs: list[list[int]] = [[] for _ in source_ids]
     with ad.no_grad():
         enc = [M.encode(store, config, ids, pad).data
@@ -72,7 +58,7 @@ def greedy_decode(store, config, source_ids, source_pad_mask,
                                source_pad_mask, selected)
         live = np.arange(len(outs))             # the row of outs each state row feeds
         tokens = np.full(len(outs), BOS)
-        for _ in range(max_len):
+        for _ in range(config.decoder_positions - 1):
             lp = _log_probs(M.decode_step(store, config, state, tokens).mixed_logits)
             tokens = np.argmax(lp, axis=-1)
             going = tokens != EOS
@@ -83,32 +69,33 @@ def greedy_decode(store, config, source_ids, source_pad_mask,
                 break
             if not going.all():
                 state.reorder(np.flatnonzero(going))
-    return outs[0] if single else outs
+    return outs
 
 
 def beam_decode(store, config, source_ids, source_pad_mask,
                 selected: Optional[np.ndarray] = None,
-                beam_width: int = 4, alpha: float = 0.6,
-                max_len: Optional[int] = None) -> list[int]:
-    """Beam search; finished hypotheses are compared by penalized score.
+                beam_width: int = 4, alpha: float = 0.6) -> list[int]:
+    """Beam search over one source [source_positions]; finished hypotheses
+    are compared by penalized score.
 
     Each live hypothesis proposes its beam_width + 1 best next tokens;
     those ending in EOS finish, and the beam_width most probable of the
-    rest stay live.  Returns the best finished hypothesis (the earliest on
-    a tie), or the best live one at max_len if nothing finished.  Ties
-    break toward lower token ids by candidate enumeration order.
+    rest stay live.  At most steps = config.decoder_positions - 1 tokens
+    are decoded.  Returns the best finished hypothesis (the earliest on a
+    tie), or the best live one after the last step if nothing finished.
+    Ties break toward lower token ids by candidate enumeration order.
 
     The search stops early once the best finished penalized score is at
-    least max(live log_prob) / max(lp(1), lp(max_len)).  That bound is
-    exact for every alpha: log-probs are <= 0 and only fall as a
-    hypothesis grows, so a live hypothesis that finishes at any length in
-    1..max_len scores at most its log_prob over the largest penalty, and
-    a later finisher that only ties never displaces an earlier one.
+    least max(live log_prob) / max(lp(1), lp(steps)).  That bound is exact
+    for every alpha: log-probs are <= 0 and only fall as a hypothesis
+    grows, so a live hypothesis that finishes at any length in 1..steps
+    scores at most its log_prob over the largest penalty, and a later
+    finisher that only ties never displaces an earlier one.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    max_len = _budget(config, max_len)
-    largest_penalty = max(length_penalty(1, alpha), length_penalty(max_len, alpha))
+    steps = config.decoder_positions - 1
+    largest_penalty = max(length_penalty(1, alpha), length_penalty(steps, alpha))
     with ad.no_grad():
         enc = M.encode(store, config, source_ids, source_pad_mask)
         state = M.start_decode(store, config, enc, source_ids, source_pad_mask,
@@ -116,7 +103,7 @@ def beam_decode(store, config, source_ids, source_pad_mask,
         beam = [Hypothesis()]
         finished: list[Hypothesis] = []
         best = -np.inf
-        for _ in range(max_len):
+        for _ in range(steps):
             tokens = [hyp.tokens[-1] if hyp.tokens else BOS for hyp in beam]
             lp = _log_probs(M.decode_step(store, config, state, tokens).mixed_logits)
             candidates: list[tuple[Hypothesis, int]] = []

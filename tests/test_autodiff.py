@@ -99,9 +99,10 @@ class TestLayerNorm:
         assert np.allclose(out.data, 0.0, atol=1e-5)
 
     def test_two_point(self):
+        # variance 1, plus the 1e-12 layer_norm adds
         out = ad.layer_norm(Tensor([1.0, 3.0]), Tensor(np.ones(2)),
-                            Tensor(np.zeros(2)), eps=0.0)
-        assert np.allclose(out.data, [-1.0, 1.0])
+                            Tensor(np.zeros(2)))
+        assert np.array_equal(out.data, np.array([-1.0, 1.0]) / np.sqrt(1.0 + 1e-12))
 
     def test_shape_error(self):
         with pytest.raises(ad.ShapeError):

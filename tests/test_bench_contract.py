@@ -8,6 +8,7 @@ and that training takes one `training.adam_step` per minibatch, and its
 decode-step counts rest on greedy stopping when its last row ends.
 """
 
+import dataclasses
 import functools
 import importlib.util
 import os
@@ -62,7 +63,10 @@ def test_decoding_encodes_each_source_once(decode, monkeypatch):
     sources = ([5, 6, 7], [8], [5, 9, 10, 11])
     for src in sources:
         ex = example_for(config, src, [5])
-        decode(store, config, ex.source_ids, ex.source_pad_mask)
+        if decode is search.greedy_decode:
+            decode(store, config, ex.source_ids[None], ex.source_pad_mask[None])
+        else:
+            decode(store, config, ex.source_ids, ex.source_pad_mask)
     assert encodes[0] == 3
     if decode is search.greedy_decode:
         # a stacked call encodes each row on its own
@@ -75,8 +79,7 @@ def finishing_rows():
     """A peaked model and six sources whose greedy decodes end in EOS at
     different steps, all before the length limit."""
     config = small_config(num_layers=2, hidden_size=12, num_heads=2, vocab_size=14,
-                          encoder_positions=8, decoder_positions=6,
-                          copy_enabled=False)
+                          encoder_positions=8, decoder_positions=6)
     store = peaked_store(init_random(config, 2), 1.0)
     rng = np.random.default_rng(2)
     examples = [example_for(config, rng.integers(5, 14, rng.integers(1, 9)), [5])
@@ -84,19 +87,19 @@ def finishing_rows():
     return config, store, examples
 
 
-@pytest.mark.parametrize("max_len", [None, 1, 2])
-def test_stacked_greedy_stops_when_the_last_row_ends(max_len, monkeypatch):
+@pytest.mark.parametrize("budget", [None, 1, 2])
+def test_stacked_greedy_stops_when_the_last_row_ends(budget, monkeypatch):
     config, store, examples = finishing_rows()
+    if budget is not None:
+        config = dataclasses.replace(config, decoder_positions=budget + 1)
     batch = _stack(examples)
     steps = count_calls(monkeypatch, M, "decode_step")
-    out = search.greedy_decode(store, config, batch.source_ids, batch.source_pad_mask,
-                               max_len=max_len)
+    out = search.greedy_decode(store, config, batch.source_ids, batch.source_pad_mask)
     lengths = [len(tokens) for tokens in out]
-    if max_len is None:
+    if budget is None:
         # the rows end in EOS at different steps, all before the limit
         assert len(set(lengths)) > 1 and max(lengths) < config.decoder_positions - 1
-    budget = config.decoder_positions - 1 if max_len is None else max_len
-    assert steps[0] == min(budget, max(lengths) + 1)
+    assert steps[0] == min(config.decoder_positions - 1, max(lengths) + 1)
 
 
 @pytest.mark.parametrize("stage", ["summarize", "denoise"])

@@ -102,8 +102,9 @@ class TestContainer:
             with pytest.raises(CheckpointError, match=f"{path.name}: payload .* sha256"):
                 ParamStore.load(path)
 
-    def test_header_without_checksum_still_loads(self, tmp_path):
-        """A checkpoint written before the header carried payload_sha256."""
+    def test_header_without_checksum_rejected(self, tmp_path):
+        """`save` always writes payload_sha256, so a header without it is
+        damaged, even when the payload is intact."""
         path, blob = self.saved_bytes(tmp_path)
         (hlen,) = struct.unpack_from("<Q", blob, len(MAGIC))
         at = len(MAGIC) + 8
@@ -111,10 +112,9 @@ class TestContainer:
         del header["payload_sha256"]
         old = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(MAGIC + struct.pack("<Q", len(old)) + old + blob[at + hlen:])
-        loaded, store = ParamStore.load(path), init_random(cfg(), 3)
-        assert loaded.names() == store.names()
-        for n in store.names():
-            assert np.array_equal(loaded[n].data, store[n].data)
+        with pytest.raises(CheckpointError,
+                           match=f"{path.name}: header has no payload_sha256"):
+            ParamStore.load(path)
 
     def test_save_load_save_byte_identical(self, tmp_path):
         path, blob = self.saved_bytes(tmp_path)
@@ -133,6 +133,26 @@ class TestContainer:
 
     def test_check_compatible_passes(self):
         check_compatible(init_random(cfg(), 0), cfg(), "seq2seq")
+
+    def test_fingerprint_mismatch_reported(self, tmp_path):
+        """Head count changes no parameter shape, so only the fingerprint
+        tells a 4-head checkpoint from a 2-head model; every differing
+        field is named."""
+        path = tmp_path / "m.ckpt"
+        init_random(cfg(num_heads=4), 0).save(path)
+        store = ParamStore.load(path)
+        assert dict(store.layout) == dict(init_random(cfg(), 0).layout)
+        with pytest.raises(IncompatibilityError) as err:
+            check_compatible(store, cfg(), "seq2seq")
+        assert str(err.value).splitlines()[1:] == [
+            "  fingerprint num_heads: checkpoint 4 vs model 2"]
+        store = ParamStore(store.params, {**store.fingerprint, "arch": "other",
+                                          "extra": 1})
+        with pytest.raises(IncompatibilityError) as err:
+            check_compatible(store, cfg(num_heads=4), "seq2seq")
+        assert str(err.value).splitlines()[1:] == [
+            "  fingerprint arch: checkpoint 'other' vs model 'seq2seq'",
+            "  fingerprint extra: checkpoint 1 vs model None"]
 
     def test_extra_parameter_reported(self):
         store = init_random(cfg(), 0)

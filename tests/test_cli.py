@@ -192,6 +192,38 @@ class TestPipeline:
         assert len(calls) == 2 * (20 + 4)
 
 
+class TestDataReport:
+    """Each stage that encodes a corpus writes data_report.txt: per split it
+    read, the pair count and the shares of truncated sources and targets."""
+
+    TRAIN = ["dev_pairs\t3", "dev_source_truncated_rate\t0.6666666666666666",
+             "dev_target_truncated_rate\t0.0", "train_pairs\t4",
+             "train_source_truncated_rate\t0.5", "train_target_truncated_rate\t0.5"]
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "select-train", "decode"])
+    def test_truncation_rates(self, run_env, command):
+        data = generate_corpora(run_env)
+        words = [p for p in Vocabulary.load(data / "vocab.txt").pieces
+                 if p.isalpha()][:8]
+        # sources of 2, 4, 6, 8 (train) and 4, 6, 7 (dev) pieces against a
+        # limit of 5; summaries of 1, 1, 3, 3 and 2, 2, 2 pieces plus EOS
+        # against a limit of 3
+        write_corpus([(" ".join(words[:n]), " ".join(words[:k]))
+                      for n, k in ((2, 1), (4, 1), (6, 3), (8, 3))], run_env / "t.tsv")
+        write_corpus([(" ".join(words[:n]), " ".join(words[:2])) for n in (4, 6, 7)],
+                     run_env / "d.tsv")
+        init_random(ModelConfig(**MODEL), 0).save(str(run_env / "random.ckpt"))
+        cfg = write_config(run_env, "cfg", out_dir="r", seed=0, model=MODEL,
+                           vocab="data/vocab.txt", corpus={"train": "t.tsv", "dev": "d.tsv"},
+                           limits={"source": 5, "target": 3}, checkpoint="random.ckpt",
+                           train={"lr": 1e-3, "dropout": 0.0, "batch_size": 4,
+                                  "max_epochs": 1})
+        assert cli.main([command, cfg]) == 0
+        report = (run_env / "r" / "data_report.txt").read_text().splitlines()
+        # decode reads the dev split only
+        assert report == (self.TRAIN[:3] if command == "decode" else self.TRAIN)
+
+
 class TestTimings:
     """Training stages write per-epoch wall-clock timings to timings.json
     and keep them out of the reproducible train_report.txt."""
@@ -421,6 +453,38 @@ class TestDiagnostics:
         assert cli.main([command, cfg]) == 1
         assert "corpus.dev" in capsys.readouterr().err
         assert not (run_env / "r").exists()
+
+    @pytest.mark.parametrize("train_text", [None, "", "\n"],
+                             ids=["missing", "empty", "blank"])
+    def test_decode_ignores_the_train_split(self, run_env, capsys, train_text):
+        """decode reads only corpus.dev: a train file that is missing or
+        holds no pairs does not stop it."""
+        generate_corpora(run_env)
+        init_random(ModelConfig(**MODEL), 0).save(str(run_env / "random.ckpt"))
+        if train_text is not None:
+            (run_env / "train.tsv").write_text(train_text)
+        cfg = write_config(run_env, "decode", out_dir="decoderun", model=MODEL,
+                           vocab="data/vocab.txt",
+                           corpus={"train": "train.tsv", "dev": "data/short.dev.tsv"},
+                           checkpoint="random.ckpt")
+        assert cli.main(["decode", cfg]) == 0
+        assert len((run_env / "decoderun" / "decoded.txt").read_text().splitlines()) == 4
+
+    def test_decode_rejects_another_head_count(self, run_env, capsys):
+        """A checkpoint trained with 4 heads has the parameter shapes of a
+        2-head model; its fingerprint names the difference."""
+        generate_corpora(run_env)
+        init_random(ModelConfig(**{**MODEL, "num_heads": 4}), 0).save(
+            str(run_env / "heads4.ckpt"))
+        capsys.readouterr()
+        cfg = write_config(run_env, "decode", out_dir="decoderun", model=MODEL,
+                           vocab="data/vocab.txt", corpus={"dev": "data/short.dev.tsv"},
+                           checkpoint="heads4.ckpt")
+        assert cli.main(["decode", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint incompatible with model config" in err
+        assert "fingerprint num_heads: checkpoint 4 vs model 2" in err
+        assert not (run_env / "decoderun").exists()
 
     def test_unknown_decode_mode(self, run_env, capsys):
         generate_corpora(run_env)

@@ -1,7 +1,5 @@
 """Transformer and copy-attention head tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,10 +46,6 @@ class TestConfig:
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ValueError):
             small_config(hidden_size=9)
-
-    def test_copy_head_in_range(self):
-        with pytest.raises(ValueError):
-            small_config(copy_head_index=5)
 
 
 class TestEncode:
@@ -138,7 +132,7 @@ class TestDecodeStep:
         ex = example_for(config, [5, 6, 7], [5])
         state = M.decode_step(store, config, start(store, config, ex), [BOS])
         assert np.array_equal(state.copy_logits,
-                              state.cross_logits[:, config.copy_head_index])
+                              state.cross_logits[:, M.COPY_HEAD])
 
     def test_row_count_must_match_state(self, store, config):
         ex = example_for(config, [5, 6], [5])
@@ -159,13 +153,11 @@ class TestDecodeStep:
 
 @st.composite
 def decode_cases(draw):
-    """A random model (1-3 layers, 1-4 heads, copy on or off), a source
-    with or without padding, and an optional selection vector."""
-    heads = draw(st.integers(1, 4))
+    """A random model (1-3 layers, 1-4 heads), a source with or without
+    padding, and an optional selection vector."""
     config = small_config(num_layers=draw(st.integers(1, 3)), hidden_size=12,
-                          num_heads=heads, vocab_size=14, encoder_positions=8,
-                          decoder_positions=6, copy_enabled=draw(st.booleans()),
-                          copy_head_index=draw(st.integers(0, heads - 1)))
+                          num_heads=draw(st.integers(1, 4)), vocab_size=14,
+                          encoder_positions=8, decoder_positions=6)
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.default_rng(seed)
     n_src = draw(st.integers(1, config.encoder_positions))
@@ -177,14 +169,12 @@ def decode_cases(draw):
 
 @st.composite
 def row_cases(draw, max_rows=4):
-    """A random model (1-3 layers, 1-4 heads, copy on or off), 1-max_rows
-    examples with ragged source and target lengths, optional selection
-    vectors and optional dropout."""
-    heads = draw(st.integers(1, 4))
+    """A random model (1-3 layers, 1-4 heads), 1-max_rows examples with
+    ragged source and target lengths, optional selection vectors and
+    optional dropout."""
     config = small_config(num_layers=draw(st.integers(1, 3)), hidden_size=12,
-                          num_heads=heads, vocab_size=14, encoder_positions=8,
-                          decoder_positions=6, copy_enabled=draw(st.booleans()),
-                          copy_head_index=draw(st.integers(0, heads - 1)))
+                          num_heads=draw(st.integers(1, 4)), vocab_size=14,
+                          encoder_positions=8, decoder_positions=6)
     rate = draw(st.sampled_from([0.0, 0.3]))
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.default_rng(seed)
@@ -232,8 +222,7 @@ class TestIncrementalDecode:
                     row.append(int(rng.integers(5, config.vocab_size)))
             step = M.decode_step(store, config, state, [row[-1] for row in fed])
             for j in range(len(fed)):
-                outs[j].append({k: None if v is None else v[j]
-                                for k, v in vars(step).items()})
+                outs[j].append({k: v[j] for k, v in vars(step).items()})
         # masked copy logits reach ~5e3, where one float64 ulp is ~1e-12
         close = dict(rtol=1e-12, atol=1e-12)
         for row, steps, (ex, row_sel) in zip(fed, outs, sources):
@@ -246,12 +235,9 @@ class TestIncrementalDecode:
                 assert np.allclose(out["d_t"], cache["decoder_out"].data[t], **close)
                 assert np.allclose(out["cross_logits"], cache["cross_logits"].data[:, t],
                                    **close)
-                if config.copy_enabled:
-                    assert np.allclose(out["copy_logits"], cache["copy_logits"].data[t],
-                                       **close)
-                    assert np.allclose(out["p_gen"], cache["p_gen"].data[t], **close)
-                else:
-                    assert out["p_gen"] is None
+                assert np.allclose(out["copy_logits"], cache["copy_logits"].data[t],
+                                   **close)
+                assert np.allclose(out["p_gen"], cache["p_gen"].data[t], **close)
 
     @settings(deadline=None, max_examples=30)
     @given(row_cases())
@@ -270,8 +256,7 @@ class TestIncrementalDecode:
             for r, row_state in enumerate(alone):
                 for key, value in vars(M.decode_step(store, config, row_state,
                                                      tokens[r:r + 1])).items():
-                    assert ((value is None and step[key] is None)
-                            or np.array_equal(step[key][r], value[0])), key
+                    assert np.array_equal(step[key][r], value[0]), key
             tokens = rng.integers(5, config.vocab_size, len(examples))
 
 
@@ -538,25 +523,19 @@ class TestMixCopyLogits:
 
 
 class TestForwardTeacherForced:
-    def test_copy_disabled_is_pure_generation(self, config):
-        cfg = small_config(copy_enabled=False)
-        store = init_random(cfg, 0)
-        ex = example_for(cfg, [5, 6], [5, 7])
-        probs, cache = M.forward_teacher_forced(store, cfg, ex)
-        with ad.no_grad():
-            enc = M.encode(store, cfg, ex.source_ids, ex.source_pad_mask)
-            dec_in = np.concatenate(([BOS], ex.target_ids[:-1]))
-            d, _ = M.decoder_stack(store, cfg, enc, ex.source_pad_mask, dec_in)
-            manual = ad.softmax(M.generation_logits(store, d), axis=-1)
-        assert np.array_equal(probs.data, manual.data)
-
     def test_saturated_gate_matches_copy_disabled(self, config, store):
+        """With p_gen saturated at 1 the copy path drops out: the output is
+        the softmax of the generation logits, computed here by hand."""
         store["gate.bias"].data[...] = 1e6
         ex = example_for(config, [5, 6], [5, 7])
-        probs_copy, _ = M.forward_teacher_forced(store, config, ex)
-        cfg_off = dataclasses.replace(config, copy_enabled=False)
-        probs_gen, _ = M.forward_teacher_forced(store, cfg_off, ex)
-        assert np.abs(probs_copy.data - probs_gen.data).max() < 1e-9
+        probs, cache = M.forward_teacher_forced(store, config, ex)
+        assert (cache["p_gen"].data == 1.0).all()
+        with ad.no_grad():
+            enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
+            dec_in = np.concatenate(([BOS], ex.target_ids[:-1]))
+            d, _ = M.decoder_stack(store, config, enc, ex.source_pad_mask, dec_in)
+            manual = ad.softmax(M.generation_logits(store, d), axis=-1)
+        assert np.array_equal(probs.data, manual.data)
 
     def test_deterministic(self, config, store):
         ex = _stack([example_for(config, [5, 6, 7], [5, 7])])
@@ -572,13 +551,6 @@ class TestForwardTeacherForced:
         probs, _ = M.forward_teacher_forced(store, config, ex)
         sums = probs.data.sum(axis=-1)
         assert np.abs(sums - 1.0).max() <= 1e-12
-
-    def test_copy_head_adds_no_parameters(self, config):
-        # enabling the copy path adds only the gate over the no-copy geometry
-        names_on = {n for n, _, _ in M.param_spec(config, "seq2seq")}
-        cfg_off = small_config(copy_enabled=False)
-        names_off = {n for n, _, _ in M.param_spec(cfg_off, "seq2seq")}
-        assert names_on == names_off  # head reuses existing cross-attention
 
     def test_masks(self):
         pm = M.pad_mask_add(np.array([False, True]))

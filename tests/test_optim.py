@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stagesum import kernels
+from stagesum import kernels, optim
 from stagesum.autodiff import Tensor
 from stagesum.checkpoint import ParamStore
 from stagesum.optim import AdamState, TrainingError, adam_step
@@ -11,7 +11,7 @@ from stagesum.optim import AdamState, TrainingError, adam_step
 
 def test_zero_gradient_leaves_params_unchanged():
     params = np.array([1.0, -2.0])
-    state = AdamState(2, lr=0.1)
+    state = AdamState(2, 0.1)
     adam_step(params, np.zeros(2), state)
     assert np.array_equal(params, [1.0, -2.0])
     assert state.step == 1
@@ -23,7 +23,7 @@ def test_zero_gradient_leaves_params_unchanged():
 def test_first_step_magnitude_is_lr():
     # closed form at step 1: m_hat = g, v_hat = g^2, update = lr*g/(|g|+eps)
     params = np.zeros(1)
-    adam_step(params, np.ones(1), AdamState(1, lr=0.1))
+    adam_step(params, np.ones(1), AdamState(1, 0.1))
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
     assert abs(float(params[0]) - expected) < 1e-15
 
@@ -41,7 +41,8 @@ def test_two_steps_match_scalar_reference():
         w_ref -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     params = np.array([2.0])
-    state = AdamState(1, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    assert optim.BETAS == (b1, b2) and optim.EPS == eps
+    state = AdamState(1, lr)
     for _ in range(2):
         adam_step(params, np.array([g]), state)
     assert abs(float(params[0]) - w_ref) < 1e-14
@@ -49,15 +50,15 @@ def test_two_steps_match_scalar_reference():
 
 def test_gradient_shape_mismatch():
     with pytest.raises(TrainingError, match="shape"):
-        adam_step(np.zeros(2), np.zeros(3), AdamState(2))
+        adam_step(np.zeros(2), np.zeros(3), AdamState(2, 0.1))
     # moment vectors sized for another arena
     with pytest.raises(TrainingError, match="shape"):
-        adam_step(np.zeros(2), np.zeros(2), AdamState(3))
+        adam_step(np.zeros(2), np.zeros(2), AdamState(3, 0.1))
 
 
 def test_step_counter_strictly_increases():
     params = np.ones(1)
-    state = AdamState(1)
+    state = AdamState(1, 0.1)
     seen = []
     for _ in range(3):
         adam_step(params, np.full(1, 0.5), state)
@@ -76,7 +77,7 @@ def test_flat_step_equals_per_parameter_updates():
     ref = {n: store[n].data.copy() for n in shapes}
     m = {n: np.zeros(s) for n, s in shapes.items()}
     v = {n: np.zeros(s) for n, s in shapes.items()}
-    state = AdamState(store.flat.size, lr=0.01)
+    state = AdamState(store.flat.size, 0.01)
     for step in range(1, 6):
         for n, s in shapes.items():
             # mixed magnitudes and signed zeros in every step's gradient

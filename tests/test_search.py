@@ -1,5 +1,6 @@
 """Decoding tests: greedy, beam search, length penalty, exhaustive oracle."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -64,7 +65,8 @@ class TestGreedy:
         for seed in range(5):
             store = scaled_store(config, seed)
             ex = example_for(config, [5, 6, 7], [5])
-            g = greedy_decode(store, config, ex.source_ids, ex.source_pad_mask)
+            [g] = greedy_decode(store, config, ex.source_ids[None],
+                                ex.source_pad_mask[None])
             b = beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
                             beam_width=1, alpha=0.0)
             assert g == b, seed
@@ -75,8 +77,9 @@ class TestGreedy:
         # suppress EOS so decoding must run to the limit
         store["output.bias"].data[EOS] = -1e9
         ex = example_for(config, [5, 6], [5])
-        out = greedy_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                            max_len=3)
+        # the config, not the store's longer position table, sets the budget
+        short = dataclasses.replace(config, decoder_positions=4)
+        [out] = greedy_decode(store, short, ex.source_ids[None], ex.source_pad_mask[None])
         assert len(out) == 3
 
     def test_immediate_eos_gives_empty(self):
@@ -84,45 +87,31 @@ class TestGreedy:
         store = init_random(config, 0)
         store["output.bias"].data[EOS] = 1e9
         ex = example_for(config, [5, 6], [5])
-        assert greedy_decode(store, config, ex.source_ids, ex.source_pad_mask) == []
+        assert greedy_decode(store, config, ex.source_ids[None],
+                             ex.source_pad_mask[None]) == [[]]
 
-    def test_default_budget_is_position_limit(self):
+    def test_runs_to_the_position_limit(self):
+        """With EOS suppressed, both searches decode decoder_positions - 1
+        tokens, the longest summary a target with its EOS has room for."""
         config = small_config()
         store = init_random(config, 0)
         store["output.bias"].data[EOS] = -1e9
         ex = example_for(config, [5], [5])
-        out = greedy_decode(store, config, ex.source_ids, ex.source_pad_mask)
+        [out] = greedy_decode(store, config, ex.source_ids[None], ex.source_pad_mask[None])
+        assert len(out) == config.decoder_positions - 1
+        out = beam_decode(store, config, ex.source_ids, ex.source_pad_mask)
         assert len(out) == config.decoder_positions - 1
 
-
     def test_zero_max_len_decodes_nothing(self, monkeypatch):
-        config = small_config()
-        store = init_random(config, 0)
+        config = dataclasses.replace(small_config(), decoder_positions=1)
+        store = init_random(small_config(), 0)
         store["output.bias"].data[EOS] = -1e9
         ex = example_for(config, [5, 6], [5])
         steps = count_calls(monkeypatch, M, "decode_step")
-        for decode in (greedy_decode, beam_decode):
-            assert decode(store, config, ex.source_ids, ex.source_pad_mask,
-                          max_len=0) == []
+        assert greedy_decode(store, config, ex.source_ids[None],
+                             ex.source_pad_mask[None]) == [[]]
+        assert beam_decode(store, config, ex.source_ids, ex.source_pad_mask) == []
         assert steps[0] == 0
-
-    def test_max_len_beyond_positions_rejected_before_work(self, monkeypatch):
-        config = small_config()
-        store = init_random(config, 0)
-        store["output.bias"].data[EOS] = -1e9
-        ex = example_for(config, [5, 6], [5])
-        encodes = count_calls(monkeypatch, M, "encode")
-        steps = count_calls(monkeypatch, M, "decode_step")
-        for decode in (greedy_decode, beam_decode):
-            for max_len in (-1, config.decoder_positions + 1):
-                with pytest.raises(M.DecodeError):
-                    decode(store, config, ex.source_ids, ex.source_pad_mask,
-                           max_len=max_len)
-        assert encodes[0] == 0 and steps[0] == 0
-        # one step per decoder position is the most there is room for
-        out = greedy_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                            max_len=config.decoder_positions)
-        assert len(out) == config.decoder_positions
 
 
 def peaked_store(store, eos_bias):
@@ -138,18 +127,22 @@ def peaked_store(store, eos_bias):
 
 class TestGreedyBatch:
     @settings(deadline=None, max_examples=40)
-    @given(row_cases(max_rows=6), st.floats(0.5, 1.5), st.sampled_from([None, 3]))
-    def test_stacked_rows_match_per_row_calls(self, case, eos_bias, max_len):
+    @given(row_cases(max_rows=6), st.floats(0.5, 1.5), st.sampled_from([None, 4]))
+    def test_stacked_rows_match_per_row_calls(self, case, eos_bias, positions):
+        """Every row decodes as it does alone, at the config's position
+        limit and with a decoder limit below the position table's."""
         config, store, examples, selected, _, _ = case
+        if positions is not None:
+            config = dataclasses.replace(config, decoder_positions=positions)
         store = peaked_store(store, eos_bias)
         batch = _stack(examples)
         got = greedy_decode(store, config, batch.source_ids, batch.source_pad_mask,
-                            selected, max_len=max_len)
+                            selected)
         # steer generation toward rows that finish at different steps
         target(float(len({len(tokens) for tokens in got})))
-        assert got == [greedy_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                                     None if selected is None else selected[r],
-                                     max_len=max_len)
+        assert got == [greedy_decode(store, config, ex.source_ids[None],
+                                     ex.source_pad_mask[None],
+                                     None if selected is None else selected[r:r + 1])[0]
                        for r, ex in enumerate(examples)]
 
 
@@ -176,16 +169,15 @@ class TestBeam:
 
     def test_deterministic_across_calls(self):
         config = small_config()
+        short = dataclasses.replace(config, decoder_positions=5)
         for seed in range(8):
             store = scaled_store(config, seed + 100)
             ex = example_for(config, [5, 6, 7], [5])
             for width in (1, 2, 4):
-                a = beam_decode(store, config, ex.source_ids,
-                                ex.source_pad_mask, beam_width=width,
-                                alpha=0.6, max_len=4)
-                b = beam_decode(store, config, ex.source_ids,
-                                ex.source_pad_mask, beam_width=width,
-                                alpha=0.6, max_len=4)
+                a = beam_decode(store, short, ex.source_ids,
+                                ex.source_pad_mask, beam_width=width, alpha=0.6)
+                b = beam_decode(store, short, ex.source_ids,
+                                ex.source_pad_mask, beam_width=width, alpha=0.6)
                 assert a == b, (seed, width)
                 assert len(a) <= 4
 
@@ -195,13 +187,13 @@ class TestBeam:
         config = small_config(vocab_size=6, hidden_size=8, num_heads=2,
                               ffn_size=16, encoder_positions=6,
                               decoder_positions=6)
+        short = dataclasses.replace(config, decoder_positions=5)
         for seed in range(5):
             store = scaled_store(config, seed + 50, scale=12.0)
             ex = example_for(config, [5, 4, 3], [5])
-            g = greedy_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                              max_len=4)
-            b = beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                            beam_width=5 ** 3, alpha=0.6, max_len=4)
+            [g] = greedy_decode(store, short, ex.source_ids[None], ex.source_pad_mask[None])
+            b = beam_decode(store, short, ex.source_ids, ex.source_pad_mask,
+                            beam_width=5 ** 3, alpha=0.6)
             assert (self.seq_score(store, config, ex, b, 0.6)
                     >= self.seq_score(store, config, ex, g, 0.6) - 1e-9)
 
@@ -209,31 +201,31 @@ class TestBeam:
         config = small_config(vocab_size=6, hidden_size=8, num_heads=2,
                               ffn_size=16, encoder_positions=6,
                               decoder_positions=6)
-        max_len = 4
+        steps = 4
+        short = dataclasses.replace(config, decoder_positions=steps + 1)
         for seed in range(3):
             store = scaled_store(config, seed + 7, scale=12.0)
             ex = example_for(config, [5, 4], [5])
             non_eos = [t for t in range(config.vocab_size) if t != EOS]
             best_score, best_tokens = -np.inf, None
-            # all finished sequences reachable within max_len steps
-            for L in range(max_len):
+            # all finished sequences reachable within `steps` decode steps
+            for L in range(steps):
                 for tokens in itertools.product(non_eos, repeat=L):
                     s = self.seq_score(store, config, ex, tokens, 0.6)
                     if s > best_score + 1e-12:
                         best_score, best_tokens = s, list(tokens)
-            out = beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                              beam_width=len(non_eos) ** (max_len - 1),
-                              alpha=0.6, max_len=max_len)
+            out = beam_decode(store, short, ex.source_ids, ex.source_pad_mask,
+                              beam_width=len(non_eos) ** (steps - 1), alpha=0.6)
             assert out == best_tokens, seed
 
 
-def reference_beam(store, config, ex, selected, beam_width, alpha, max_len,
-                   log_probs):
-    """The beam loop without early stopping, one hypothesis at a time:
-    log_probs(prefix tokens) gives the next-token log-probabilities."""
+def reference_beam(store, config, ex, selected, beam_width, alpha, log_probs):
+    """The beam loop without early stopping, one hypothesis at a time, over
+    config.decoder_positions - 1 steps: log_probs(prefix tokens) gives the
+    next-token log-probabilities."""
     beam = [Hypothesis()]
     finished = []
-    for _ in range(max_len):
+    for _ in range(config.decoder_positions - 1):
         candidates = []
         for hyp in beam:
             lp = log_probs(tuple(hyp.tokens))
@@ -274,27 +266,27 @@ class TestBeamReference:
                 memo[prefix] = search._log_probs(z)[0]
             return memo[prefix]
 
-        max_len = config.decoder_positions - 1
         for width in (1, 2, 4):
             for alpha in (0.0, 0.6, -0.5):
                 got = beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
                                   selected, beam_width=width, alpha=alpha)
                 assert got == reference_beam(store, config, ex, selected, width,
-                                             alpha, max_len, log_probs), (width, alpha)
+                                             alpha, log_probs), (width, alpha)
 
     @settings(deadline=None, max_examples=150)
     # each side of the bound: a stop too early at alpha < 0 without lp(1),
-    # and at alpha > 0 without lp(max_len)
-    @example(vocab=5, seed=344, scale=1.0, eos_offset=1.375, max_len=3)
-    @example(vocab=5, seed=832, scale=1.0, eos_offset=1.0, max_len=5)
+    # and at alpha > 0 without lp(steps)
+    @example(vocab=5, seed=344, scale=1.0, eos_offset=1.375, steps=3)
+    @example(vocab=5, seed=832, scale=1.0, eos_offset=1.0, steps=5)
     @given(st.integers(5, 9), st.integers(0, 2 ** 16), st.floats(0.3, 4.0),
            st.floats(-2.0, 2.0), st.integers(0, 6))
     def test_stopping_rule_on_toy_decoder(self, vocab, seed, scale, eos_offset,
-                                          max_len):
+                                          steps):
         """Beam logic alone, against the loop that never stops early, on a
         stand-in decoder whose next-token logits are a random function of
-        the prefix: finished and live hypotheses compete at every length."""
-        config = small_config(vocab_size=vocab, decoder_positions=6)
+        the prefix: finished and live hypotheses compete at every length
+        up to a budget of `steps` tokens."""
+        config = small_config(vocab_size=vocab, decoder_positions=steps + 1)
 
         def logits(prefix):
             # sharper with every step, as a trained decoder grows confident
@@ -323,9 +315,9 @@ class TestBeamReference:
             for width in (1, 2, 4):
                 for alpha in (0.0, 0.6, -0.5):
                     got = beam_decode(None, config, None, None, beam_width=width,
-                                      alpha=alpha, max_len=max_len)
+                                      alpha=alpha)
                     want = reference_beam(
-                        None, config, None, None, width, alpha, max_len,
+                        None, config, None, None, width, alpha,
                         lambda prefix: search._log_probs(logits(prefix)[None])[0])
                     assert got == want, (width, alpha)
 

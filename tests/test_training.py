@@ -257,7 +257,7 @@ def per_example_loss(stage, store, config, items, rng, rate):
 ARCH = {"denoise": "mlm_encoder", "summarize": "seq2seq", "select": "selector"}
 
 
-def build_case(stage, num_layers, copy_enabled, seed, n_items):
+def build_case(stage, num_layers, seed, n_items):
     """A random model and a minibatch of n_items examples with ragged
     sources and targets, all drawn from seed.  The norm biases are drawn
     from N(0, 1e-3): with zero biases, a position dropped at the embedding
@@ -265,8 +265,7 @@ def build_case(stage, num_layers, copy_enabled, seed, n_items):
     row, which the norm scales by 1/sqrt(1e-12), and its gradient keeps no
     digits to compare."""
     config = small_config(num_layers=num_layers, hidden_size=12, num_heads=3,
-                          vocab_size=16, encoder_positions=9, decoder_positions=5,
-                          copy_enabled=copy_enabled)
+                          vocab_size=16, encoder_positions=9, decoder_positions=5)
     rng = np.random.default_rng(seed)
     items = []
     for _ in range(n_items):
@@ -284,11 +283,10 @@ def build_case(stage, num_layers, copy_enabled, seed, n_items):
 
 @st.composite
 def stage_cases(draw):
-    """A stage kind, a random model (1-3 layers, copy on or off, dropout
-    on) and a minibatch of 1-4 examples (`build_case`)."""
+    """A stage kind, a random model (1-3 layers, dropout on) and a minibatch
+    of 1-4 examples (`build_case`)."""
     return build_case(draw(st.sampled_from(sorted(ARCH))), draw(st.integers(1, 3)),
-                      draw(st.booleans()), draw(st.integers(0, 2 ** 16)),
-                      draw(st.integers(1, 4)))
+                      draw(st.integers(0, 2 ** 16)), draw(st.integers(1, 4)))
 
 
 def loss_and_grads(loss_fn, store, config, items, seed, rate=0.3):
@@ -310,7 +308,7 @@ class TestBatchedLosses:
     @given(stage_cases())
     # real source lengths 9, 8, 2 and 9: a constant layer-norm row with zero
     # norm biases
-    @example(build_case("select", 2, False, 51244, 4))
+    @example(build_case("select", 2, 51244, 4))
     def test_matches_per_example_loop(self, case):
         stage, config, store, items, seed = case
         loss, n, grads = loss_and_grads(training._LOSS_FNS[stage], store, config,
