@@ -152,6 +152,11 @@ def _layout(header, path) -> list[tuple[str, tuple[int, ...]]]:
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
             and "fingerprint" in header and "provenance" in header):
         raise CheckpointError(f"{path}: header lacks a tensors list, fingerprint or provenance")
+    fingerprint, provenance = header["fingerprint"], header["provenance"]
+    if not isinstance(fingerprint, dict):
+        raise CheckpointError(f"{path}: fingerprint {fingerprint!r} is not an object")
+    if not (isinstance(provenance, list) and all(isinstance(p, str) for p in provenance)):
+        raise CheckpointError(f"{path}: provenance {provenance!r} is not a list of strings")
     layout = {}
     for entry in header["tensors"]:
         name = entry.get("name") if isinstance(entry, dict) else None

@@ -12,13 +12,14 @@ graph.  Dropout is on exactly when a function is given `drop`, its half's
 `dropout_scales` array: each dropout site multiplies by its own
 [rows, positions, 1] scales, so each row is masked exactly as a one-row
 pass with its own draws would be.
-Inference decodes incrementally: `start_decode`
+Inference decodes incrementally over [sources, rows]: `start_decode`
 projects the cross-attention keys and values once per source, and each
-`decode_step` computes only the newest position of every row, attending
-over cached self-attention keys and values.  Rows either share one source
-(a beam's hypotheses) or each have their own (a greedy batch over a
-corpus), so a row decodes exactly as it would alone.  Both paths share the
-same attention, block, copy-scatter and gate code.
+`decode_step` computes only the newest position of every row of every
+source (one row each for greedy, a beam's hypotheses for beam search),
+attending over cached self-attention keys and values and over its source's
+arrays, which are stored once and broadcast over its rows.  A row decodes
+exactly as it would alone.  Training and decoding share the same
+attention, block, copy-scatter and gate code.
 """
 
 from __future__ import annotations
@@ -118,13 +119,14 @@ def param_spec(config: ModelConfig, arch: str = "seq2seq") -> list[tuple[str, tu
 
 @dataclass
 class DecoderStepState:
-    """What one decode step computes, one row per decoded sequence."""
-    d_t: np.ndarray                # [rows, hidden], top decoder layer
-    cross_logits: np.ndarray       # [rows, heads, source_positions], top layer
-    copy_logits: np.ndarray        # [rows, source_positions], head COPY_HEAD
-    gen_logits: np.ndarray         # [rows, vocab]
-    p_gen: np.ndarray              # [rows]
-    mixed_logits: np.ndarray       # [rows, vocab]
+    """What one decode step computes, one [sources, rows] cell per decoded
+    sequence."""
+    d_t: np.ndarray                # [sources, rows, hidden], top decoder layer
+    cross_logits: np.ndarray       # [sources, rows, heads, source_positions], top layer
+    copy_logits: np.ndarray        # [sources, rows, source_positions], head COPY_HEAD
+    gen_logits: np.ndarray         # [sources, rows, vocab]
+    p_gen: np.ndarray              # [sources, rows]
+    mixed_logits: np.ndarray       # [sources, rows, vocab]
 
 
 def _project(store, name: str, x: Tensor) -> Tensor:
@@ -413,74 +415,70 @@ def forward_teacher_forced(store, config: ModelConfig, example,
 
 @dataclass
 class DecodeState:
-    """Incremental decoding state for rows decoded side by side.
+    """Incremental decoding state for rows of sources decoded side by side.
 
     Built by `start_decode`; `decode_step` advances every row by one
     position and appends each layer's self-attention keys and values, so no
-    position is computed twice.  The source arrays have a leading source
-    axis: 1 when every row shares one source (a beam's hypotheses), the
-    number of rows when each row has its own (a greedy batch).  `reorder`
-    follows a beam's backpointers or drops finished rows.
+    position is computed twice.  Source arrays are [sources, 1, ...], stored
+    once and broadcast over the source's rows; row arrays are [sources,
+    rows, ...].  `reorder` follows a beam's backpointers within each source
+    and drops the sources whose decodes have ended.
     """
-    # prefix -> (k, v) Tensors [sources, heads, source_positions, head_dim]
+    # prefix -> (k, v) Tensors [sources, 1, heads, source_positions, head_dim]
     cross_kv: dict
-    source_mask_add: np.ndarray    # [sources, 1, 1, source_positions]
-    copy_ids: np.ndarray           # [sources, source_positions]
-    vocab_mask_add: Optional[np.ndarray]   # [sources, vocab], or None
-    # prefix -> (k, v) [rows, heads, positions decoded, head_dim]
+    source_mask_add: np.ndarray    # [sources, 1, 1, 1, source_positions]
+    copy_ids: np.ndarray           # [sources, 1, source_positions]
+    vocab_mask_add: Optional[np.ndarray]   # [sources, 1, vocab], or None
+    # prefix -> (k, v) [sources, rows, heads, positions decoded, head_dim]
     self_kv: dict = field(default_factory=dict)
     position: int = 0
 
-    @property
-    def sources(self) -> int:
-        return self.copy_ids.shape[0]
-
-    def reorder(self, rows) -> None:
-        """Make row j a copy of old row rows[j] (repeats allowed).
-
-        A source axis of 1 stays as it is: 0 is its only valid index.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        self.self_kv = {p: (k[rows], v[rows]) for p, (k, v) in self.self_kv.items()}
-        if self.sources > 1:
-            self.cross_kv = {p: (Tensor(k.data[rows]), Tensor(v.data[rows]))
+    def reorder(self, keep: np.ndarray, rows) -> None:
+        """Drop the sources where keep [sources] is False, and make row j of
+        the i-th kept source a copy of its old row rows[i, j] (repeats
+        allowed; rows broadcasts to [kept sources, new rows])."""
+        kept = np.flatnonzero(keep)
+        index = (kept[:, None], np.asarray(rows, dtype=np.int64))
+        self.self_kv = {p: (k[index], v[index]) for p, (k, v) in self.self_kv.items()}
+        if len(kept) < len(keep):
+            self.cross_kv = {p: (Tensor(k.data[kept]), Tensor(v.data[kept]))
                              for p, (k, v) in self.cross_kv.items()}
-            self.source_mask_add = self.source_mask_add[rows]
-            self.copy_ids = self.copy_ids[rows]
+            self.source_mask_add = self.source_mask_add[kept]
+            self.copy_ids = self.copy_ids[kept]
             if self.vocab_mask_add is not None:
-                self.vocab_mask_add = self.vocab_mask_add[rows]
+                self.vocab_mask_add = self.vocab_mask_add[kept]
 
 
-def start_decode(store, config: ModelConfig, encoder_out: Tensor,
-                 source_ids: np.ndarray, source_pad_mask: np.ndarray,
+def start_decode(store, config: ModelConfig, source_ids: np.ndarray,
+                 source_pad_mask: np.ndarray,
                  selected: Optional[np.ndarray] = None) -> DecodeState:
-    """Decoding state for encoded sources, before the BOS step.
+    """Decoding state for sources source_ids [sources, source_positions]
+    (source_pad_mask and `selected` alike), before the BOS step.
 
-    source_ids [..., source_positions] (with encoder_out [...,
-    source_positions, hidden] and `selected` alike) holds one source per
-    row; a 1-D source is one source that every row shares.  Projects every
-    decoder layer's cross-attention keys and values once and fixes the
-    source mask, the copy-scatter ids and (when `selected` is given) the
-    vocab-space selection mask for every later step.
+    Encodes each source on its own, projects every decoder layer's
+    cross-attention keys and values once per source and fixes the source
+    mask, the copy-scatter ids and (when `selected` is given) the
+    vocab-space selection mask for every later step; the first
+    `decode_step` sets how many rows each source has.
     """
-    n = source_ids.shape[-1]
-    source_ids, source_pad_mask = source_ids.reshape(-1, n), source_pad_mask.reshape(-1, n)
-    if selected is not None:
-        selected = selected.reshape(-1, n)
     with ad.no_grad():
-        encoder_out = encoder_out.reshape(-1, n, config.hidden_size)
+        enc = Tensor(np.stack([encode(store, config, ids, pad).data
+                               for ids, pad in zip(source_ids, source_pad_mask)])[:, None])
         cross_kv = {}
         for i in range(config.num_layers):
             prefix = f"decoder.layer.{i}.cross_attn"
-            cross_kv[prefix] = _key_values(store, prefix, encoder_out, config)
-    copy_ids, vocab_mask = copy_inputs(source_ids, source_pad_mask, selected,
+            cross_kv[prefix] = _key_values(store, prefix, enc, config)
+    copy_ids, vocab_mask = copy_inputs(source_ids[:, None], source_pad_mask[:, None],
+                                       None if selected is None else selected[:, None],
                                        config.vocab_size)
-    return DecodeState(cross_kv, pad_mask_add(source_pad_mask), copy_ids, vocab_mask)
+    return DecodeState(cross_kv, pad_mask_add(source_pad_mask[:, None]), copy_ids,
+                       vocab_mask)
 
 
 def decode_step(store, config: ModelConfig, state: DecodeState,
                 tokens) -> DecoderStepState:
-    """Feed `tokens` [rows] (BOS at the first step) at the next position.
+    """Feed `tokens` [sources, rows] (BOS at the first step) at the next
+    position.
 
     Every row of `state` advances by one position: each layer's new
     self-attention keys and values are appended to the cache and only the
@@ -490,14 +488,14 @@ def decode_step(store, config: ModelConfig, state: DecodeState,
     `forward_teacher_forced` mixes them.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    rows, t = len(tokens), state.position
+    t = state.position
     if t >= config.decoder_positions:
         raise DecodeError(f"decoder length {t + 1} exceeds limit {config.decoder_positions}")
-    for k, _ in state.self_kv.values():
-        if k.shape[0] != rows:
-            raise ValueError(f"{rows} tokens for a decode state of {k.shape[0]} rows")
-    if state.sources > 1 and state.sources != rows:
-        raise ValueError(f"{rows} tokens for a decode state of {state.sources} sources")
+    # the first step sets each source's row count
+    rows = next((k.shape[1] for k, _ in state.self_kv.values()), tokens.shape[-1])
+    if tokens.shape != (state.copy_ids.shape[0], rows):
+        raise ValueError(f"tokens {tokens.shape} for a decode state of "
+                         f"{(state.copy_ids.shape[0], rows)} [sources, rows]")
 
     def self_kv(prefix, x):
         k, v = (y.data for y in _key_values(store, prefix, x, config))
@@ -509,17 +507,16 @@ def decode_step(store, config: ModelConfig, state: DecodeState,
         return Tensor(k), Tensor(v)
 
     with ad.no_grad():
-        x = embed(store, tokens[:, None], "embedding.pos_dec", config, start=t)
+        x = embed(store, tokens[..., None], "embedding.pos_dec", config, start=t)
         for i in range(config.num_layers):
             x, cross = _decoder_layer(store, config, i, x, self_kv,
                                       state.cross_kv.__getitem__, None,
                                       state.source_mask_add)
-        copy = cross[:, COPY_HEAD]
+        copy = cross[..., COPY_HEAD, :, :]
         z, y, p = mixed_logits(store, config, x, copy, state.copy_ids,
                                state.vocab_mask_add)
     state.position = t + 1
-    return DecoderStepState(d_t=x.data.reshape(rows, -1),
-                            cross_logits=cross.data.reshape(rows, config.num_heads, -1),
-                            copy_logits=copy.data.reshape(rows, -1),
-                            gen_logits=y.data.reshape(rows, -1), p_gen=p.data.reshape(rows),
-                            mixed_logits=z.data.reshape(rows, -1))
+    # drop the step axis of the one position computed
+    return DecoderStepState(d_t=x.data[..., 0, :], cross_logits=cross.data[..., 0, :],
+                            copy_logits=copy.data[..., 0, :], gen_logits=y.data[..., 0, :],
+                            p_gen=p.data[..., 0], mixed_logits=z.data[..., 0, :])

@@ -1,17 +1,17 @@
 """Greedy and beam-search decoding with a sub-linear length penalty.
 
-Both run on the incremental decoder (`model.start_decode`,
-`model.decode_step`).  Greedy decodes a whole corpus as one batch, one row
-per source, and drops each row once it emits EOS.  Beam search decodes one
-source at a time: it steps every live hypothesis as one batch and stops as
-soon as no live hypothesis can beat the best finished one.  Both decode at
-most `decoder_positions - 1` tokens: the longest summary that a target of
-`decoder_positions` tokens, EOS included, holds.
+Both decode a whole corpus as one batch on the incremental decoder
+(`model.start_decode`, `model.decode_step`): each source is encoded on its
+own and owns its rows of one decode state, 1 for greedy and up to
+beam_width for beam search.  Greedy drops a source once it emits EOS; beam
+search drops a source as soon as none of its live hypotheses can beat its
+best finished one.  Both decode at most `decoder_positions - 1` tokens: the
+longest summary that a target of `decoder_positions` tokens, EOS included,
+holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,105 +26,107 @@ def length_penalty(length: int, alpha: float) -> float:
     return ((5.0 + length) / 6.0) ** alpha
 
 
-@dataclass
-class Hypothesis:
-    tokens: list[int] = field(default_factory=list)   # emitted ids, BOS excluded
-    log_prob: float = 0.0
-
-    def penalized(self, alpha: float) -> float:
-        return self.log_prob / length_penalty(max(len(self.tokens), 1), alpha)
-
-
 def _log_probs(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of mixed logits [rows, vocab]."""
+    """Log-softmax of mixed logits [..., vocab] over the vocab axis."""
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def greedy_decode(store, config, source_ids, source_pad_mask,
                   selected: Optional[np.ndarray] = None) -> list[list[int]]:
-    """Argmax decoding (ties to the lowest id) of every row of source_ids
-    [rows, source_positions] as one batch; a row stops at EOS or after
-    config.decoder_positions - 1 tokens.
+    """Argmax decoding (ties to the lowest id) of every source of source_ids
+    [sources, source_positions] as one batch; a source stops at EOS or
+    after config.decoder_positions - 1 tokens.
 
-    Each source is encoded on its own, and a row's tokens are the ones a
-    one-row decode of it gives.  Returns one token list per row.
+    A source's tokens are the ones a one-source decode of it gives.
+    Returns one token list per source.
     """
     outs: list[list[int]] = [[] for _ in source_ids]
     with ad.no_grad():
-        enc = [M.encode(store, config, ids, pad).data
-               for ids, pad in zip(source_ids, source_pad_mask)]
-        state = M.start_decode(store, config, ad.Tensor(np.stack(enc)), source_ids,
-                               source_pad_mask, selected)
-        live = np.arange(len(outs))             # the row of outs each state row feeds
-        tokens = np.full(len(outs), BOS)
+        state = M.start_decode(store, config, source_ids, source_pad_mask, selected)
+        live = np.arange(len(outs))             # the entry of outs each source feeds
+        tokens = np.full((len(outs), 1), BOS)
         for _ in range(config.decoder_positions - 1):
             lp = _log_probs(M.decode_step(store, config, state, tokens).mixed_logits)
             tokens = np.argmax(lp, axis=-1)
-            going = tokens != EOS
+            going = tokens[:, 0] != EOS
             live, tokens = live[going], tokens[going]
-            for row, tok in zip(live, tokens):
-                outs[row].append(int(tok))
+            for src, tok in zip(live, tokens[:, 0]):
+                outs[src].append(int(tok))
             if not len(live):
                 break
             if not going.all():
-                state.reorder(np.flatnonzero(going))
+                state.reorder(going, [[0]])     # each kept source keeps its one row
     return outs
 
 
 def beam_decode(store, config, source_ids, source_pad_mask,
                 selected: Optional[np.ndarray] = None,
-                beam_width: int = 4, alpha: float = 0.6) -> list[int]:
-    """Beam search over one source [source_positions]; finished hypotheses
-    are compared by penalized score.
+                beam_width: int = 4, alpha: float = 0.6) -> list[list[int]]:
+    """Beam search over every source of source_ids [sources,
+    source_positions] as one batch; finished hypotheses are compared by
+    penalized score.  Returns one token list per source.
 
-    Each live hypothesis proposes its beam_width + 1 best next tokens;
-    those ending in EOS finish, and the beam_width most probable of the
-    rest stay live.  At most steps = config.decoder_positions - 1 tokens
-    are decoded.  Returns the best finished hypothesis (the earliest on a
-    tie), or the best live one after the last step if nothing finished.
-    Ties break toward lower token ids by candidate enumeration order.
+    Each live hypothesis proposes its beam_width + 1 best next tokens
+    (stable argsort, so ties go to lower ids); those ending in EOS finish,
+    and the beam_width most probable of the rest stay live, ties going to
+    the earlier proposal.  Every source keeps as many rows as the others;
+    one with fewer live candidates (a beam as wide as the vocabulary or
+    wider) fills the rest with dead rows at log-prob -inf, which never
+    finish or stay live.  At most steps = config.decoder_positions - 1
+    tokens are decoded.  A source's result is its best finished hypothesis
+    (the earliest on a tie), or its most probable live one after the last
+    step if nothing finished.
 
-    The search stops early once the best finished penalized score is at
-    least max(live log_prob) / max(lp(1), lp(steps)).  That bound is exact
-    for every alpha: log-probs are <= 0 and only fall as a hypothesis
-    grows, so a live hypothesis that finishes at any length in 1..steps
-    scores at most its log_prob over the largest penalty, and a later
-    finisher that only ties never displaces an earlier one.
+    A source stops early once its best finished penalized score is at least
+    max(live log_prob) / max(lp(1), lp(steps)).  That bound is exact for
+    every alpha: log-probs are <= 0 and only fall as a hypothesis grows, so
+    a live hypothesis that finishes at any length in 1..steps scores at
+    most its log_prob over the largest penalty, and a later finisher that
+    only ties never displaces an earlier one.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     steps = config.decoder_positions - 1
     largest_penalty = max(length_penalty(1, alpha), length_penalty(steps, alpha))
+    n = len(source_ids)
+    outs: list[list[int]] = [[] for _ in range(n)]
+    best = np.full(n, -np.inf)              # best finished penalized score
     with ad.no_grad():
-        enc = M.encode(store, config, source_ids, source_pad_mask)
-        state = M.start_decode(store, config, enc, source_ids, source_pad_mask,
-                               selected)
-        beam = [Hypothesis()]
-        finished: list[Hypothesis] = []
-        best = -np.inf
-        for _ in range(steps):
-            tokens = [hyp.tokens[-1] if hyp.tokens else BOS for hyp in beam]
+        state = M.start_decode(store, config, source_ids, source_pad_mask, selected)
+        live = np.arange(n)                 # the entry of outs each source feeds
+        log_prob = np.zeros((n, 1))         # [sources, rows], -inf on dead rows
+        history = np.zeros((n, 1, 0), dtype=np.int64)   # [sources, rows, tokens]
+        tokens = np.full((n, 1), BOS)
+        for t in range(steps):
             lp = _log_probs(M.decode_step(store, config, state, tokens).mixed_logits)
-            candidates: list[tuple[Hypothesis, int]] = []
-            for row, hyp in enumerate(beam):
-                for tok in np.argsort(-lp[row], kind="stable")[: beam_width + 1]:
-                    tok = int(tok)
-                    log_prob = hyp.log_prob + float(lp[row, tok])
-                    if tok == EOS:
-                        done = Hypothesis(list(hyp.tokens), log_prob)
-                        finished.append(done)
-                        best = max(best, done.penalized(alpha))
-                    else:
-                        candidates.append((Hypothesis(hyp.tokens + [tok], log_prob), row))
-            if not candidates:
+            # every row's proposals, flattened per source in enumeration order
+            proposed = np.argsort(-lp, axis=-1, kind="stable")[..., : beam_width + 1]
+            width = proposed.shape[-1]
+            cand = log_prob[..., None] + np.take_along_axis(lp, proposed, -1)
+            proposed, cand = proposed.reshape(len(live), -1), cand.reshape(len(live), -1)
+            eos = proposed == EOS
+            # EOS proposals finish: each source's best one (the first on a tie)
+            done = np.where(eos, cand, -np.inf) / length_penalty(max(t, 1), alpha)
+            first, score = done.argmax(axis=1), done.max(axis=1)
+            for i in np.flatnonzero(score > best[live]):
+                best[live[i]] = score[i]
+                outs[live[i]] = history[i, first[i] // width].tolist()
+            # the rest compete to stay live; rows are their old rows
+            cand = np.where(eos, -np.inf, cand)
+            order = np.argsort(-cand, axis=1, kind="stable")[:, :beam_width]
+            rows = order // width
+            log_prob = np.take_along_axis(cand, order, 1)
+            tokens = np.take_along_axis(proposed, order, 1)
+            history = np.concatenate(
+                (history[np.arange(len(live))[:, None], rows], tokens[..., None]), axis=-1)
+            going = best[live] < log_prob[:, 0] / largest_penalty
+            live, log_prob, history, tokens = (
+                x[going] for x in (live, log_prob, history, tokens))
+            if not len(live):
                 break
-            candidates.sort(key=lambda c: -c[0].log_prob)
-            kept = candidates[:beam_width]
-            beam = [hyp for hyp, _ in kept]
-            state.reorder([row for _, row in kept])
-            if best >= max(hyp.log_prob for hyp in beam) / largest_penalty:
-                break
-        if finished:
-            return max(finished, key=lambda h: h.penalized(alpha)).tokens
-        return max(beam, key=lambda h: h.penalized(alpha)).tokens
+            state.reorder(going, rows[going])
+        for i, src in enumerate(live):
+            if best[src] == -np.inf:
+                outs[src] = history[i, 0].tolist()
+    return outs

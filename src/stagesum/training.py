@@ -199,26 +199,21 @@ def decode_corpus(store, config, examples, vocab: Vocabulary,
 
     selected, when given, is the boolean [examples, source positions]
     selection mask (`selection.selection_mask`) that masks the copy head
-    during decoding.  mode is "greedy" (every example in one batch, cut to
-    the longest real source) or "beam" (one example at a time, cut to its
-    real source length).
+    during decoding.  mode is "greedy" or "beam"; either search runs once,
+    on every example as one batch cut to the longest real source.
     """
     check_decode_options(mode, beam_width)
     if not examples:
         return []
+    batch, (s, _) = _cut(_stack(examples))
+    selected = None if selected is None else selected[:, :s]
     if mode == "greedy":
-        batch, (s, _) = _cut(_stack(examples))
         decoded = search.greedy_decode(store, config, batch.source_ids,
-                                       batch.source_pad_mask,
-                                       None if selected is None else selected[:, :s])
+                                       batch.source_pad_mask, selected)
     else:
-        decoded = []
-        for i, ex in enumerate(examples):
-            s = M.real_length(ex.source_pad_mask)
-            decoded.append(search.beam_decode(
-                store, config, ex.source_ids[:s], ex.source_pad_mask[:s],
-                None if selected is None else selected[i, :s],
-                beam_width=beam_width, alpha=alpha))
+        decoded = search.beam_decode(store, config, batch.source_ids,
+                                     batch.source_pad_mask, selected,
+                                     beam_width=beam_width, alpha=alpha)
     return [detokenize([vocab.pieces[t] for t in ids]) for ids in decoded]
 
 

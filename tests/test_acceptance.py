@@ -210,13 +210,14 @@ def test_criterion_1_gradient_integrity():
            f"max rel err {max_rel:.2e} over {n_checked} coords, {elapsed:.0f}s")
 
 
-def decode_row(store, cfg, enc, source, pad, prefix, selected=None):
+def decode_row(store, cfg, source, pad, prefix, selected=None):
     """The decoder's step state after feeding `prefix` (BOS first), for one
-    sequence: every field without its row axis."""
-    state = M.start_decode(store, cfg, enc, source, pad, selected)
+    sequence of one source: every field without its [sources, rows] axes."""
+    state = M.start_decode(store, cfg, source[None], pad[None],
+                           None if selected is None else selected[None])
     for tok in prefix:
-        step = M.decode_step(store, cfg, state, [tok])
-    return M.DecoderStepState(**{k: v[0] for k, v in vars(step).items()})
+        step = M.decode_step(store, cfg, state, [[tok]])
+    return M.DecoderStepState(**{k: v[0, 0] for k, v in vars(step).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +235,9 @@ def test_criterion_2_copy_gate_limits():
         src = rng.integers(5, cfg.vocab_size, 4)
         source = np.concatenate([src, [PAD, PAD]]).astype(np.int64)
         pad = np.array([False] * 4 + [True] * 2)
-        with ad.no_grad():
-            enc = M.encode(store, cfg, source, pad)
         for sign, pure in (( +20.0, "gen"), (-20.0, "copy")):
             store["gate.bias"].data[...] = sign
-            state = decode_row(store, cfg, enc, source, pad, np.array([BOS]))
+            state = decode_row(store, cfg, source, pad, np.array([BOS]))
             dist = softmax_np(state.mixed_logits)
             if pure == "gen":
                 ref = softmax_np(state.gen_logits)
@@ -272,11 +271,9 @@ def test_criterion_3_masking_suppression():
         blocked_types = np.setdiff1d(src, src[selected[:8]])
         if blocked_types.size == 0:
             continue
-        with ad.no_grad():
-            enc = M.encode(store, cfg, source, pad)
         prefix = [BOS]
         for _ in range(4):
-            state = decode_row(store, cfg, enc, source, pad, np.array(prefix),
+            state = decode_row(store, cfg, source, pad, np.array(prefix),
                                selected=selected)
             # copy-path distribution in vocabulary space, after masking
             ax = kernels.scatter_copy_forward(

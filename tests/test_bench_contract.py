@@ -63,16 +63,12 @@ def test_decoding_encodes_each_source_once(decode, monkeypatch):
     sources = ([5, 6, 7], [8], [5, 9, 10, 11])
     for src in sources:
         ex = example_for(config, src, [5])
-        if decode is search.greedy_decode:
-            decode(store, config, ex.source_ids[None], ex.source_pad_mask[None])
-        else:
-            decode(store, config, ex.source_ids, ex.source_pad_mask)
+        decode(store, config, ex.source_ids[None], ex.source_pad_mask[None])
     assert encodes[0] == 3
-    if decode is search.greedy_decode:
-        # a stacked call encodes each row on its own
-        batch = _stack([example_for(config, src, [5]) for src in sources])
-        decode(store, config, batch.source_ids, batch.source_pad_mask)
-        assert encodes[0] == 6
+    # a stacked call encodes each source on its own
+    batch = _stack([example_for(config, src, [5]) for src in sources])
+    decode(store, config, batch.source_ids, batch.source_pad_mask)
+    assert encodes[0] == 6
 
 
 def finishing_rows():

@@ -185,13 +185,21 @@ class TestContainer:
                     + h["tensors"][1:]}, "not a list of non-negative ints"),
         (lambda h: {**h, "tensors": h["tensors"][:1] + h["tensors"][:1]
                     + h["tensors"][1:]}, "repeats one"),
+        (lambda h: {**h, "fingerprint": "ab"}, "is not an object"),
+        (lambda h: {**h, "fingerprint": None}, "is not an object"),
+        (lambda h: {**h, "fingerprint": ["ab"]}, "is not an object"),
+        (lambda h: {**h, "provenance": "stage"}, "is not a list of strings"),
+        (lambda h: {**h, "provenance": None}, "is not a list of strings"),
+        (lambda h: {**h, "provenance": ["stage", 1]}, "is not a list of strings"),
     ], ids=["list", "no-tensors", "no-fingerprint", "no-provenance", "tensors-not-list",
             "no-name", "negative-extent", "shape-not-list", "float-extent",
-            "repeated-name"])
+            "repeated-name", "fingerprint-string", "fingerprint-null", "fingerprint-list",
+            "provenance-string", "provenance-null", "provenance-not-strings"])
     def test_malformed_header_rejected(self, tmp_path, damage, message):
         """A header with the payload's sha256 intact but a damaged tensor
-        table or key set fails by name; a repeated name would otherwise
-        load and drop a tensor."""
+        table, key set, fingerprint or provenance fails by name; a repeated
+        name would otherwise load and drop a tensor, and a fingerprint of
+        ["ab"] would load as {"a": "b"}."""
         path = tmp_path / "m.ckpt"
         store = ParamStore({"a": Tensor(np.zeros(2)), "b": Tensor(np.ones((3, 2)))},
                            {"arch": "x"}, ["stage"])

@@ -7,7 +7,9 @@ same file as a name (attribute chains start with one) or inside a string
 annotation.  `from __future__ import ...` binds nothing and is skipped.  A
 function, method or class defined in `src/stagesum` (dunders exempt) must
 appear somewhere in `src/stagesum` as a name or as an attribute; what only
-the tests call is dead code.
+the tests call is dead code.  An attribute of a name bound to a module
+counts only for that module (`M.encode` for `model.encode`; `np.matmul` for
+none of the package's), and any other attribute (`state.reorder`) for all.
 """
 
 import ast
@@ -69,20 +71,53 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# module.name -> why it stays without a caller in src/stagesum
+EXEMPT = {"autodiff.matmul": "the unfused reference the fused-op tests compose "
+                             "`linear` and the attention ops from"}
+
+
+def module_bindings(tree: ast.Module, modules: set) -> dict:
+    """Names bound by imports to modules: name -> the module in `modules`
+    it is bound to, or None for a module from elsewhere.  Names that
+    `from x import y` binds to anything but a package module are left out."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                last = target.split(".")[-1]
+                bound[alias.asname or target] = last if last in modules else None
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "stagesum"):
+            for alias in node.names:
+                if alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+    return bound
+
+
 def dead_definitions(sources: dict) -> list[str]:
-    """Functions and classes defined in `sources` (file name -> text) whose
-    name no node of any of them uses as a name or an attribute."""
-    defined, used = [], set()
+    """Functions and classes defined in `sources` (file name -> text) that no
+    node of any of them uses: as a name, as an attribute of their own
+    module, or as an attribute of anything but a module."""
+    modules = {Path(path).stem for path in sources}
+    defined, used = [], {None: set()}     # module -> attributes used on it; None: any
     for path, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        bound = module_bindings(tree, modules)
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.append(f"{path}:{node.lineno}: {node.name}")
+                    defined.append((Path(path).stem, node.name, f"{path}:{node.lineno}"))
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                used[None].add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return [d for d in defined if d.rsplit(" ", 1)[1] not in used]
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                if owner not in bound:
+                    used[None].add(node.attr)
+                elif bound[owner] is not None:
+                    used.setdefault(bound[owner], set()).add(node.attr)
+    return [f"{where}: {name}" for module, name, where in defined
+            if name not in used[None] | used.get(module, set())
+            and f"{module}.{name}" not in EXEMPT]
 
 
 def test_scan_finds_a_dead_definition():
@@ -92,6 +127,19 @@ def test_scan_finds_a_dead_definition():
     assert dead_definitions(sources) == ["a.py:2: g"]
     # a name that appears only in a string or a comment is not a use
     assert dead_definitions({"a.py": "def f(): pass\nprint('f')  # f\n"}) == ["a.py:1: f"]
+
+
+def test_scan_resolves_module_attributes():
+    """An attribute of a module counts only for that module: another
+    package module's function or a foreign module's of the same name is
+    not a use."""
+    sources = {"a.py": "def f(): pass\ndef h(): pass\ndef matmul(): pass\n",
+               "c.py": "def f(): pass\n",
+               "b.py": "import numpy as np\nfrom . import c as cc\n"
+                       "cc.f()\nnp.matmul(1, 2)\nnp.h\n"}
+    assert dead_definitions(sources) == ["a.py:1: f", "a.py:2: h", "a.py:3: matmul"]
+    # other attributes (methods, fields) count for every module
+    assert dead_definitions({"a.py": "def f(): pass\n", "b.py": "x = 1\nx.f()\n"}) == []
 
 
 def test_no_dead_definitions():

@@ -83,27 +83,23 @@ class TestEncode:
 
 
 def start(store, config, ex, selected=None):
-    enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
-    return M.start_decode(store, config, enc, ex.source_ids, ex.source_pad_mask,
-                          selected)
+    """A decode state over one source: `start_rows` of [ex]."""
+    return start_rows(store, config, [ex], None if selected is None else selected[None])
 
 
 def start_rows(store, config, examples, selected=None):
-    """A decode state with one row per example, each source encoded on its
-    own and stacked, as `search.greedy_decode` builds it."""
+    """A decode state with one source per example, as `search.greedy_decode`
+    and `search.beam_decode` build it."""
     batch = _stack(examples)
-    enc = np.stack([M.encode(store, config, ex.source_ids, ex.source_pad_mask).data
-                    for ex in examples])
-    return M.start_decode(store, config, Tensor(enc), batch.source_ids,
-                          batch.source_pad_mask, selected)
+    return M.start_decode(store, config, batch.source_ids, batch.source_pad_mask, selected)
 
 
 class TestDecodeStep:
     def test_t0_with_bos_prefix(self, store, config):
         ex = example_for(config, [5, 6], [5])
-        state = M.decode_step(store, config, start(store, config, ex), [BOS])
-        assert state.gen_logits.shape == (1, config.vocab_size)
-        assert 0.0 < state.p_gen[0] < 1.0
+        state = M.decode_step(store, config, start(store, config, ex), [[BOS]])
+        assert state.gen_logits.shape == (1, 1, config.vocab_size)
+        assert 0.0 < state.p_gen[0, 0] < 1.0
         assert np.isfinite(state.mixed_logits).all()
 
     def test_causal_invariance(self, store, config):
@@ -118,37 +114,40 @@ class TestDecodeStep:
         ex = example_for(config, [5], [5])
         state = start(store, config, ex)
         for _ in range(config.decoder_positions):
-            M.decode_step(store, config, state, [BOS])
+            M.decode_step(store, config, state, [[BOS]])
         with pytest.raises(M.DecodeError):
-            M.decode_step(store, config, state, [5])
+            M.decode_step(store, config, state, [[5]])
 
     def test_tied_embedding_projection(self, store, config):
         ex = example_for(config, [5, 6], [5])
-        state = M.decode_step(store, config, start(store, config, ex), [BOS])
-        manual = store["embedding.word"].data @ state.d_t[0] + store["output.bias"].data
-        assert np.allclose(state.gen_logits[0], manual, rtol=0, atol=1e-12)
+        state = M.decode_step(store, config, start(store, config, ex), [[BOS]])
+        manual = store["embedding.word"].data @ state.d_t[0, 0] + store["output.bias"].data
+        assert np.allclose(state.gen_logits[0, 0], manual, rtol=0, atol=1e-12)
 
     def test_copy_logits_are_designated_head_row(self, store, config):
         ex = example_for(config, [5, 6, 7], [5])
-        state = M.decode_step(store, config, start(store, config, ex), [BOS])
+        state = M.decode_step(store, config, start(store, config, ex), [[BOS]])
         assert np.array_equal(state.copy_logits,
-                              state.cross_logits[:, M.COPY_HEAD])
+                              state.cross_logits[:, :, M.COPY_HEAD])
 
     def test_row_count_must_match_state(self, store, config):
         ex = example_for(config, [5, 6], [5])
         state = start(store, config, ex)
-        M.decode_step(store, config, state, [BOS, BOS])
-        with pytest.raises(ValueError):
-            M.decode_step(store, config, state, [5])
+        # the first step sets how many rows the source has
+        M.decode_step(store, config, state, [[BOS, BOS]])
+        for tokens in ([[5]], [[5, 6, 7]]):
+            with pytest.raises(ValueError):
+                M.decode_step(store, config, state, tokens)
+        assert M.decode_step(store, config, state, [[5, 6]]).p_gen.shape == (1, 2)
 
     def test_token_count_must_match_sources(self, store, config):
         state = start_rows(store, config, [example_for(config, [5, 6], [5]),
                                            example_for(config, [7], [5])])
-        for tokens in ([BOS], [BOS] * 3):
+        for tokens in ([[BOS]], [[BOS]] * 3, [BOS, BOS]):
             with pytest.raises(ValueError):
                 M.decode_step(store, config, state, tokens)
-        assert M.decode_step(store, config, state, [BOS, BOS]).mixed_logits.shape == (
-            2, config.vocab_size)
+        assert M.decode_step(store, config, state, [[BOS], [BOS]]).mixed_logits.shape == (
+            2, 1, config.vocab_size)
 
 
 @st.composite
@@ -193,71 +192,77 @@ class TestIncrementalDecode:
     """start_decode/decode_step against the teacher-forced oracle."""
 
     @settings(deadline=None, max_examples=40)
-    @given(row_cases(), st.booleans())
-    def test_steps_match_teacher_forced(self, case, shared):
-        """Rows that share one source (a beam's hypotheses) or have one
-        each (a greedy batch), with a reorder part way that repeats or
-        drops rows."""
+    @given(row_cases(), st.integers(1, 3))
+    def test_steps_match_teacher_forced(self, case, width):
+        """One or several rows per source ([sources, rows]), with a reorder
+        part way that repeats or drops rows within each source and may drop
+        whole sources."""
         config, store, examples, selected, seed, _ = case
         rng = np.random.default_rng(seed)
-        rows = len(examples)
-        sel = [None] * rows if selected is None else list(selected)
-        if shared:
-            state = start(store, config, examples[0], sel[0])
-            sources = [(examples[0], sel[0])] * rows
-        else:
-            state = start_rows(store, config, examples, selected)
-            sources = list(zip(examples, sel))
-        fed = [[BOS] for _ in range(rows)]     # tokens fed to each row so far
-        outs = [[] for _ in range(rows)]       # that row's step outputs
+        sel = [None] * len(examples) if selected is None else list(selected)
+        state = start_rows(store, config, examples, selected)
+        sources = list(zip(examples, sel))
+        # per source, per row: the tokens fed so far and that row's step outputs
+        fed = [[[BOS] for _ in range(width)] for _ in sources]
+        outs = [[[] for _ in range(width)] for _ in sources]
         reorder_at = int(rng.integers(1, config.decoder_positions))
         for t in range(config.decoder_positions):
             if t == reorder_at:
-                back = rng.integers(0, rows, int(rng.integers(1, rows + 1)))
-                state.reorder(back)
-                fed, outs = ([list(x[r]) for r in back] for x in (fed, outs))
-                sources = [sources[r] for r in back]
+                keep = rng.random(len(sources)) < 0.7
+                keep[rng.integers(len(sources))] = True
+                back = rng.integers(0, width, (int(keep.sum()), int(rng.integers(1, 4))))
+                state.reorder(keep, back)
+                kept = np.flatnonzero(keep)
+                fed, outs = ([[list(x[i][r]) for r in rows] for i, rows in zip(kept, back)]
+                             for x in (fed, outs))
+                sources = [sources[i] for i in kept]
             if t:
-                for row in fed:
+                for row in (row for rows in fed for row in rows):
                     row.append(int(rng.integers(5, config.vocab_size)))
-            step = M.decode_step(store, config, state, [row[-1] for row in fed])
-            for j in range(len(fed)):
-                outs[j].append({k: v[j] for k, v in vars(step).items()})
+            step = M.decode_step(store, config, state,
+                                 [[row[-1] for row in rows] for rows in fed])
+            for i, rows in enumerate(outs):
+                for j, row in enumerate(rows):
+                    row.append({k: v[i, j] for k, v in vars(step).items()})
         # masked copy logits reach ~5e3, where one float64 ulp is ~1e-12
         close = dict(rtol=1e-12, atol=1e-12)
-        for row, steps, (ex, row_sel) in zip(fed, outs, sources):
-            target = example_for(config, ex.source_ids[~ex.source_pad_mask],
-                                 row[1:] + [5])
-            _, cache = M.forward_teacher_forced(store, config, target, row_sel)
-            for t, out in enumerate(steps):
-                assert np.allclose(out["mixed_logits"], cache["mixed_logits"].data[t], **close)
-                assert np.allclose(out["gen_logits"], cache["gen_logits"].data[t], **close)
-                assert np.allclose(out["d_t"], cache["decoder_out"].data[t], **close)
-                assert np.allclose(out["cross_logits"], cache["cross_logits"].data[:, t],
-                                   **close)
-                assert np.allclose(out["copy_logits"], cache["copy_logits"].data[t],
-                                   **close)
-                assert np.allclose(out["p_gen"], cache["p_gen"].data[t], **close)
+        for rows, row_outs, (ex, row_sel) in zip(fed, outs, sources):
+            for row, steps in zip(rows, row_outs):
+                target = example_for(config, ex.source_ids[~ex.source_pad_mask],
+                                     row[1:] + [5])
+                _, cache = M.forward_teacher_forced(store, config, target, row_sel)
+                for t, out in enumerate(steps):
+                    assert np.allclose(out["mixed_logits"], cache["mixed_logits"].data[t],
+                                       **close)
+                    assert np.allclose(out["gen_logits"], cache["gen_logits"].data[t],
+                                       **close)
+                    assert np.allclose(out["d_t"], cache["decoder_out"].data[t], **close)
+                    assert np.allclose(out["cross_logits"],
+                                       cache["cross_logits"].data[:, t], **close)
+                    assert np.allclose(out["copy_logits"], cache["copy_logits"].data[t],
+                                       **close)
+                    assert np.allclose(out["p_gen"], cache["p_gen"].data[t], **close)
 
     @settings(deadline=None, max_examples=30)
-    @given(row_cases())
-    def test_batched_rows_equal_one_row_steps_bit_for_bit(self, case):
-        """Each row of a step over per-row sources is exactly what a
-        one-row state of that source computes, so a batched greedy decode
-        picks the same tokens."""
+    @given(row_cases(), st.integers(1, 3))
+    def test_batched_rows_equal_one_row_steps_bit_for_bit(self, case, width):
+        """Each row of a step over several sources, each with `width` rows,
+        is exactly what a one-row state of its source computes, so a batched
+        decode picks the same tokens as one source at a time."""
         config, store, examples, selected, seed, _ = case
         rng = np.random.default_rng(seed)
         state = start_rows(store, config, examples, selected)
-        alone = [start(store, config, ex, None if selected is None else selected[r])
-                 for r, ex in enumerate(examples)]
-        tokens = np.full(len(examples), BOS)
+        alone = [[start(store, config, ex, None if selected is None else selected[r])
+                  for _ in range(width)] for r, ex in enumerate(examples)]
+        tokens = np.full((len(examples), width), BOS)
         for _ in range(config.decoder_positions):
             step = vars(M.decode_step(store, config, state, tokens))
-            for r, row_state in enumerate(alone):
-                for key, value in vars(M.decode_step(store, config, row_state,
-                                                     tokens[r:r + 1])).items():
-                    assert np.array_equal(step[key][r], value[0]), key
-            tokens = rng.integers(5, config.vocab_size, len(examples))
+            for r, row_states in enumerate(alone):
+                for j, row_state in enumerate(row_states):
+                    for key, value in vars(M.decode_step(store, config, row_state,
+                                                         tokens[r:r + 1, j:j + 1])).items():
+                        assert np.array_equal(step[key][r, j], value[0, 0]), key
+            tokens = rng.integers(5, config.vocab_size, (len(examples), width))
 
 
 class TestRows:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,16 +14,16 @@ from stagesum import autodiff as ad
 from stagesum import model as M
 from stagesum import search
 from stagesum.checkpoint import init_random
-from stagesum.search import (Hypothesis, beam_decode, greedy_decode,
-                             length_penalty)
+from stagesum.search import beam_decode, greedy_decode, length_penalty
 from stagesum.tokenizer import BOS, EOS
 from stagesum.training import _stack
 
 from test_model import decode_cases, example_for, row_cases, small_config, start
 
 
-def step_log_probs(store, config, state, tokens):
-    return search._log_probs(M.decode_step(store, config, state, tokens).mixed_logits)
+def step_log_probs(store, config, state, token):
+    """Next-token log-probs of a one-source, one-row state fed `token`."""
+    return search._log_probs(M.decode_step(store, config, state, [[token]]).mixed_logits)[0, 0]
 
 
 def count_calls(monkeypatch, module, name):
@@ -67,8 +68,8 @@ class TestGreedy:
             ex = example_for(config, [5, 6, 7], [5])
             [g] = greedy_decode(store, config, ex.source_ids[None],
                                 ex.source_pad_mask[None])
-            b = beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                            beam_width=1, alpha=0.0)
+            [b] = beam_decode(store, config, ex.source_ids[None], ex.source_pad_mask[None],
+                              beam_width=1, alpha=0.0)
             assert g == b, seed
 
     def test_max_len_truncation(self):
@@ -99,7 +100,7 @@ class TestGreedy:
         ex = example_for(config, [5], [5])
         [out] = greedy_decode(store, config, ex.source_ids[None], ex.source_pad_mask[None])
         assert len(out) == config.decoder_positions - 1
-        out = beam_decode(store, config, ex.source_ids, ex.source_pad_mask)
+        [out] = beam_decode(store, config, ex.source_ids[None], ex.source_pad_mask[None])
         assert len(out) == config.decoder_positions - 1
 
     def test_zero_max_len_decodes_nothing(self, monkeypatch):
@@ -110,7 +111,8 @@ class TestGreedy:
         steps = count_calls(monkeypatch, M, "decode_step")
         assert greedy_decode(store, config, ex.source_ids[None],
                              ex.source_pad_mask[None]) == [[]]
-        assert beam_decode(store, config, ex.source_ids, ex.source_pad_mask) == []
+        assert beam_decode(store, config, ex.source_ids[None],
+                           ex.source_pad_mask[None]) == [[]]
         assert steps[0] == 0
 
 
@@ -152,7 +154,7 @@ class TestBeam:
         store = init_random(config, 0)
         ex = example_for(config, [5], [5])
         with pytest.raises(ValueError):
-            beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
+            beam_decode(store, config, ex.source_ids[None], ex.source_pad_mask[None],
                         beam_width=0)
 
     def seq_score(self, store, config, ex, tokens, alpha):
@@ -162,7 +164,7 @@ class TestBeam:
             fed = BOS
             total = 0.0
             for tok in list(tokens) + [EOS]:
-                lp = step_log_probs(store, config, state, [fed])[0]
+                lp = step_log_probs(store, config, state, fed)
                 total += float(lp[tok])
                 fed = tok
         return total / length_penalty(max(len(tokens), 1), alpha)
@@ -174,10 +176,10 @@ class TestBeam:
             store = scaled_store(config, seed + 100)
             ex = example_for(config, [5, 6, 7], [5])
             for width in (1, 2, 4):
-                a = beam_decode(store, short, ex.source_ids,
-                                ex.source_pad_mask, beam_width=width, alpha=0.6)
-                b = beam_decode(store, short, ex.source_ids,
-                                ex.source_pad_mask, beam_width=width, alpha=0.6)
+                [a] = beam_decode(store, short, ex.source_ids[None],
+                                  ex.source_pad_mask[None], beam_width=width, alpha=0.6)
+                [b] = beam_decode(store, short, ex.source_ids[None],
+                                  ex.source_pad_mask[None], beam_width=width, alpha=0.6)
                 assert a == b, (seed, width)
                 assert len(a) <= 4
 
@@ -192,8 +194,8 @@ class TestBeam:
             store = scaled_store(config, seed + 50, scale=12.0)
             ex = example_for(config, [5, 4, 3], [5])
             [g] = greedy_decode(store, short, ex.source_ids[None], ex.source_pad_mask[None])
-            b = beam_decode(store, short, ex.source_ids, ex.source_pad_mask,
-                            beam_width=5 ** 3, alpha=0.6)
+            [b] = beam_decode(store, short, ex.source_ids[None], ex.source_pad_mask[None],
+                              beam_width=5 ** 3, alpha=0.6)
             assert (self.seq_score(store, config, ex, b, 0.6)
                     >= self.seq_score(store, config, ex, g, 0.6) - 1e-9)
 
@@ -214,18 +216,68 @@ class TestBeam:
                     s = self.seq_score(store, config, ex, tokens, 0.6)
                     if s > best_score + 1e-12:
                         best_score, best_tokens = s, list(tokens)
-            out = beam_decode(store, short, ex.source_ids, ex.source_pad_mask,
-                              beam_width=len(non_eos) ** (steps - 1), alpha=0.6)
+            [out] = beam_decode(store, short, ex.source_ids[None], ex.source_pad_mask[None],
+                                beam_width=len(non_eos) ** (steps - 1), alpha=0.6)
             assert out == best_tokens, seed
 
 
-def reference_beam(store, config, ex, selected, beam_width, alpha, log_probs):
+@dataclass
+class Hypothesis:
+    tokens: list[int] = field(default_factory=list)   # emitted ids, BOS excluded
+    log_prob: float = 0.0
+
+    def penalized(self, alpha: float) -> float:
+        return self.log_prob / length_penalty(max(len(self.tokens), 1), alpha)
+
+
+def per_source_beam(store, config, ex, selected, beam_width, alpha):
+    """Beam search over one source, one hypothesis at a time, with the early
+    stop: the oracle for the batched `beam_decode`.  Returns (tokens, decode
+    steps run)."""
+    steps = config.decoder_positions - 1
+    largest_penalty = max(length_penalty(1, alpha), length_penalty(steps, alpha))
+    with ad.no_grad():
+        state = start(store, config, ex, selected)
+        beam = [Hypothesis()]
+        finished = []
+        best = -np.inf
+        ran = 0
+        for _ in range(steps):
+            tokens = [hyp.tokens[-1] if hyp.tokens else BOS for hyp in beam]
+            lp = search._log_probs(M.decode_step(store, config, state,
+                                                 [tokens]).mixed_logits)[0]
+            ran += 1
+            candidates = []
+            for row, hyp in enumerate(beam):
+                for tok in np.argsort(-lp[row], kind="stable")[: beam_width + 1]:
+                    tok = int(tok)
+                    log_prob = hyp.log_prob + float(lp[row, tok])
+                    if tok == EOS:
+                        done = Hypothesis(list(hyp.tokens), log_prob)
+                        finished.append(done)
+                        best = max(best, done.penalized(alpha))
+                    else:
+                        candidates.append((Hypothesis(hyp.tokens + [tok], log_prob), row))
+            if not candidates:
+                break
+            candidates.sort(key=lambda c: -c[0].log_prob)
+            kept = candidates[:beam_width]
+            beam = [hyp for hyp, _ in kept]
+            state.reorder([True], [[row for _, row in kept]])
+            if best >= max(hyp.log_prob for hyp in beam) / largest_penalty:
+                break
+    if finished:
+        return max(finished, key=lambda h: h.penalized(alpha)).tokens, ran
+    return max(beam, key=lambda h: h.penalized(alpha)).tokens, ran
+
+
+def reference_beam(steps, beam_width, alpha, log_probs):
     """The beam loop without early stopping, one hypothesis at a time, over
-    config.decoder_positions - 1 steps: log_probs(prefix tokens) gives the
-    next-token log-probabilities."""
+    `steps` steps: log_probs(prefix tokens) gives the next-token
+    log-probabilities."""
     beam = [Hypothesis()]
     finished = []
-    for _ in range(config.decoder_positions - 1):
+    for _ in range(steps):
         candidates = []
         for hyp in beam:
             lp = log_probs(tuple(hyp.tokens))
@@ -245,6 +297,37 @@ def reference_beam(store, config, ex, selected, beam_width, alpha, log_probs):
     if finished:
         return max(finished, key=lambda h: h.penalized(alpha)).tokens
     return max(beam, key=lambda h: h.penalized(alpha)).tokens
+
+
+class ToyState:
+    """A stand-in decode state: per source, the prefixes its rows were fed."""
+
+    def __init__(self, sources):
+        self.sources = list(sources)
+        self.fed = [[()] for _ in self.sources]     # BOS first
+
+    def reorder(self, keep, rows):
+        kept = np.flatnonzero(keep)
+        rows = np.broadcast_to(rows, (len(kept), np.shape(rows)[-1]))
+        self.sources = [self.sources[i] for i in kept]
+        self.fed = [[self.fed[i][r] for r in row] for i, row in zip(kept, rows)]
+
+
+def toy_beam(config, sources, logits, beam_width, alpha):
+    """beam_decode over `sources` stand-in sources whose decoder gives the
+    next-token logits logits(source, prefix)."""
+    def toy_step(store, config, state, tokens):
+        state.fed = [[f + (int(t),) for f, t in zip(fed, row)]
+                     for fed, row in zip(state.fed, tokens)]
+        return SimpleNamespace(mixed_logits=np.array(
+            [[logits(src, f[1:]) for f in fed] for src, fed in zip(state.sources, state.fed)]))
+
+    ids = np.arange(sources)[:, None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(M, "start_decode",
+                   lambda store, config, ids, pad, selected: ToyState(ids[:, 0]))
+        mp.setattr(M, "decode_step", toy_step)
+        return beam_decode(None, config, ids, ids < 0, beam_width=beam_width, alpha=alpha)
 
 
 class TestBeamReference:
@@ -268,77 +351,121 @@ class TestBeamReference:
 
         for width in (1, 2, 4):
             for alpha in (0.0, 0.6, -0.5):
-                got = beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                                  selected, beam_width=width, alpha=alpha)
-                assert got == reference_beam(store, config, ex, selected, width,
+                [got] = beam_decode(store, config, ex.source_ids[None],
+                                    ex.source_pad_mask[None],
+                                    None if selected is None else selected[None],
+                                    beam_width=width, alpha=alpha)
+                assert got == reference_beam(config.decoder_positions - 1, width,
                                              alpha, log_probs), (width, alpha)
 
     @settings(deadline=None, max_examples=150)
     # each side of the bound: a stop too early at alpha < 0 without lp(1),
     # and at alpha > 0 without lp(steps)
-    @example(vocab=5, seed=344, scale=1.0, eos_offset=1.375, steps=3)
-    @example(vocab=5, seed=832, scale=1.0, eos_offset=1.0, steps=5)
+    @example(vocab=5, seed=344, scale=1.0, eos_offset=1.375, steps=3, sources=3)
+    @example(vocab=5, seed=832, scale=1.0, eos_offset=1.0, steps=5, sources=3)
     @given(st.integers(5, 9), st.integers(0, 2 ** 16), st.floats(0.3, 4.0),
-           st.floats(-2.0, 2.0), st.integers(0, 6))
+           st.floats(-2.0, 2.0), st.integers(0, 6), st.integers(1, 4))
     def test_stopping_rule_on_toy_decoder(self, vocab, seed, scale, eos_offset,
-                                          steps):
+                                          steps, sources):
         """Beam logic alone, against the loop that never stops early, on a
         stand-in decoder whose next-token logits are a random function of
-        the prefix: finished and live hypotheses compete at every length
-        up to a budget of `steps` tokens."""
+        the source and the prefix: finished and live hypotheses compete at
+        every length up to a budget of `steps` tokens, and the sources of
+        one batch stop at different steps."""
         config = small_config(vocab_size=vocab, decoder_positions=steps + 1)
 
-        def logits(prefix):
+        def logits(source, prefix):
             # sharper with every step, as a trained decoder grows confident
-            z = np.random.default_rng([seed, *prefix]).normal(size=vocab)
+            z = np.random.default_rng([seed + source, *prefix]).normal(size=vocab)
             z *= scale * (1 + len(prefix))
             z[EOS] += eos_offset
             return z
 
-        class ToyState:
-            fed = [()]      # tokens fed to each row, BOS first
+        for width in (1, 2, 4):
+            for alpha in (0.0, 0.6, -0.5):
+                got = toy_beam(config, sources, logits, width, alpha)
+                want = [reference_beam(
+                    steps, width, alpha,
+                    lambda prefix: search._log_probs(logits(source, prefix)))
+                    for source in range(sources)]
+                assert got == want, (width, alpha)
 
-            def reorder(self, rows):
-                self.fed = [self.fed[r] for r in rows]
+    @pytest.mark.parametrize("sources", [1, 3])
+    def test_ties_go_to_the_earliest(self, sources):
+        """Exact ties: among live candidates the earlier proposal stays, and
+        among finished hypotheses the earlier one wins."""
+        config = small_config(vocab_size=9, decoder_positions=5)
 
-        def toy_step(store, config, state, tokens):
-            if len(state.fed) == 1:
-                state.fed = state.fed * len(tokens)
-            state.fed = [f + (t,) for f, t in zip(state.fed, tokens)]
-            return SimpleNamespace(mixed_logits=np.stack(
-                [logits(f[1:]) for f in state.fed]))
+        def flat(source, prefix):
+            # every token but EOS equally likely: every candidate ties
+            z = np.zeros(config.vocab_size)
+            z[EOS] = -1e4
+            return z
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(M, "encode", lambda *args: None)
-            mp.setattr(M, "start_decode", lambda *args: ToyState())
-            mp.setattr(M, "decode_step", toy_step)
-            for width in (1, 2, 4):
-                for alpha in (0.0, 0.6, -0.5):
-                    got = beam_decode(None, config, None, None, beam_width=width,
-                                      alpha=alpha)
-                    want = reference_beam(
-                        None, config, None, None, width, alpha,
-                        lambda prefix: search._log_probs(logits(prefix)[None])[0])
-                    assert got == want, (width, alpha)
+        def sure(source, prefix):
+            # token 5 has log-prob 0 exactly: every finished hypothesis ties
+            z = np.full(config.vocab_size, -1e4)
+            z[5] = 0.0
+            return z
+
+        assert toy_beam(config, sources, flat, 4, 0.0) == [[0, 0, 0, 0]] * sources
+        assert toy_beam(config, sources, sure, 4, 0.0) == [[]] * sources
 
     def test_forced_eos_stops_after_one_step(self, monkeypatch):
         config = small_config()
         store = init_random(config, 0)
         store["output.bias"].data[EOS] = 1e9
-        ex = example_for(config, [5, 6], [5])
+        batch = _stack([example_for(config, src, [5]) for src in ([5, 6], [7])])
         steps = count_calls(monkeypatch, M, "decode_step")
         for width in (1, 2, 4):
             for alpha in (0.0, 0.6, -0.5):
                 steps[0] = 0
-                assert beam_decode(store, config, ex.source_ids, ex.source_pad_mask,
-                                   beam_width=width, alpha=alpha) == []
+                assert beam_decode(store, config, batch.source_ids, batch.source_pad_mask,
+                                   beam_width=width, alpha=alpha) == [[], []]
                 assert steps[0] == 1, (width, alpha)
+
+
+class TestBeamBatch:
+    @settings(deadline=None, max_examples=30)
+    @given(row_cases(max_rows=6), st.floats(0.5, 1.5))
+    def test_matches_per_source_beam(self, case, eos_bias):
+        """One batched search over ragged sources, with or without selection,
+        gives each source the tokens the per-source search gives, at
+        widths 1, 2 and 4 and at a width beyond the vocabulary."""
+        config, store, examples, selected, _, _ = case
+        store = peaked_store(store, eos_bias)
+        batch = _stack(examples)
+        spread = 0      # the most distinct stop steps among one search's sources
+        for width in (1, 2, 4, config.vocab_size + 2):
+            for alpha in (0.0, 0.6, -0.5):
+                got = beam_decode(store, config, batch.source_ids, batch.source_pad_mask,
+                                  selected, beam_width=width, alpha=alpha)
+                want = [per_source_beam(store, config, ex,
+                                        None if selected is None else selected[r],
+                                        width, alpha)
+                        for r, ex in enumerate(examples)]
+                spread = max(spread, len({ran for _, ran in want}))
+                assert got == [tokens for tokens, _ in want], (width, alpha)
+        # steer generation toward sources that stop at different steps
+        target(float(spread))
 
 
 class TestHypothesis:
     def test_penalized_uses_min_length_one(self):
-        h = Hypothesis(tokens=[], log_prob=-2.0)
-        assert h.penalized(0.6) == -2.0
+        """An empty summary is scored at length 1: its EOS log-prob, log 0.4,
+        beats log(0.6 * 0.62) for one token, though at length 0 its
+        penalty (5/6) ** 0.6 would make it lose."""
+        config = small_config(vocab_size=6, decoder_positions=4)
+
+        def logits(source, prefix):
+            p = np.full(config.vocab_size, 1e-9)
+            if prefix:
+                p[[EOS, 5]] = 0.62, 0.38
+            else:
+                p[[EOS, 5]] = 0.4, 0.6
+            return np.log(p)
+
+        assert toy_beam(config, 1, logits, 2, 0.6) == [[]]
 
     def test_log_prob_nonincreasing(self):
         config = small_config()
@@ -350,7 +477,7 @@ class TestHypothesis:
             total = 0.0
             prev = 0.0
             for _ in range(4):
-                lp = step_log_probs(store, config, state, [fed])[0]
+                lp = step_log_probs(store, config, state, fed)
                 tok = int(np.argmax(lp))
                 total += float(lp[tok])
                 assert total <= prev + 1e-12
