@@ -17,6 +17,16 @@ def output_root() -> str:
     return os.environ.get(OUTPUT_ROOT_ENV, ".")
 
 
+# The keys the harness reads from each section; "model" and "train" are
+# checked by the dataclasses they build.
+SECTION_KEYS = {"corpus": {"train", "dev"}, "limits": {"source", "target"},
+                "scheme": {"encoder", "decoder"}, "partial": {"source", "k"},
+                "selection": {"mode", "selector", "threshold"},
+                "decode": {"mode", "beam_width", "alpha"}, "generate": {"vocab_size", "corpora"},
+                "grid": {"kind", "runs", "source", "ks", "base", "seeds"},
+                "eval": {"references", "hypotheses"}}
+
+
 @dataclass
 class RunConfig:
     """Full experiment description; a run is reproducible from this alone."""
@@ -36,6 +46,12 @@ class RunConfig:
     generate: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     eval: dict = field(default_factory=dict)          # {"references": path, "hypotheses": path}
+
+    def __post_init__(self):
+        unknown = [f"{section}.{key}" for section, keys in SECTION_KEYS.items()
+                   for key in sorted(set(getattr(self, section) or ()) - keys)]
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -30,7 +30,7 @@ def _ensure_dir(path):
 
 
 def _write(out_dir: str, name: str, text: str) -> None:
-    with open(os.path.join(out_dir, name), "w") as f:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
         f.write(text)
 
 
@@ -147,10 +147,9 @@ def run_pretrain(cfg: RunConfig) -> str:
 def _write_report(out_dir: str, report: training.TrainReport) -> None:
     """train_report.txt, and its wall-clock timings in timings.json beside it."""
     _write(out_dir, "train_report.txt", report.format())
-    with open(os.path.join(out_dir, "timings.json"), "w") as f:
-        json.dump({"initial_dev_eval_s": report.initial_dev_eval_s,
-                   "epochs": report.timings}, f, indent=1)
-        f.write("\n")
+    _write(out_dir, "timings.json", json.dumps(
+        {"initial_dev_eval_s": report.initial_dev_eval_s, "epochs": report.timings},
+        indent=1) + "\n")
 
 
 def _reject_unused_init(cfg: RunConfig, stage: str) -> None:
@@ -293,11 +292,8 @@ def run_decode(cfg: RunConfig) -> str:
         mode=mode, beam_width=beam_width, alpha=float(cfg.decode.get("alpha", 0.6)))
     out_dir = _ensure_dir(cfg.run_dir)
     _write(out_dir, "data_report.txt", metrics.format_report(data["report"]))
-    path = os.path.join(out_dir, "decoded.txt")
-    with open(path, "w", encoding="utf-8") as f:
-        for h in hyps:
-            f.write(h + "\n")
-    return path
+    _write(out_dir, "decoded.txt", "".join(h + "\n" for h in hyps))
+    return os.path.join(out_dir, "decoded.txt")
 
 
 def eval_summaries(ref_pairs, hypotheses) -> dict:
@@ -397,8 +393,7 @@ def run_grid(cfg: RunConfig) -> dict:
     out_dir = _ensure_dir(cfg.run_dir)
     _write(out_dir, "grid_report.txt", "\n".join(lines) + "\n")
     if xs:
-        with open(os.path.join(out_dir, "layerwise_points.txt"), "w") as f:
-            for x, y in zip(xs, ys):
-                f.write(f"{x}\t{y!r}\n")
+        _write(out_dir, "layerwise_points.txt",
+               "".join(f"{x}\t{y!r}\n" for x, y in zip(xs, ys)))
     result["report"] = "\n".join(lines) + "\n"
     return result

@@ -5,27 +5,29 @@ of the top decoder layer's cross-attention provides pre-softmax copy
 logits, always mixed with the generation logits through a learned sigmoid
 gate.
 
-Training runs the decoder over whole target sequences (`decoder_stack`,
-`forward_teacher_forced`), one row per example: every function takes
-optional leading row axes, so a stack of examples is one call and one
-graph.  Dropout is on exactly when a function is given `drop`, its half's
-`dropout_scales` array: each dropout site multiplies by its own
+Training and decoding run one decoder, `decoder_stack`, on a `DecodeState`
+that `source_state` builds from an encoder output: each layer's
+cross-attention keys and values, the source mask and the copy-scatter
+inputs.  Training runs the decoder over whole target sequences under a
+causal mask (`forward_teacher_forced`), one row per example: every
+function takes optional leading row axes, so a stack of examples is one
+call and one graph.  Dropout is on exactly when a function is given `drop`,
+its half's `dropout_scales` array: each dropout site multiplies by its own
 [rows, positions, 1] scales, so each row is masked exactly as a one-row
 pass with its own draws would be.
 Inference decodes incrementally over [sources, rows]: `start_decode`
-projects the cross-attention keys and values once per source, and each
-`decode_step` computes only the newest position of every row of every
-source (one row each for greedy, a beam's hypotheses for beam search),
-attending over cached self-attention keys and values and over its source's
-arrays, which are stored once and broadcast over its rows.  A row decodes
-exactly as it would alone.  Training and decoding share the same
-attention, block, copy-scatter and gate code.
+builds the source side once per source, stored once and broadcast over the
+source's rows, and each `decode_step` is one `decoder_stack` call that
+computes only the newest position of every row of every source (one row
+each for greedy, a beam's hypotheses for beam search), attending over the
+self-attention keys and values it caches.  A row decodes exactly as it
+would alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -273,54 +275,99 @@ def encode(store, config: ModelConfig, source_ids: np.ndarray,
     return x
 
 
-def _decoder_layer(store, config: ModelConfig, i: int, x: Tensor, self_kv, cross_kv,
-                   self_mask, src_mask, drop: Optional[np.ndarray] = None
-                   ) -> tuple[Tensor, Tensor]:
-    """Decoder block i over x [..., steps, hidden].
+@dataclass
+class DecodeState:
+    """What `decoder_stack` reads besides its input ids.
 
-    self_kv(prefix, x) and cross_kv(prefix) return the keys and values the
-    self- and cross-attention attend over: projected afresh in training,
-    cached while decoding.  drop is the decoder's `dropout_scales` array:
-    the self-attention, cross-attention and FFN are sites 1 + 3i, 2 + 3i
-    and 3 + 3i.  Returns (x, cross-attention scores).
+    `source_state` builds the source side: [..., ·] arrays, one per row in
+    training, and [sources, 1, ...] while decoding, stored once per source
+    and broadcast over its rows.  self_kv is None in a teacher-forced pass;
+    while decoding (`start_decode`) it caches each layer's self-attention
+    keys and values per row, and `position` is the next position to decode.
+    `reorder` follows a beam's backpointers within each source and drops the
+    sources whose decodes have ended.
     """
-    p = f"decoder.layer.{i}"
-    q = _heads(store, f"{p}.self_attn.q", x, config)
-    att, _ = _attend(store, f"{p}.self_attn", q, *self_kv(f"{p}.self_attn", x),
-                     self_mask, config)
-    x = _sublayer(store, f"{p}.self_attn_norm", x, att, drop, 1 + 3 * i)
-    q = _heads(store, f"{p}.cross_attn.q", x, config)
-    cross, scores = _attend(store, f"{p}.cross_attn", q, *cross_kv(f"{p}.cross_attn"),
-                            src_mask, config)
-    x = _sublayer(store, f"{p}.cross_attn_norm", x, cross, drop, 2 + 3 * i)
-    x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), drop, 3 + 3 * i)
-    return x, scores
+    # per layer, (k, v) Tensors [..., heads, source_positions, head_dim]
+    cross_kv: list
+    source_mask_add: np.ndarray    # [..., 1, 1, source_positions]
+    copy_ids: np.ndarray           # [..., source_positions]
+    vocab_mask_add: Optional[np.ndarray]   # [..., vocab], or None
+    # layer -> (k, v) [sources, rows, heads, positions decoded, head_dim]
+    self_kv: Optional[dict] = None
+    position: int = 0
+
+    def reorder(self, keep: np.ndarray, rows) -> None:
+        """Drop the sources where keep [sources] is False, and make row j of
+        the i-th kept source a copy of its old row rows[i, j] (repeats
+        allowed; rows broadcasts to [kept sources, new rows])."""
+        kept = np.flatnonzero(keep)
+        index = (kept[:, None], np.asarray(rows, dtype=np.int64))
+        self.self_kv = {i: (k[index], v[index]) for i, (k, v) in self.self_kv.items()}
+        if len(kept) < len(keep):
+            self.cross_kv = [(Tensor(k.data[kept]), Tensor(v.data[kept]))
+                             for k, v in self.cross_kv]
+            self.source_mask_add = self.source_mask_add[kept]
+            self.copy_ids = self.copy_ids[kept]
+            if self.vocab_mask_add is not None:
+                self.vocab_mask_add = self.vocab_mask_add[kept]
 
 
-def decoder_stack(store, config: ModelConfig, encoder_out: Tensor,
-                  source_pad_mask: np.ndarray, input_ids: np.ndarray,
+def source_state(store, config: ModelConfig, encoder_out: Tensor, source_ids: np.ndarray,
+                 source_pad_mask: np.ndarray,
+                 selected: Optional[np.ndarray] = None) -> DecodeState:
+    """The source side of a decoder pass from encoder_out [...,
+    source_positions, hidden] (source_ids, source_pad_mask and `selected`
+    [..., source_positions]): each layer's cross-attention keys and values,
+    the source mask and `copy_inputs`, with no self-attention cache."""
+    cross_kv = [_key_values(store, f"decoder.layer.{i}.cross_attn", encoder_out, config)
+                for i in range(config.num_layers)]
+    return DecodeState(cross_kv, pad_mask_add(source_pad_mask),
+                       *copy_inputs(source_ids, source_pad_mask, selected, config.vocab_size))
+
+
+def decoder_stack(store, config: ModelConfig, state: DecodeState, input_ids: np.ndarray,
                   drop: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
-    """Causal decoder over `input_ids` [..., steps]; returns (hidden states,
-    top-layer cross-attention logits [..., heads, steps, source_positions],
-    pre-softmax).  drop is the decoder's `dropout_scales` array, whose site
-    0 is the embedding (`_decoder_layer` for the others)."""
-    t = input_ids.shape[-1]
-    if t > config.decoder_positions:
-        raise DecodeError(f"decoder length {t} exceeds limit {config.decoder_positions}")
-    x = _dropout(embed(store, input_ids, "embedding.pos_dec", config), drop, 0)
-    causal = causal_mask_add(t)
-    src_mask = pad_mask_add(source_pad_mask)
+    """The decoder over input_ids [..., steps] at positions state.position
+    onward, attending over the sources in `state`; returns (hidden states
+    [..., steps, hidden], top-layer cross-attention logits [..., heads,
+    steps, source_positions], pre-softmax).
 
-    def self_kv(prefix, x):
-        return _key_values(store, prefix, x, config)
-
-    def cross_kv(prefix):
-        return _key_values(store, prefix, encoder_out, config)
-
+    Without a self-attention cache (teacher forcing) the steps attend to
+    each other under a causal mask.  With one (decoding) a call is one
+    step, which has no later position to hide: each layer's new keys and
+    values are appended to the cache, and state.position advances.  drop is
+    the decoder's `dropout_scales` array: the embedding is site 0, and layer
+    i's self-attention, cross-attention and FFN are sites 1 + 3i, 2 + 3i and
+    3 + 3i.
+    """
+    cache, start, steps = state.self_kv, state.position, input_ids.shape[-1]
+    if start + steps > config.decoder_positions:
+        raise DecodeError(f"decoder length {start + steps} exceeds limit "
+                          f"{config.decoder_positions}")
+    if cache is not None and steps != 1:
+        raise DecodeError(f"a cached decoder call takes one step, not {steps}")
+    x = _dropout(embed(store, input_ids, "embedding.pos_dec", config, start), drop, 0)
+    causal = causal_mask_add(steps) if cache is None else None
     for i in range(config.num_layers):
-        x, cross = _decoder_layer(store, config, i, x, self_kv, cross_kv, causal,
-                                  src_mask, drop)
-    return x, cross
+        p = f"decoder.layer.{i}"
+        # q before k and v: backward adds x's gradients in recording order
+        q = _heads(store, f"{p}.self_attn.q", x, config)
+        k, v = _key_values(store, f"{p}.self_attn", x, config)
+        if cache is not None:
+            if i in cache:
+                k, v = (Tensor(np.concatenate([past, new.data], axis=-2))
+                        for past, new in zip(cache[i], (k, v)))
+            cache[i] = (k.data, v.data)
+        att, _ = _attend(store, f"{p}.self_attn", q, k, v, causal, config)
+        x = _sublayer(store, f"{p}.self_attn_norm", x, att, drop, 1 + 3 * i)
+        q = _heads(store, f"{p}.cross_attn.q", x, config)
+        cross, scores = _attend(store, f"{p}.cross_attn", q, *state.cross_kv[i],
+                                state.source_mask_add, config)
+        x = _sublayer(store, f"{p}.cross_attn_norm", x, cross, drop, 2 + 3 * i)
+        x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), drop, 3 + 3 * i)
+    if cache is not None:
+        state.position = start + steps
+    return x, scores
 
 
 def gate(store, d: Tensor) -> Tensor:
@@ -400,53 +447,17 @@ def forward_teacher_forced(store, config: ModelConfig, example,
     """
     enc_drop, dec_drop = drop or (None, None)
     enc = encode(store, config, example.source_ids, example.source_pad_mask, enc_drop)
+    state = source_state(store, config, enc, example.source_ids, example.source_pad_mask,
+                         selected)
     targets = example.target_ids
     bos = np.full(targets.shape[:-1] + (1,), BOS, dtype=targets.dtype)
     dec_input = np.concatenate((bos, targets[..., :-1]), axis=-1)
-    d, cross = decoder_stack(store, config, enc, example.source_pad_mask,
-                             dec_input, dec_drop)
+    d, cross = decoder_stack(store, config, state, dec_input, dec_drop)
     copy = cross[..., COPY_HEAD, :, :]
-    z, y, p = mixed_logits(store, config, d, copy, *copy_inputs(
-        example.source_ids, example.source_pad_mask, selected, config.vocab_size))
+    z, y, p = mixed_logits(store, config, d, copy, state.copy_ids, state.vocab_mask_add)
     cache = {"encoder_out": enc, "decoder_out": d, "cross_logits": cross,
              "copy_logits": copy, "gen_logits": y, "p_gen": p, "mixed_logits": z}
     return ad.softmax(z, axis=-1), cache
-
-
-@dataclass
-class DecodeState:
-    """Incremental decoding state for rows of sources decoded side by side.
-
-    Built by `start_decode`; `decode_step` advances every row by one
-    position and appends each layer's self-attention keys and values, so no
-    position is computed twice.  Source arrays are [sources, 1, ...], stored
-    once and broadcast over the source's rows; row arrays are [sources,
-    rows, ...].  `reorder` follows a beam's backpointers within each source
-    and drops the sources whose decodes have ended.
-    """
-    # prefix -> (k, v) Tensors [sources, 1, heads, source_positions, head_dim]
-    cross_kv: dict
-    source_mask_add: np.ndarray    # [sources, 1, 1, 1, source_positions]
-    copy_ids: np.ndarray           # [sources, 1, source_positions]
-    vocab_mask_add: Optional[np.ndarray]   # [sources, 1, vocab], or None
-    # prefix -> (k, v) [sources, rows, heads, positions decoded, head_dim]
-    self_kv: dict = field(default_factory=dict)
-    position: int = 0
-
-    def reorder(self, keep: np.ndarray, rows) -> None:
-        """Drop the sources where keep [sources] is False, and make row j of
-        the i-th kept source a copy of its old row rows[i, j] (repeats
-        allowed; rows broadcasts to [kept sources, new rows])."""
-        kept = np.flatnonzero(keep)
-        index = (kept[:, None], np.asarray(rows, dtype=np.int64))
-        self.self_kv = {p: (k[index], v[index]) for p, (k, v) in self.self_kv.items()}
-        if len(kept) < len(keep):
-            self.cross_kv = {p: (Tensor(k.data[kept]), Tensor(v.data[kept]))
-                             for p, (k, v) in self.cross_kv.items()}
-            self.source_mask_add = self.source_mask_add[kept]
-            self.copy_ids = self.copy_ids[kept]
-            if self.vocab_mask_add is not None:
-                self.vocab_mask_add = self.vocab_mask_add[kept]
 
 
 def start_decode(store, config: ModelConfig, source_ids: np.ndarray,
@@ -455,67 +466,41 @@ def start_decode(store, config: ModelConfig, source_ids: np.ndarray,
     """Decoding state for sources source_ids [sources, source_positions]
     (source_pad_mask and `selected` alike), before the BOS step.
 
-    Encodes each source on its own, projects every decoder layer's
-    cross-attention keys and values once per source and fixes the source
-    mask, the copy-scatter ids and (when `selected` is given) the
-    vocab-space selection mask for every later step; the first
-    `decode_step` sets how many rows each source has.
+    Encodes each source on its own and builds the source side once per
+    source (`source_state` over [sources, 1, ...] stacks), for every later
+    step, with an empty self-attention cache; the first `decode_step` sets
+    how many rows each source has.
     """
     with ad.no_grad():
         enc = Tensor(np.stack([encode(store, config, ids, pad).data
                                for ids, pad in zip(source_ids, source_pad_mask)])[:, None])
-        cross_kv = {}
-        for i in range(config.num_layers):
-            prefix = f"decoder.layer.{i}.cross_attn"
-            cross_kv[prefix] = _key_values(store, prefix, enc, config)
-    copy_ids, vocab_mask = copy_inputs(source_ids[:, None], source_pad_mask[:, None],
-                                       None if selected is None else selected[:, None],
-                                       config.vocab_size)
-    return DecodeState(cross_kv, pad_mask_add(source_pad_mask[:, None]), copy_ids,
-                       vocab_mask)
+        state = source_state(store, config, enc, source_ids[:, None], source_pad_mask[:, None],
+                             None if selected is None else selected[:, None])
+    state.self_kv = {}
+    return state
 
 
 def decode_step(store, config: ModelConfig, state: DecodeState,
                 tokens) -> DecoderStepState:
     """Feed `tokens` [sources, rows] (BOS at the first step) at the next
-    position.
+    position: one cached `decoder_stack` call.
 
-    Every row of `state` advances by one position: each layer's new
-    self-attention keys and values are appended to the cache and only the
-    new position is computed.  Each row stays [1, hidden] up to the mixed
-    logits, so its products are the ones a one-row step computes.  Returns
-    that position's outputs per row, mixed exactly as
-    `forward_teacher_forced` mixes them.
+    Every row of `state` advances by one position and only the new position
+    is computed.  Each row stays [1, hidden] up to the mixed logits, so its
+    products are the ones a one-row step computes.  Returns that position's
+    outputs per row, mixed exactly as `forward_teacher_forced` mixes them.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    t = state.position
-    if t >= config.decoder_positions:
-        raise DecodeError(f"decoder length {t + 1} exceeds limit {config.decoder_positions}")
     # the first step sets each source's row count
     rows = next((k.shape[1] for k, _ in state.self_kv.values()), tokens.shape[-1])
     if tokens.shape != (state.copy_ids.shape[0], rows):
         raise ValueError(f"tokens {tokens.shape} for a decode state of "
                          f"{(state.copy_ids.shape[0], rows)} [sources, rows]")
-
-    def self_kv(prefix, x):
-        k, v = (y.data for y in _key_values(store, prefix, x, config))
-        if prefix in state.self_kv:
-            past_k, past_v = state.self_kv[prefix]
-            k = np.concatenate([past_k, k], axis=-2)
-            v = np.concatenate([past_v, v], axis=-2)
-        state.self_kv[prefix] = (k, v)
-        return Tensor(k), Tensor(v)
-
     with ad.no_grad():
-        x = embed(store, tokens[..., None], "embedding.pos_dec", config, start=t)
-        for i in range(config.num_layers):
-            x, cross = _decoder_layer(store, config, i, x, self_kv,
-                                      state.cross_kv.__getitem__, None,
-                                      state.source_mask_add)
+        x, cross = decoder_stack(store, config, state, tokens[..., None])
         copy = cross[..., COPY_HEAD, :, :]
         z, y, p = mixed_logits(store, config, x, copy, state.copy_ids,
                                state.vocab_mask_add)
-    state.position = t + 1
     # drop the step axis of the one position computed
     return DecoderStepState(d_t=x.data[..., 0, :], cross_logits=cross.data[..., 0, :],
                             copy_logits=copy.data[..., 0, :], gen_logits=y.data[..., 0, :],

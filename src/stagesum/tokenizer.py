@@ -40,7 +40,9 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as f:
-            pieces = [line.rstrip("\n") for line in f if line.rstrip("\n")]
+            pieces = [line.rstrip("\n") for line in f]
+        if "" in pieces:
+            raise ConfigError(f"{path}: line {pieces.index('') + 1} is blank")
         return cls(pieces)
 
     def save(self, path) -> None:

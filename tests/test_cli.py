@@ -409,6 +409,39 @@ class TestDiagnostics:
             assert key in capsys.readouterr().err
             assert not (run_env / "r").exists(), key
 
+    @pytest.mark.parametrize("section, key", [
+        ("decode", "beamwidth"), ("scheme", "decodr"), ("limits", "src"),
+        ("corpus", "test"), ("partial", "layers"), ("selection", "thresh"),
+        ("generate", "corpus"), ("grid", "seed"), ("eval", "refs")])
+    def test_unknown_section_key(self, run_env, capsys, section, key):
+        """A key inside a section that the harness does not read is rejected
+        by name before a run directory exists; a misspelt decode.beam_width,
+        say, would otherwise decode at the default width."""
+        generate_corpora(run_env)
+        capsys.readouterr()
+        fields = dict(model=MODEL, vocab="data/vocab.txt",
+                      corpus={"train": "data/short.train.tsv"}, train={"max_epochs": 1})
+        fields[section] = {**fields.get(section, {}), key: 1}
+        cfg = write_config(run_env, "bad-section", out_dir="r", **fields)
+        assert cli.main(["train", cfg]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (run_env / "r").exists()
+
+    def test_unknown_section_key_in_grid_cell(self, run_env, capsys):
+        """A grid cell is a run config too: a misspelt key in its overrides
+        fails the grid before the cell trains."""
+        generate_corpora(run_env)
+        capsys.readouterr()
+        base = dict(model=MODEL, vocab="data/vocab.txt",
+                    corpus={"train": "data/short.train.tsv", "dev": "data/short.dev.tsv"},
+                    train={"max_epochs": 1})
+        cfg = write_config(run_env, "grid", out_dir="grid", grid={
+            "kind": "schemes", "base": base,
+            "runs": [{"name": "wide", "decode": {"mode": "beam", "beamwidth": 8}}]})
+        assert cli.main(["grid", cfg]) == 1
+        assert "decode.beamwidth" in capsys.readouterr().err
+        assert not (run_env / "grid").exists()
+
     def test_empty_train_corpus(self, run_env, capsys):
         generate_corpora(run_env)
         (run_env / "empty.tsv").write_text("")

@@ -118,6 +118,19 @@ class TestDecodeStep:
         with pytest.raises(M.DecodeError):
             M.decode_step(store, config, state, [[5]])
 
+    def test_cached_call_takes_one_step(self, store, config):
+        """A cached call has no causal mask, so a call over two steps would
+        let the first attend to the second: it is rejected and leaves the
+        state as it was."""
+        ex = example_for(config, [5, 6], [5])
+        state = start(store, config, ex)
+        M.decode_step(store, config, state, [[BOS]])
+        with pytest.raises(M.DecodeError):
+            M.decoder_stack(store, config, state, np.array([[[5, 6]]]))
+        assert state.position == 1
+        assert [k.shape[-2] for k, _ in state.self_kv.values()] == [1] * config.num_layers
+        assert M.decode_step(store, config, state, [[5]]).p_gen.shape == (1, 1)
+
     def test_tied_embedding_projection(self, store, config):
         ex = example_for(config, [5, 6], [5])
         state = M.decode_step(store, config, start(store, config, ex), [[BOS]])
@@ -366,7 +379,7 @@ class TestDropoutScales:
                 M.encode(store, config, ex.source_ids[None], ex.source_pad_mask[None], enc)
 
 
-class TestTrimDraws:
+class TestCutRowDropout:
     """A pass over rows cut to their longest real row, on the scales
     `dropout_scales` builds for the kept positions from full-length draws,
     scales every kept position as a full-length pass does."""
@@ -537,8 +550,9 @@ class TestForwardTeacherForced:
         assert (cache["p_gen"].data == 1.0).all()
         with ad.no_grad():
             enc = M.encode(store, config, ex.source_ids, ex.source_pad_mask)
+            state = M.source_state(store, config, enc, ex.source_ids, ex.source_pad_mask)
             dec_in = np.concatenate(([BOS], ex.target_ids[:-1]))
-            d, _ = M.decoder_stack(store, config, enc, ex.source_pad_mask, dec_in)
+            d, _ = M.decoder_stack(store, config, state, dec_in)
             manual = ad.softmax(M.generation_logits(store, d), axis=-1)
         assert np.array_equal(probs.data, manual.data)
 

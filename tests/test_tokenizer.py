@@ -30,6 +30,15 @@ class TestVocabulary:
         loaded = Vocabulary.load(path)
         assert loaded.pieces == v.pieces
 
+    @pytest.mark.parametrize("text, line", [("\n", 7), ("\nb\n", 7), ("b\n\n", 8)])
+    def test_load_rejects_a_blank_line(self, tmp_path, text, line):
+        """A piece's id is its line number, so a blank line, which would
+        shift every later id by one if skipped, is rejected by line."""
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(RESERVED + ["a"]) + "\n" + text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"line {line} is blank"):
+            Vocabulary.load(path)
+
     def test_id_of_unknown_is_unk(self):
         v = make_vocab(["a"])
         assert v.id_of("zzz") == UNK
