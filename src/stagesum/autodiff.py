@@ -9,10 +9,14 @@ accumulating every rule's result into its parent.  A parameter of a
 gradient arena, so every gradient is added into it; any other tensor's
 first gradient is stored as a C-ordered copy and later ones are added to
 it, so no intermediate gradient starts as a buffer of zeros.  The model's
-hot spots are fused into single nodes: `linear` (x @ W + b) and attention
-as `attention_scores` (q kᵀ · scale + mask) followed by `softmax_matmul`
-(softmax(s) @ v), whose backward reuses the saved softmax output.
-Everything is 64-bit; there is no device or dtype story.
+hot spots are fused into single nodes: `linear` (x @ W + b); self-attention
+as `attention` (softmax(q kᵀ · scale + mask) @ v), which works through
+blocks of leading rows small enough for a core's cache and saves only the
+softmax; and cross-attention as `attention_scores` (q kᵀ · scale + mask)
+followed by `softmax_matmul` (softmax(s) @ v), since its scores also feed
+the copy logits.  Each fused rule reuses the unfused chain's expressions, so
+values and gradients keep their bits.  Everything is 64-bit; there is no
+device or dtype story.
 """
 
 from __future__ import annotations
@@ -299,18 +303,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: x [..., n] projected by w [n, k] (or [n]) plus a
-    bias that broadcasts against the product.  Same values and gradients as
-    `matmul` followed by `+`; w's and b's gradients sum over x's row axes."""
+    bias that broadcasts to the product's shape, added in place.  Same values
+    and gradients as `matmul` followed by `+`; w's and b's gradients sum over
+    x's row axes."""
     _check_inner(x.data, w.data)
-    return _make(np.matmul(x.data, w.data) + b.data, (x, w, b),
-                 lambda: _matmul_rules(x.data, w.data) + (_identity,))
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    return _make(y, (x, w, b), lambda: _matmul_rules(x.data, w.data) + (_identity,))
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+def _softmax(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(x - max) / sum, into a new buffer or into `out` (x itself for an
+    in-place softmax).  A non-finite row maximum raises NumericError: NaN
+    propagates through max, and an infinite one makes inf - inf = NaN."""
     top = x.max(axis=axis, keepdims=True)
-    if np.isnan(top).any():     # max propagates NaN
-        raise NumericError("softmax received NaN input")
-    e = np.exp(x - top)
+    if not np.isfinite(top).all():
+        raise NumericError("softmax received a NaN or infinite row maximum")
+    e = np.subtract(x, top, out=out)
+    np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
 
@@ -360,6 +370,74 @@ def softmax_matmul(s: Tensor, v: Tensor) -> Tensor:
     return _make(np.matmul(y, v.data), (s, v), rules)
 
 
+# The largest [rows, ..., queries, keys] block of scores `attention` makes at
+# once: under a core's L2 cache.
+_ATTENTION_BLOCK_BYTES = 512 * 1024
+
+
+def _row_blocks(shape: tuple) -> list[slice]:
+    """Slices of axis 0 of a float64 array of `shape`, each block of rows
+    within _ATTENTION_BLOCK_BYTES (one row at least)."""
+    row_bytes = 8 * math.prod(shape[1:])
+    step = max(1, _ATTENTION_BLOCK_BYTES // max(row_bytes, 1))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask_add=None) -> Tensor:
+    """softmax(q kᵀ · scale + mask_add) @ v as one node, for queries
+    q [rows, ..., steps, d], keys k [rows, ..., keys, d] and values
+    v [rows, ..., keys, dv] with the same leading axes; mask_add is a
+    constant array that broadcasts to q kᵀ's shape.
+
+    It works through blocks of leading rows (`_row_blocks`): each block's
+    scores become its softmax in place, and that softmax is all the node
+    saves, so no whole-batch scores or score gradient exist.  Rows are
+    independent and each block runs the pair's expressions, so values and
+    gradients equal `softmax_matmul(attention_scores(q, k, scale, mask_add),
+    v)` bit for bit.  A NaN or infinite row maximum raises NumericError."""
+    qd, kd, vd = q.data, k.data, v.data
+    if not (qd.ndim >= 3 and qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]
+            and qd.shape[-1] == kd.shape[-1] and kd.shape[-2] == vd.shape[-2]):
+        raise ShapeError(f"attention over q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    kt = kd.swapaxes(-1, -2)
+    y = np.empty(qd.shape[:-1] + kd.shape[-2:-1])
+    mask = None if mask_add is None else np.broadcast_to(mask_add, y.shape)
+    out = np.empty(qd.shape[:-1] + vd.shape[-1:])
+    for b in _row_blocks(y.shape):
+        s = np.matmul(qd[b], kt[b], out=y[b])
+        s *= scale
+        if mask is not None:
+            s += mask[b]
+        _softmax(s, -1, out=s)
+        np.matmul(s, vd[b], out=out[b])
+
+    def grads(g):
+        dq, dk, dv = np.empty(qd.shape), np.empty(kd.shape), np.empty(vd.shape)
+        for b in _row_blocks(y.shape):
+            ds = _softmax_grad(np.matmul(g[b], vd[b].swapaxes(-1, -2)), y[b], -1)
+            ds *= scale
+            np.matmul(ds, kd[b], out=dq[b])
+            dk[b] = np.matmul(qd[b].swapaxes(-1, -2), ds).swapaxes(-1, -2)
+            np.matmul(y[b].swapaxes(-1, -2), g[b], out=dv[b])
+        return dq, dk, dv
+
+    def rules():
+        # one blocked pass makes all three gradients; each parent's rule
+        # takes its own, and the next replay starts a new pass
+        need = [t.requires_grad or bool(t._parents) for t in (q, k, v)]
+        pending = {}
+
+        def rule(i):
+            def grad(g):
+                if not pending:
+                    pending.update((j, d) for j, d in enumerate(grads(g)) if need[j])
+                return pending.pop(i)
+            return grad
+        return rule(0), rule(1), rule(2)
+
+    return _make(out, (q, k, v), rules)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance (+1e-12), then affine."""
     if gain.data.shape != x.data.shape[-1:] or bias.data.shape != x.data.shape[-1:]:
@@ -367,10 +445,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm gain/bias {gain.data.shape}/{bias.data.shape} "
             f"do not match last extent of {x.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # x.mean and x.var's own arithmetic, with x - mu formed once
+    n = x.data.shape[-1]
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-12)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
 
     def rules():
         def grad_x(g):

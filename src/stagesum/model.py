@@ -147,18 +147,25 @@ def _key_values(store, prefix: str, x: Tensor, config: ModelConfig) -> tuple[Ten
     return _heads(store, f"{prefix}.k", x, config), _heads(store, f"{prefix}.v", x, config)
 
 
-def _attend(store, prefix: str, q: Tensor, k: Tensor, v: Tensor, mask_add,
-            config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention of per-head queries over given keys and
-    values ([..., heads, steps, head_dim]), then the output projection.
+def _scale(config: ModelConfig) -> float:
+    """The attention scores' 1 / sqrt(head_dim)."""
+    return 1.0 / math.sqrt(config.hidden_size // config.num_heads)
 
-    Returns (output [..., steps, hidden], pre-softmax scores after the mask).
-    """
-    dh = config.hidden_size // config.num_heads
-    scores = ad.attention_scores(q, k, 1.0 / math.sqrt(dh), mask_add)
-    ctx = ad.softmax_matmul(scores, v).swapaxes(-3, -2)
-    ctx = ctx.reshape(*ctx.shape[:-2], config.hidden_size)
-    return _project(store, f"{prefix}.o", ctx), scores
+
+def _merge(store, prefix: str, ctx: Tensor, config: ModelConfig) -> Tensor:
+    """Merge the heads of ctx [..., heads, steps, head_dim] and project them:
+    [..., steps, hidden]."""
+    ctx = ctx.swapaxes(-3, -2)
+    return _project(store, f"{prefix}.o", ctx.reshape(*ctx.shape[:-2], config.hidden_size))
+
+
+def _cross_attend(store, prefix: str, q: Tensor, k: Tensor, v: Tensor, mask_add,
+                  config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Cross-attention, then the output projection: (output [..., steps,
+    hidden], pre-softmax scores after the mask).  The scores are their own
+    node: the top layer's feed the copy logits as well as the softmax."""
+    scores = ad.attention_scores(q, k, _scale(config), mask_add)
+    return _merge(store, prefix, ad.softmax_matmul(scores, v), config), scores
 
 
 def _ffn(store, prefix: str, x: Tensor) -> Tensor:
@@ -268,8 +275,9 @@ def encode(store, config: ModelConfig, source_ids: np.ndarray,
     for i in range(config.num_layers):
         p = f"encoder.layer.{i}"
         q = _heads(store, f"{p}.self_attn.q", x, config)
-        att, _ = _attend(store, f"{p}.self_attn", q,
-                         *_key_values(store, f"{p}.self_attn", x, config), mask, config)
+        k, v = _key_values(store, f"{p}.self_attn", x, config)
+        att = _merge(store, f"{p}.self_attn", ad.attention(q, k, v, _scale(config), mask),
+                     config)
         x = _sublayer(store, f"{p}.self_attn_norm", x, att, drop, 1 + 2 * i)
         x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), drop, 2 + 2 * i)
     return x
@@ -358,11 +366,12 @@ def decoder_stack(store, config: ModelConfig, state: DecodeState, input_ids: np.
                 k, v = (Tensor(np.concatenate([past, new.data], axis=-2))
                         for past, new in zip(cache[i], (k, v)))
             cache[i] = (k.data, v.data)
-        att, _ = _attend(store, f"{p}.self_attn", q, k, v, causal, config)
+        att = _merge(store, f"{p}.self_attn", ad.attention(q, k, v, _scale(config), causal),
+                     config)
         x = _sublayer(store, f"{p}.self_attn_norm", x, att, drop, 1 + 3 * i)
         q = _heads(store, f"{p}.cross_attn.q", x, config)
-        cross, scores = _attend(store, f"{p}.cross_attn", q, *state.cross_kv[i],
-                                state.source_mask_add, config)
+        cross, scores = _cross_attend(store, f"{p}.cross_attn", q, *state.cross_kv[i],
+                                      state.source_mask_add, config)
         x = _sublayer(store, f"{p}.cross_attn_norm", x, cross, drop, 2 + 3 * i)
         x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), drop, 3 + 3 * i)
     if cache is not None:

@@ -53,3 +53,13 @@ def assert_grad_matches(fn_build, x: np.ndarray, h: float = 1e-6,
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="class")
+def one_row_attention_blocks():
+    """`ad.attention` works one leading row at a time.  Test-sized models
+    otherwise always fit in one block.  Class-scoped, so hypothesis tests
+    can use it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "_ATTENTION_BLOCK_BYTES", 1)
+        yield

@@ -78,6 +78,16 @@ class TestSoftmax:
         with pytest.raises(ad.NumericError):
             ad.softmax(Tensor([0.0, np.nan]))
 
+    def test_infinite_max_rejected(self):
+        # inf - inf is NaN: an infinite row maximum would fill the row with NaN
+        for row in ([np.inf, 0.0], [-np.inf, -np.inf], [[0.0, 1.0], [np.inf, np.inf]]):
+            with pytest.raises(ad.NumericError):
+                ad.softmax(Tensor(row))
+            with pytest.raises(ad.NumericError):
+                ad.softmax_matmul(Tensor(row), Tensor(np.ones((2, 3))))
+        # -inf below a finite maximum is an exact zero weight
+        assert np.array_equal(ad.softmax(Tensor([-np.inf, 0.0])).data, [0.0, 1.0])
+
     @given(st.lists(st.floats(min_value=-10000.0, max_value=100.0,
                               allow_nan=False), min_size=1, max_size=8))
     def test_sums_to_one(self, xs):
@@ -431,6 +441,89 @@ class TestSoftmaxMatmul:
         assert np.array_equal(fused[0], from_out + from_copy)
 
 
+def attention_pair(q, k, v, scale, mask_add):
+    return ad.softmax_matmul(ad.attention_scores(q, k, scale, mask_add), v)
+
+
+def attention_case(rng, lead, t, s, d, mask_kind):
+    """q [*lead, t, d], k and v [*lead, s, d], and a -30/0 mask: None,
+    "rows" [rows, 1, 1, s], "keys" [1, 1, s] or "causal" [1, t, t]."""
+    q, k, v = (rng.normal(size=lead + (n, d)) for n in (t, s, s))
+    mask = {None: lambda: None,
+            "rows": lambda: np.where(rng.random((lead[0], 1, 1, s)) < 0.3, -30.0, 0.0),
+            "keys": lambda: np.where(rng.random((1, 1, s)) < 0.3, -30.0, 0.0),
+            "causal": lambda: np.triu(np.full((t, t), -30.0), k=1)[None]}[mask_kind]()
+    return [q, k, v], mask
+
+
+def check_attention(arrays, mask, rows_per_block, rng):
+    """check_fused of ad.attention against the pair, in blocks of
+    rows_per_block leading rows (None: the module's own budget)."""
+    q, k, _ = arrays
+    shape = q.shape[:-1] + k.shape[-2:-1]
+    with pytest.MonkeyPatch.context() as patch:
+        if rows_per_block is not None:
+            patch.setattr(ad, "_ATTENTION_BLOCK_BYTES", rows_per_block * 8 * np.prod(shape[1:]))
+        blocks = ad._row_blocks(shape)
+        check_fused(lambda *a: ad.attention(*a, 0.5, mask),
+                    lambda *a: attention_pair(*a, 0.5, mask), arrays, rng)
+    return [b.indices(shape[0]) for b in blocks]
+
+
+class TestAttention:
+    """ad.attention against softmax_matmul(attention_scores(...)), the pair
+    cross-attention still runs."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_scores_then_softmax_matmul(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        heads, s, d, rows = (data.draw(st.integers(1, n)) for n in (3, 4, 3, 5))
+        kind = data.draw(st.sampled_from(["unbatched", "rows", "decode"]))
+        # an unbatched encode, stacked rows, or a cached decode step's
+        # [sources, rows, heads, 1, d] queries over [.., keys, d]
+        lead, t = {"unbatched": ((heads,), s), "rows": ((rows, heads), s),
+                   "decode": ((rows, data.draw(st.integers(1, 3)), heads), 1)}[kind]
+        masks = [None, "keys"] + {"unbatched": ["causal"], "rows": ["rows", "causal"],
+                                  "decode": []}[kind]
+        arrays, mask = attention_case(rng, lead, t, s, d, data.draw(st.sampled_from(masks)))
+        check_attention(arrays, mask, data.draw(st.sampled_from([None, 1, 2, 3])), rng)
+
+    @pytest.mark.parametrize("rows_per_block, blocks", [
+        (None, [(0, 5, 1)]), (5, [(0, 5, 1)]), (1, [(i, i + 1, 1) for i in range(5)]),
+        (2, [(0, 2, 1), (2, 4, 1), (4, 5, 1)])], ids=["default", "one", "each-row", "ragged"])
+    @pytest.mark.parametrize("mask_kind", [None, "rows", "keys", "causal"])
+    def test_blocks(self, rows_per_block, blocks, mask_kind, rng):
+        arrays, mask = attention_case(rng, (5, 2), 4, 4, 3, mask_kind)
+        assert check_attention(arrays, mask, rows_per_block, rng) == blocks
+
+    def test_block_budget(self):
+        # the encoder's longform shape: one row of scores is 320,000 bytes
+        assert ad._ATTENTION_BLOCK_BYTES == 512 * 1024
+        assert len(ad._row_blocks((16, 4, 100, 100))) == 16
+        assert [b.indices(16) for b in ad._row_blocks((16, 4, 40, 40))] == [
+            (0, 10, 1), (10, 16, 1)]
+        assert len(ad._row_blocks((16, 4, 24, 24))) == 1
+
+    def test_non_finite_rejected(self, rng):
+        q, k, v = (rng.normal(size=(2, 3, 4, 5)) for _ in range(3))
+        for bad in (np.nan, np.inf):
+            poisoned = q.copy()
+            poisoned[1, 2, 3, 0] = bad
+            with pytest.raises(ad.NumericError):
+                ad.attention(Tensor(poisoned), Tensor(k), Tensor(v), 0.5)
+
+    def test_shape_mismatch(self, rng):
+        def arr(*shape):
+            return Tensor(rng.normal(size=shape))
+        good = (2, 3, 4, 5)
+        for shapes in [(good, (1, 3, 4, 5), good), (good, good, (2, 1, 4, 5)),
+                       ((3, 4, 5), (2, 3, 4, 5), (2, 3, 4, 5)), (good, (2, 3, 4, 6), good),
+                       (good, good, (2, 3, 6, 5)), ((4, 5), (4, 5), (4, 5))]:
+            with pytest.raises(ad.ShapeError):
+                ad.attention(*(arr(*shape) for shape in shapes), 0.5)
+
+
 class TestFirstTouchAccumulation:
     """A tensor's first gradient is stored as a copy; later ones add to it."""
 
@@ -486,6 +579,55 @@ class TestFirstTouchAccumulation:
                 self.graph(s["word"], s["word"], s["bias"], ids)[-1].backward()
         for name in store:
             assert np.array_equal(store[name].grad, fresh[name].grad)
+
+
+class TestHotOpsKeepTheirBits:
+    """Each hot op's forward against the expression it computed before it
+    made fewer temporaries, bit for bit."""
+
+    @staticmethod
+    def array(data, rng):
+        """A C-ordered or transposed array, -10000 at a fifth of its entries."""
+        shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+        x = rng.normal(size=shape) * data.draw(st.sampled_from([1.0, 30.0]))
+        x = np.where(rng.random(shape) < 0.2, -10000.0, x)
+        return x.T if data.draw(st.booleans(), "transposed") else x
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_softmax(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        x = self.array(data, rng)
+        axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
+        old = np.exp(x - x.max(axis=axis, keepdims=True))
+        old /= old.sum(axis=axis, keepdims=True)
+        assert np.array_equal(ad._softmax(x, axis), old)
+        assert np.array_equal(ad.softmax(Tensor(x), axis).data, old)
+        in_place = x.copy(order="K")
+        assert ad._softmax(in_place, axis, out=in_place) is in_place
+        assert np.array_equal(in_place, old)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_layer_norm(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        x = self.array(data, rng) + data.draw(st.sampled_from([0.0, 1e3]))
+        gain, bias = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12)
+        old = gain * ((x - mu) * inv) + bias
+        assert np.array_equal(ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data, old)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_linear(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        x = self.array(data, rng)
+        n, k = x.shape[-1], data.draw(st.integers(1, 4))
+        w = rng.normal(size=data.draw(st.sampled_from([(n, k), (n,)])))
+        b = rng.normal(size=w.shape[1:])
+        assert np.array_equal(ad.linear(Tensor(x), Tensor(w), Tensor(b)).data,
+                              np.matmul(x, w) + b)
 
 
 class TestLazyRules:

@@ -201,81 +201,120 @@ def row_cases(draw, max_rows=4):
     return config, init_random(config, seed), examples, selected, seed, rate
 
 
+def steps_match_teacher_forced(case, width):
+    """One or several rows per source ([sources, rows]), with a reorder
+    part way that repeats or drops rows within each source and may drop
+    whole sources."""
+    config, store, examples, selected, seed, _ = case
+    rng = np.random.default_rng(seed)
+    sel = [None] * len(examples) if selected is None else list(selected)
+    state = start_rows(store, config, examples, selected)
+    sources = list(zip(examples, sel))
+    # per source, per row: the tokens fed so far and that row's step outputs
+    fed = [[[BOS] for _ in range(width)] for _ in sources]
+    outs = [[[] for _ in range(width)] for _ in sources]
+    reorder_at = int(rng.integers(1, config.decoder_positions))
+    for t in range(config.decoder_positions):
+        if t == reorder_at:
+            keep = rng.random(len(sources)) < 0.7
+            keep[rng.integers(len(sources))] = True
+            back = rng.integers(0, width, (int(keep.sum()), int(rng.integers(1, 4))))
+            state.reorder(keep, back)
+            kept = np.flatnonzero(keep)
+            fed, outs = ([[list(x[i][r]) for r in rows] for i, rows in zip(kept, back)]
+                         for x in (fed, outs))
+            sources = [sources[i] for i in kept]
+        if t:
+            for row in (row for rows in fed for row in rows):
+                row.append(int(rng.integers(5, config.vocab_size)))
+        step = M.decode_step(store, config, state,
+                             [[row[-1] for row in rows] for rows in fed])
+        for i, rows in enumerate(outs):
+            for j, row in enumerate(rows):
+                row.append({k: v[i, j] for k, v in vars(step).items()})
+    # masked copy logits reach ~5e3, where one float64 ulp is ~1e-12
+    close = dict(rtol=1e-12, atol=1e-12)
+    for rows, row_outs, (ex, row_sel) in zip(fed, outs, sources):
+        for row, steps in zip(rows, row_outs):
+            target = example_for(config, ex.source_ids[~ex.source_pad_mask],
+                                 row[1:] + [5])
+            _, cache = M.forward_teacher_forced(store, config, target, row_sel)
+            for t, out in enumerate(steps):
+                assert np.allclose(out["mixed_logits"], cache["mixed_logits"].data[t],
+                                   **close)
+                assert np.allclose(out["gen_logits"], cache["gen_logits"].data[t],
+                                   **close)
+                assert np.allclose(out["d_t"], cache["decoder_out"].data[t], **close)
+                assert np.allclose(out["cross_logits"],
+                                   cache["cross_logits"].data[:, t], **close)
+                assert np.allclose(out["copy_logits"], cache["copy_logits"].data[t],
+                                   **close)
+                assert np.allclose(out["p_gen"], cache["p_gen"].data[t], **close)
+
+
+def batched_rows_equal_one_row_steps(case, width):
+    """Each row of a step over several sources, each with `width` rows,
+    is exactly what a one-row state of its source computes, so a batched
+    decode picks the same tokens as one source at a time."""
+    config, store, examples, selected, seed, _ = case
+    rng = np.random.default_rng(seed)
+    state = start_rows(store, config, examples, selected)
+    alone = [[start(store, config, ex, None if selected is None else selected[r])
+              for _ in range(width)] for r, ex in enumerate(examples)]
+    tokens = np.full((len(examples), width), BOS)
+    for _ in range(config.decoder_positions):
+        step = vars(M.decode_step(store, config, state, tokens))
+        for r, row_states in enumerate(alone):
+            for j, row_state in enumerate(row_states):
+                for key, value in vars(M.decode_step(store, config, row_state,
+                                                     tokens[r:r + 1, j:j + 1])).items():
+                    assert np.array_equal(step[key][r, j], value[0, 0]), key
+        tokens = rng.integers(5, config.vocab_size, (len(examples), width))
+
+
+def stacked_rows_match_rows(case):
+    """`forward_teacher_forced` on stacked rows against one call per row."""
+    config, store, examples, selected, seed, rate = case
+    lengths = (config.encoder_positions, config.decoder_positions)
+    n = M.dropout_draws(config, *lengths)
+
+    def drop(rows):
+        return M.dropout_scales(config, np.array(
+            [np.random.default_rng([seed, r]).random(n) for r in rows]), lengths, lengths,
+            rate)
+
+    probs, cache = M.forward_teacher_forced(
+        store, config, _stack(examples), selected,
+        drop=drop(range(len(examples))) if rate > 0 else None)
+    close = dict(rtol=1e-12, atol=1e-12)
+    for r, ex in enumerate(examples):
+        row_sel = None if selected is None else selected[r]
+        if rate > 0:
+            # a one-row call on row r's block is masked the same way
+            row_probs, row_cache = M.forward_teacher_forced(
+                store, config, _stack([ex]), None if row_sel is None else row_sel[None],
+                drop=drop([r]))
+            row_probs = row_probs[0]
+            row_cache = {key: value[0] for key, value in row_cache.items()}
+        else:
+            row_probs, row_cache = M.forward_teacher_forced(store, config, ex, row_sel)
+        assert np.allclose(probs.data[r], row_probs.data, **close)
+        for key, value in row_cache.items():
+            assert np.allclose(cache[key].data[r], value.data, **close), key
+
+
 class TestIncrementalDecode:
     """start_decode/decode_step against the teacher-forced oracle."""
 
     @settings(deadline=None, max_examples=40)
     @given(row_cases(), st.integers(1, 3))
     def test_steps_match_teacher_forced(self, case, width):
-        """One or several rows per source ([sources, rows]), with a reorder
-        part way that repeats or drops rows within each source and may drop
-        whole sources."""
-        config, store, examples, selected, seed, _ = case
-        rng = np.random.default_rng(seed)
-        sel = [None] * len(examples) if selected is None else list(selected)
-        state = start_rows(store, config, examples, selected)
-        sources = list(zip(examples, sel))
-        # per source, per row: the tokens fed so far and that row's step outputs
-        fed = [[[BOS] for _ in range(width)] for _ in sources]
-        outs = [[[] for _ in range(width)] for _ in sources]
-        reorder_at = int(rng.integers(1, config.decoder_positions))
-        for t in range(config.decoder_positions):
-            if t == reorder_at:
-                keep = rng.random(len(sources)) < 0.7
-                keep[rng.integers(len(sources))] = True
-                back = rng.integers(0, width, (int(keep.sum()), int(rng.integers(1, 4))))
-                state.reorder(keep, back)
-                kept = np.flatnonzero(keep)
-                fed, outs = ([[list(x[i][r]) for r in rows] for i, rows in zip(kept, back)]
-                             for x in (fed, outs))
-                sources = [sources[i] for i in kept]
-            if t:
-                for row in (row for rows in fed for row in rows):
-                    row.append(int(rng.integers(5, config.vocab_size)))
-            step = M.decode_step(store, config, state,
-                                 [[row[-1] for row in rows] for rows in fed])
-            for i, rows in enumerate(outs):
-                for j, row in enumerate(rows):
-                    row.append({k: v[i, j] for k, v in vars(step).items()})
-        # masked copy logits reach ~5e3, where one float64 ulp is ~1e-12
-        close = dict(rtol=1e-12, atol=1e-12)
-        for rows, row_outs, (ex, row_sel) in zip(fed, outs, sources):
-            for row, steps in zip(rows, row_outs):
-                target = example_for(config, ex.source_ids[~ex.source_pad_mask],
-                                     row[1:] + [5])
-                _, cache = M.forward_teacher_forced(store, config, target, row_sel)
-                for t, out in enumerate(steps):
-                    assert np.allclose(out["mixed_logits"], cache["mixed_logits"].data[t],
-                                       **close)
-                    assert np.allclose(out["gen_logits"], cache["gen_logits"].data[t],
-                                       **close)
-                    assert np.allclose(out["d_t"], cache["decoder_out"].data[t], **close)
-                    assert np.allclose(out["cross_logits"],
-                                       cache["cross_logits"].data[:, t], **close)
-                    assert np.allclose(out["copy_logits"], cache["copy_logits"].data[t],
-                                       **close)
-                    assert np.allclose(out["p_gen"], cache["p_gen"].data[t], **close)
+        steps_match_teacher_forced(case, width)
 
     @settings(deadline=None, max_examples=30)
     @given(row_cases(), st.integers(1, 3))
     def test_batched_rows_equal_one_row_steps_bit_for_bit(self, case, width):
-        """Each row of a step over several sources, each with `width` rows,
-        is exactly what a one-row state of its source computes, so a batched
-        decode picks the same tokens as one source at a time."""
-        config, store, examples, selected, seed, _ = case
-        rng = np.random.default_rng(seed)
-        state = start_rows(store, config, examples, selected)
-        alone = [[start(store, config, ex, None if selected is None else selected[r])
-                  for _ in range(width)] for r, ex in enumerate(examples)]
-        tokens = np.full((len(examples), width), BOS)
-        for _ in range(config.decoder_positions):
-            step = vars(M.decode_step(store, config, state, tokens))
-            for r, row_states in enumerate(alone):
-                for j, row_state in enumerate(row_states):
-                    for key, value in vars(M.decode_step(store, config, row_state,
-                                                         tokens[r:r + 1, j:j + 1])).items():
-                        assert np.array_equal(step[key][r, j], value[0, 0]), key
-            tokens = rng.integers(5, config.vocab_size, (len(examples), width))
+        batched_rows_equal_one_row_steps(case, width)
 
 
 class TestRows:
@@ -284,33 +323,7 @@ class TestRows:
     @settings(deadline=None, max_examples=40)
     @given(row_cases())
     def test_forward_teacher_forced_matches_rows(self, case):
-        config, store, examples, selected, seed, rate = case
-        lengths = (config.encoder_positions, config.decoder_positions)
-        n = M.dropout_draws(config, *lengths)
-
-        def drop(rows):
-            return M.dropout_scales(config, np.array(
-                [np.random.default_rng([seed, r]).random(n) for r in rows]), lengths, lengths,
-                rate)
-
-        probs, cache = M.forward_teacher_forced(
-            store, config, _stack(examples), selected,
-            drop=drop(range(len(examples))) if rate > 0 else None)
-        close = dict(rtol=1e-12, atol=1e-12)
-        for r, ex in enumerate(examples):
-            row_sel = None if selected is None else selected[r]
-            if rate > 0:
-                # a one-row call on row r's block is masked the same way
-                row_probs, row_cache = M.forward_teacher_forced(
-                    store, config, _stack([ex]), None if row_sel is None else row_sel[None],
-                    drop=drop([r]))
-                row_probs = row_probs[0]
-                row_cache = {key: value[0] for key, value in row_cache.items()}
-            else:
-                row_probs, row_cache = M.forward_teacher_forced(store, config, ex, row_sel)
-            assert np.allclose(probs.data[r], row_probs.data, **close)
-            for key, value in row_cache.items():
-                assert np.allclose(cache[key].data[r], value.data, **close), key
+        stacked_rows_match_rows(case)
 
     @settings(deadline=None, max_examples=20)
     @given(row_cases())
@@ -337,6 +350,42 @@ class TestRows:
         pm = M.pad_mask_add(np.array([[False, True], [True, False]]))
         assert pm.shape == (2, 1, 1, 2)
         assert np.array_equal(pm[1, 0, 0], [M.NEG_MASK, 0.0])
+
+    def test_encode_graph_has_no_whole_batch_scores(self, store, config):
+        """Self-attention is one `ad.attention` node: a stacked encode
+        records no [rows, heads, S, S] scores."""
+        rows, s = 3, config.encoder_positions
+        pad = np.arange(s) >= np.array([[s], [2], [5]])
+        with ad.new_tape() as tape:
+            out = M.encode(store, config, np.full((rows, s), 5), pad)
+        assert tape.nodes[-1] is out
+        shapes = {node.shape for node in tape.nodes}
+        assert (rows, s, config.hidden_size) in shapes
+        assert (rows, config.num_heads, s, s) not in shapes
+
+
+@pytest.mark.usefixtures("one_row_attention_blocks")
+class TestOneRowAttentionBlocks:
+    """TestIncrementalDecode's and TestRows's stacked-against-per-row oracles
+    with `ad.attention` working one leading row at a time."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(row_cases(), st.integers(1, 3))
+    def test_steps_match_teacher_forced(self, case, width):
+        steps_match_teacher_forced(case, width)
+
+    @settings(deadline=None, max_examples=30)
+    @given(row_cases(), st.integers(1, 3))
+    def test_batched_rows_equal_one_row_steps_bit_for_bit(self, case, width):
+        batched_rows_equal_one_row_steps(case, width)
+
+    @settings(deadline=None, max_examples=40)
+    @given(row_cases())
+    def test_forward_teacher_forced_matches_rows(self, case):
+        stacked_rows_match_rows(case)
+
+    def test_blocks_are_one_row(self):
+        assert len(ad._row_blocks((3, 2, 4, 4))) == 3
 
 
 class TestDropoutScales:
