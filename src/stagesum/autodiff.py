@@ -8,15 +8,22 @@ accumulating every rule's result into its parent.  A parameter of a
 `ParamStore` arrives with `.grad` preset to a zeroed view of the store's
 gradient arena, so every gradient is added into it; any other tensor's
 first gradient is stored as a C-ordered copy and later ones are added to
-it, so no intermediate gradient starts as a buffer of zeros.  The model's
-hot spots are fused into single nodes: `linear` (x @ W + b); self-attention
-as `attention` (softmax(q kᵀ · scale + mask) @ v), which works through
-blocks of leading rows small enough for a core's cache and saves only the
+it, so no intermediate gradient starts as a buffer of zeros.  Once the
+replay has run a node's rules its gradient is freed (set to None): only
+leaves keep theirs, while the tape keeps every node and its saved arrays.
+
+The model's hot spots are fused into single nodes: `linear` (x @ W + b);
+`split_heads` (a projection split into attention heads); `merge_heads`
+(the heads merged and projected); `ffn` (linear, erf-GELU, linear);
+`residual_norm` (layer_norm(x + out * dropout scales)); self-attention as
+`attention` (softmax(q kᵀ · scale + mask) @ v), which works through blocks
+of leading rows small enough for a core's cache and saves only the
 softmax; and cross-attention as `attention_scores` (q kᵀ · scale + mask)
 followed by `softmax_matmul` (softmax(s) @ v), since its scores also feed
-the copy logits.  Each fused rule reuses the unfused chain's expressions, so
-values and gradients keep their bits.  Everything is 64-bit; there is no
-device or dtype story.
+the copy logits.  Each fused rule reuses the unfused chain's expressions
+and forms its internal gradients in the layout the unfused replay stored
+them in, so values and gradients keep their bits.  Everything is 64-bit;
+there is no device or dtype story.
 """
 
 from __future__ import annotations
@@ -129,6 +136,9 @@ class Tensor:
             for parent, grad_fn in zip(node._parents, node._grad_fns):
                 if parent.requires_grad or parent._parents:
                     parent._accumulate(_unbroadcast(grad_fn(node.grad), parent.data.shape))
+            # spent: a recorded node is interior (leaves are never recorded),
+            # and its rules were the gradient's last readers
+            node.grad = None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -173,9 +183,6 @@ class Tensor:
             axes = tuple(reversed(range(self.data.ndim)))
         inv = np.argsort(axes)
         return _make(self.data.transpose(axes), (self,), lambda: (lambda g: g.transpose(inv),))
-
-    def swapaxes(self, a, b):
-        return _make(self.data.swapaxes(a, b), (self,), lambda: (lambda g: g.swapaxes(a, b),))
 
     # -- reductions ---------------------------------------------------------
 
@@ -233,6 +240,23 @@ def _make(data: np.ndarray, parents: tuple, rules) -> Tensor:
     return out
 
 
+def _joint_rules(parents: tuple, grads):
+    """One rule per parent of a node whose parents' gradients come from one
+    pass: grads(g) returns a gradient for every parent.  The replay's first
+    call runs the pass for the parents that need a gradient, each rule takes
+    its own, and the next replay starts a new pass."""
+    need = [p.requires_grad or bool(p._parents) for p in parents]
+    pending = {}
+
+    def rule(i):
+        def grad(g):
+            if not pending:
+                pending.update((j, d) for j, d in enumerate(grads(g)) if need[j])
+            return pending.pop(i)
+        return grad
+    return tuple(rule(i) for i in range(len(parents)))
+
+
 # -- elementwise nonlinearities ---------------------------------------------
 
 
@@ -243,23 +267,6 @@ def log(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
     return _make(s, (x,), lambda: (lambda g: g * s * (1.0 - s),))
-
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-
-    def rules():
-        def grad(g):
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-            return g * (cdf + x.data * pdf)
-        return (grad,)
-
-    return _make(x.data * cdf, (x,), rules)
 
 
 def clamp_min(x: Tensor, lo: float) -> Tensor:
@@ -294,22 +301,87 @@ def _matmul_rules(a: np.ndarray, b: np.ndarray):
     return grad_a, grad_b
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  Stacked operands broadcast over their batch axes, as
-    in np.matmul (e.g. x [B, T, H] @ W [H, K]), gradients included."""
-    _check_inner(a.data, b.data)
-    return _make(np.matmul(a.data, b.data), (a, b), lambda: _matmul_rules(a.data, b.data))
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: x [..., n] projected by w [n, k] (or [n]) plus a
     bias that broadcasts to the product's shape, added in place.  Same values
-    and gradients as `matmul` followed by `+`; w's and b's gradients sum over
-    x's row axes."""
-    _check_inner(x.data, w.data)
-    y = np.matmul(x.data, w.data)
-    y += b.data
-    return _make(y, (x, w, b), lambda: _matmul_rules(x.data, w.data) + (_identity,))
+    and gradients as a matmul node followed by `+`; w's and b's gradients sum
+    over x's row axes."""
+    return _make(_affine(x.data, w.data, b.data), (x, w, b),
+                 lambda: _matmul_rules(x.data, w.data) + (_identity,))
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`linear`'s forward: x @ w + b, the bias added in place."""
+    _check_inner(x, w)
+    y = np.matmul(x, w)
+    y += b
+    return y
+
+
+def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple:
+    """`linear`'s gradients for x, w and b from a C-ordered g, before the
+    replay un-broadcasts them."""
+    grad_x, grad_w = _matmul_rules(x, w)
+    return grad_x(g), grad_w(g), g
+
+
+def split_heads(x: Tensor, w: Tensor, b: Tensor, heads: int) -> Tensor:
+    """`linear(x, w, b)` [..., steps, k] split into heads as one node:
+    [..., heads, steps, k // heads], a view of the projection.  The
+    gradient is gathered back into a new C-ordered [..., steps, k] array, the
+    layout the unfused chain's replay copied it to (reshape, swapaxes), and
+    then runs `linear`'s rules."""
+    y = _affine(x.data, w.data, b.data)
+    if y.ndim < 2 or y.shape[-1] % heads:
+        raise ShapeError(f"{heads} heads over a projection of shape {y.shape}")
+    split = y.shape[:-1] + (heads, y.shape[-1] // heads)
+
+    def grads(g):
+        gy = np.empty(y.shape)
+        gy.reshape(split)[...] = g.swapaxes(-3, -2)
+        return _affine_grads(x.data, w.data, gy)
+
+    return _make(y.reshape(split).swapaxes(-3, -2), (x, w, b),
+                 lambda: _joint_rules((x, w, b), grads))
+
+
+def merge_heads(ctx: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Heads ctx [..., heads, steps, d] merged into [..., steps, heads * d]
+    and projected, `linear(merged, w, b)`, as one node.  The merged input is
+    the copy the unfused reshape made; ctx's gradient is `linear`'s input
+    gradient split back into heads."""
+    if ctx.data.ndim < 3:
+        raise ShapeError(f"merge_heads over {ctx.data.shape}: no heads axis")
+    split = ctx.data.swapaxes(-3, -2)
+    merged = split.reshape(split.shape[:-2] + (-1,))
+
+    def grads(g):
+        g_merged, g_w, g_b = _affine_grads(merged, w.data, g)
+        return g_merged.reshape(split.shape).swapaxes(-3, -2), g_w, g_b
+
+    return _make(_affine(merged, w.data, b.data), (ctx, w, b),
+                 lambda: _joint_rules((ctx, w, b), grads))
+
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def ffn(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w_in, b_in)), w_out, b_out) as one node, with
+    the exact (erf-based) GELU.  It saves the hidden pre-activation and the
+    GELU's normal CDF, and rebuilds the activation from them in backward;
+    every value and gradient is the unfused chain's expression."""
+    h = _affine(x.data, w_in.data, b_in.data)
+    cdf = 0.5 * (1.0 + erf(h * _INV_SQRT2))
+
+    def grads(g):
+        g_act, g_w_out, g_b_out = _affine_grads(h * cdf, w_out.data, g)
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * h * h)
+        return _affine_grads(x.data, w_in.data, g_act * (cdf + h * pdf)) + (g_w_out, g_b_out)
+
+    return _make(_affine(h * cdf, w_out.data, b_out.data), (x, w_in, b_in, w_out, b_out),
+                 lambda: _joint_rules((x, w_in, b_in, w_out, b_out), grads))
 
 
 def _softmax(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -421,47 +493,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask_add=None) -> T
             np.matmul(y[b].swapaxes(-1, -2), g[b], out=dv[b])
         return dq, dk, dv
 
-    def rules():
-        # one blocked pass makes all three gradients; each parent's rule
-        # takes its own, and the next replay starts a new pass
-        need = [t.requires_grad or bool(t._parents) for t in (q, k, v)]
-        pending = {}
-
-        def rule(i):
-            def grad(g):
-                if not pending:
-                    pending.update((j, d) for j, d in enumerate(grads(g)) if need[j])
-                return pending.pop(i)
-            return grad
-        return rule(0), rule(1), rule(2)
-
-    return _make(out, (q, k, v), rules)
+    return _make(out, (q, k, v), lambda: _joint_rules((q, k, v), grads))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance (+1e-12), then affine."""
+def residual_norm(x: Tensor, out: Tensor, scale: Optional[np.ndarray], gain: Tensor,
+                  bias: Tensor) -> Tensor:
+    """layer_norm(x + out * scale) as one node: a residual sublayer, x plus
+    its output `out` times the constant dropout scales (None: no dropout),
+    normalized over the last axis to zero mean and unit variance (+1e-12),
+    then scaled by gain and shifted by bias.  x and out get the sum's
+    gradient, out's times the scales."""
     if gain.data.shape != x.data.shape[-1:] or bias.data.shape != x.data.shape[-1:]:
         raise ShapeError(
             f"layer_norm gain/bias {gain.data.shape}/{bias.data.shape} "
             f"do not match last extent of {x.data.shape}"
         )
+    s = x.data + (out.data if scale is None else out.data * scale)
     # x.mean and x.var's own arithmetic, with x - mu formed once
-    n = x.data.shape[-1]
-    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    n = s.shape[-1]
+    xhat = s - np.add.reduce(s, axis=-1, keepdims=True) / n
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-12)
     xhat *= inv
 
-    def rules():
-        def grad_x(g):
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            return inv * (dxhat - m1 - xhat * m2)
-        return (grad_x, lambda g: (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0),
-                lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0))
+    def grads(g):
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        g_sum = inv * (dxhat - m1 - xhat * m2)
+        return (g_sum, g_sum if scale is None else g_sum * scale,
+                (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0),
+                g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    return _make(gain.data * xhat + bias.data, (x, gain, bias), rules)
+    return _make(gain.data * xhat + bias.data, (x, out, gain, bias),
+                 lambda: _joint_rules((x, out, gain, bias), grads))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

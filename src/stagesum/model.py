@@ -14,7 +14,9 @@ function takes optional leading row axes, so a stack of examples is one
 call and one graph.  Dropout is on exactly when a function is given `drop`,
 its half's `dropout_scales` array: each dropout site multiplies by its own
 [rows, positions, 1] scales, so each row is masked exactly as a one-row
-pass with its own draws would be.
+pass with its own draws would be.  A layer records one node per head
+split, attention, head merge, FFN and residual sublayer (dropout, residual
+add and layer norm), `autodiff`'s fused ops.
 Inference decodes incrementally over [sources, rows]: `start_decode`
 builds the source side once per source, stored once and broadcast over the
 source's rows, and each `decode_step` is one `decoder_stack` call that
@@ -131,16 +133,10 @@ class DecoderStepState:
     mixed_logits: np.ndarray       # [sources, rows, vocab]
 
 
-def _project(store, name: str, x: Tensor) -> Tensor:
-    return ad.linear(x, store[f"{name}.weight"], store[f"{name}.bias"])
-
-
 def _heads(store, name: str, x: Tensor, config: ModelConfig) -> Tensor:
     """Project x [..., steps, hidden] and split it into heads:
     [..., heads, steps, head_dim]."""
-    h = config.num_heads
-    y = _project(store, name, x)
-    return y.reshape(*y.shape[:-1], h, config.hidden_size // h).swapaxes(-3, -2)
+    return ad.split_heads(x, store[f"{name}.weight"], store[f"{name}.bias"], config.num_heads)
 
 
 def _key_values(store, prefix: str, x: Tensor, config: ModelConfig) -> tuple[Tensor, Tensor]:
@@ -152,11 +148,10 @@ def _scale(config: ModelConfig) -> float:
     return 1.0 / math.sqrt(config.hidden_size // config.num_heads)
 
 
-def _merge(store, prefix: str, ctx: Tensor, config: ModelConfig) -> Tensor:
+def _merge(store, prefix: str, ctx: Tensor) -> Tensor:
     """Merge the heads of ctx [..., heads, steps, head_dim] and project them:
     [..., steps, hidden]."""
-    ctx = ctx.swapaxes(-3, -2)
-    return _project(store, f"{prefix}.o", ctx.reshape(*ctx.shape[:-2], config.hidden_size))
+    return ad.merge_heads(ctx, store[f"{prefix}.o.weight"], store[f"{prefix}.o.bias"])
 
 
 def _cross_attend(store, prefix: str, q: Tensor, k: Tensor, v: Tensor, mask_add,
@@ -165,29 +160,37 @@ def _cross_attend(store, prefix: str, q: Tensor, k: Tensor, v: Tensor, mask_add,
     hidden], pre-softmax scores after the mask).  The scores are their own
     node: the top layer's feed the copy logits as well as the softmax."""
     scores = ad.attention_scores(q, k, _scale(config), mask_add)
-    return _merge(store, prefix, ad.softmax_matmul(scores, v), config), scores
+    return _merge(store, prefix, ad.softmax_matmul(scores, v)), scores
 
 
 def _ffn(store, prefix: str, x: Tensor) -> Tensor:
-    return _project(store, f"{prefix}.out", ad.gelu(_project(store, f"{prefix}.in", x)))
+    return ad.ffn(x, *(store[f"{prefix}.{name}"]
+                       for name in ("in.weight", "in.bias", "out.weight", "out.bias")))
 
 
-def _dropout(x: Tensor, drop: Optional[np.ndarray], site: int) -> Tensor:
-    """x [rows, positions, hidden] times its dropout site's scales
-    drop[site] [rows, positions, 1], or x itself when drop is None."""
+def _drop_scales(drop: Optional[np.ndarray], site: int, x: Tensor) -> Optional[np.ndarray]:
+    """Dropout site `site`'s scales drop[site] [rows, positions, 1] for
+    x [rows, positions, hidden], or None when drop is None."""
     if drop is None:
-        return x
+        return None
     scale = drop[site]
     if scale.shape[:-1] != x.shape[:-1]:
         raise DrawError(f"dropout scales for {scale.shape[:-1]} [rows, positions] "
                         f"at a site over {x.shape[:-1]}")
-    return x * scale
+    return scale
+
+
+def _dropout(x: Tensor, drop: Optional[np.ndarray], site: int) -> Tensor:
+    """x times its dropout site's scales, or x itself when drop is None."""
+    scale = _drop_scales(drop, site, x)
+    return x if scale is None else x * scale
 
 
 def _sublayer(store, norm_prefix: str, x: Tensor, out: Tensor,
               drop: Optional[np.ndarray], site: int) -> Tensor:
-    out = _dropout(out, drop, site)
-    return ad.layer_norm(x + out, store[f"{norm_prefix}.gain"], store[f"{norm_prefix}.bias"])
+    """layer_norm(x + dropout(out)), as one node."""
+    return ad.residual_norm(x, out, _drop_scales(drop, site, out),
+                            store[f"{norm_prefix}.gain"], store[f"{norm_prefix}.bias"])
 
 
 def dropout_draws(config: ModelConfig, source_len: int, target_len: int = 0) -> int:
@@ -276,8 +279,7 @@ def encode(store, config: ModelConfig, source_ids: np.ndarray,
         p = f"encoder.layer.{i}"
         q = _heads(store, f"{p}.self_attn.q", x, config)
         k, v = _key_values(store, f"{p}.self_attn", x, config)
-        att = _merge(store, f"{p}.self_attn", ad.attention(q, k, v, _scale(config), mask),
-                     config)
+        att = _merge(store, f"{p}.self_attn", ad.attention(q, k, v, _scale(config), mask))
         x = _sublayer(store, f"{p}.self_attn_norm", x, att, drop, 1 + 2 * i)
         x = _sublayer(store, f"{p}.ffn_norm", x, _ffn(store, f"{p}.ffn", x), drop, 2 + 2 * i)
     return x
@@ -366,8 +368,7 @@ def decoder_stack(store, config: ModelConfig, state: DecodeState, input_ids: np.
                 k, v = (Tensor(np.concatenate([past, new.data], axis=-2))
                         for past, new in zip(cache[i], (k, v)))
             cache[i] = (k.data, v.data)
-        att = _merge(store, f"{p}.self_attn", ad.attention(q, k, v, _scale(config), causal),
-                     config)
+        att = _merge(store, f"{p}.self_attn", ad.attention(q, k, v, _scale(config), causal))
         x = _sublayer(store, f"{p}.self_attn_norm", x, att, drop, 1 + 3 * i)
         q = _heads(store, f"{p}.cross_attn.q", x, config)
         cross, scores = _cross_attend(store, f"{p}.cross_attn", q, *state.cross_kv[i],
@@ -381,7 +382,7 @@ def decoder_stack(store, config: ModelConfig, state: DecodeState, input_ids: np.
 
 def gate(store, d: Tensor) -> Tensor:
     """p_gen = sigmoid(d . gate.weight + gate.bias), over d's last axis."""
-    return ad.sigmoid(_project(store, "gate", d))
+    return ad.sigmoid(ad.linear(d, store["gate.weight"], store["gate.bias"]))
 
 
 def generation_logits(store, d: Tensor) -> Tensor:

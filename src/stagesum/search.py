@@ -27,8 +27,13 @@ def length_penalty(length: int, alpha: float) -> float:
 
 
 def _log_probs(z: np.ndarray) -> np.ndarray:
-    """Log-softmax of mixed logits [..., vocab] over the vocab axis."""
-    shifted = z - z.max(axis=-1, keepdims=True)
+    """Log-softmax of mixed logits [..., vocab] over the vocab axis.  A NaN
+    or infinite row maximum raises NumericError, as in `ad.softmax`: the row
+    would be all NaN, and a search would read token 0 from it."""
+    top = z.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ad.NumericError("decoding received a NaN or infinite logit row maximum")
+    shifted = z - top
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 

@@ -5,58 +5,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_model as R
 from stagesum import autodiff as ad
 from stagesum import model as M
 from stagesum import training
 from stagesum.autodiff import Tensor
-from stagesum.checkpoint import ParamStore
+from stagesum.checkpoint import ParamStore, init_random
 
 from conftest import assert_grad_matches, grad_of
+from test_model import example_for
 
 
 class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(ad.matmul(a, b).data, [[1, 2], [3, 4]])
+        assert np.array_equal(R.matmul(a, b).data, [[1, 2], [3, 4]])
 
     def test_dot_product(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = R.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert np.array_equal(out.data, [[11.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            R.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_grad_sum_ab(self):
         # d/dA sum(A B) = 1 B^T; hand value for B = 2I is all twos
         a = np.ones((2, 2))
         b = Tensor([[2.0, 0.0], [0.0, 2.0]])
-        analytic = grad_of(lambda t: ad.matmul(t, b).sum(), a)
+        analytic = grad_of(lambda t: R.matmul(t, b).sum(), a)
         assert np.allclose(analytic, np.full((2, 2), 2.0))
-        assert_grad_matches(lambda t: ad.matmul(t, b).sum(), a)
+        assert_grad_matches(lambda t: R.matmul(t, b).sum(), a)
 
     def test_grad_wrt_right_operand(self):
         a = Tensor(np.arange(6, dtype=float).reshape(2, 3))
-        assert_grad_matches(lambda t: ad.matmul(a, t).sum(),
+        assert_grad_matches(lambda t: R.matmul(a, t).sum(),
                             np.linspace(-1, 1, 12).reshape(3, 4))
 
     def test_grad_batched(self, rng):
         a = rng.normal(size=(3, 2, 4))
         b = Tensor(rng.normal(size=(3, 4, 5)))
-        assert_grad_matches(lambda t: (ad.matmul(t, b) * Tensor(np.ones((3, 2, 5)))).sum(), a)
+        assert_grad_matches(lambda t: (R.matmul(t, b) * Tensor(np.ones((3, 2, 5)))).sum(), a)
         # one operand stacked, the other not: its gradient sums over the batch axis
         for a_shape, b_shape in [((3, 2, 4), (4, 5)), ((2, 4), (3, 4, 5)),
                                  ((3, 2, 4), (4,)), ((4,), (3, 4, 5))]:
             a = rng.normal(size=a_shape)
             b = rng.normal(size=b_shape)
             w = Tensor(rng.normal(size=np.matmul(a, b).shape))
-            assert_grad_matches(lambda t: (ad.matmul(t, Tensor(b)) * w).sum(), a)
-            assert_grad_matches(lambda t: (ad.matmul(Tensor(a), t) * w).sum(), b)
+            assert_grad_matches(lambda t: (R.matmul(t, Tensor(b)) * w).sum(), a)
+            assert_grad_matches(lambda t: (R.matmul(Tensor(a), t) * w).sum(), b)
 
     def test_grad_matrix_vector(self, rng):
         m = Tensor(rng.normal(size=(3, 4)))
-        assert_grad_matches(lambda t: ad.matmul(m, t).sum(), rng.normal(size=4))
+        assert_grad_matches(lambda t: R.matmul(m, t).sum(), rng.normal(size=4))
 
 
 class TestSoftmax:
@@ -102,21 +104,26 @@ class TestSoftmax:
                             rng.normal(size=(2, 5)))
 
 
+def layer_norm(x, gain, bias):
+    """`ad.residual_norm` with a zero residual branch: layer_norm(x)."""
+    return ad.residual_norm(x, Tensor(np.zeros(x.shape)), None, gain, bias)
+
+
 class TestLayerNorm:
     def test_constant_collapses_to_bias(self):
-        out = ad.layer_norm(Tensor([3.0, 3.0, 3.0]), Tensor(np.ones(3)),
+        out = layer_norm(Tensor([3.0, 3.0, 3.0]), Tensor(np.ones(3)),
                             Tensor(np.zeros(3)))
         assert np.allclose(out.data, 0.0, atol=1e-5)
 
     def test_two_point(self):
         # variance 1, plus the 1e-12 layer_norm adds
-        out = ad.layer_norm(Tensor([1.0, 3.0]), Tensor(np.ones(2)),
+        out = layer_norm(Tensor([1.0, 3.0]), Tensor(np.ones(2)),
                             Tensor(np.zeros(2)))
         assert np.array_equal(out.data, np.array([-1.0, 1.0]) / np.sqrt(1.0 + 1e-12))
 
     def test_shape_error(self):
         with pytest.raises(ad.ShapeError):
-            ad.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)),
+            layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)),
                           Tensor(np.zeros(3)))
 
     def test_grad_x(self, rng):
@@ -124,17 +131,17 @@ class TestLayerNorm:
         bias = Tensor(rng.normal(size=6))
         w = Tensor(rng.normal(size=(3, 6)))
         assert_grad_matches(
-            lambda t: (ad.layer_norm(t, gain, bias) * w).sum(),
+            lambda t: (layer_norm(t, gain, bias) * w).sum(),
             rng.normal(size=(3, 6)))
 
     def test_grad_gain_bias(self, rng):
         x = Tensor(rng.normal(size=(3, 6)))
         w = Tensor(rng.normal(size=(3, 6)))
         assert_grad_matches(
-            lambda t: (ad.layer_norm(x, t, Tensor(np.zeros(6))) * w).sum(),
+            lambda t: (layer_norm(x, t, Tensor(np.zeros(6))) * w).sum(),
             rng.normal(size=6))
         assert_grad_matches(
-            lambda t: (ad.layer_norm(x, Tensor(np.ones(6)), t) * w).sum(),
+            lambda t: (layer_norm(x, Tensor(np.ones(6)), t) * w).sum(),
             rng.normal(size=6))
 
 
@@ -210,11 +217,11 @@ class TestElementwise:
         x = rng.normal(size=7)
         assert_grad_matches(lambda t: ad.log(t).sum(), np.abs(x) + 0.5)
         assert_grad_matches(lambda t: ad.sigmoid(t).sum(), x)
-        assert_grad_matches(lambda t: ad.gelu(t).sum(), x)
+        assert_grad_matches(lambda t: R.gelu(t).sum(), x)
 
     def test_gelu_values(self):
         # GELU(0)=0 and GELU is ~identity for large positive inputs
-        out = ad.gelu(Tensor([0.0, 10.0, -10.0])).data
+        out = R.gelu(Tensor([0.0, 10.0, -10.0])).data
         assert out[0] == 0.0
         assert abs(out[1] - 10.0) < 1e-12
         assert abs(out[2]) < 1e-12
@@ -268,6 +275,26 @@ class TestTapeMechanics:
         assert after._parents != ()
         assert len(tape.nodes) == 2
 
+    def test_interior_gradients_are_freed(self):
+        """After backward() every recorded node is still on the tape, and
+        each one's gradient is gone; the parameters keep theirs."""
+        config = M.ModelConfig(num_layers=2, hidden_size=8, num_heads=2, ffn_size=8,
+                               vocab_size=12, encoder_positions=6, decoder_positions=4)
+        store = init_random(config, 0)
+        items = [example_for(config, [5, 6, 7], [8, 9]),
+                 example_for(config, [9, 10, 11, 5, 6, 7], [5])]
+        with ad.new_tape() as tape:
+            loss, _ = training._summarize_loss(store, config, items,
+                                               np.random.default_rng(0), 0.3)
+            recorded = list(tape.nodes)
+            loss.backward()
+        assert len(recorded) > 50 and loss is recorded[-1]
+        assert len(tape.nodes) == len(recorded)
+        assert all(a is b for a, b in zip(tape.nodes, recorded))
+        assert all(node.grad is None for node in tape.nodes)
+        assert np.abs(store.grad).max() > 0
+        assert all(store[name].grad.shape == store[name].shape for name in store)
+
     def test_grad_populated_for_all_reachable(self, rng):
         a = Tensor(rng.normal(size=3), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
@@ -296,19 +323,28 @@ class TestTapeMechanics:
         assert np.array_equal(a, b)
 
 
+def watched(t):
+    """(t + a zero leaf, the leaf): the replay frees an interior tensor's
+    gradient once it is used, and the leaf keeps a copy of the gradient that
+    reaches the sum, all of its consumers' contributions added in replay
+    order."""
+    leaf = Tensor(np.zeros(t.shape), requires_grad=True)
+    return t + leaf, leaf
+
+
 # -- fused ops against the unfused compositions they replace -----------------
 
 def unfused_linear(x, w, b):
-    return ad.matmul(x, w) + b
+    return R.matmul(x, w) + b
 
 
 def unfused_scores(q, k, scale, mask_add):
-    scores = ad.matmul(q, k.swapaxes(-1, -2)) * scale
+    scores = R.matmul(q, R.swapaxes(k, -1, -2)) * scale
     return scores if mask_add is None else scores + Tensor(mask_add)
 
 
 def unfused_softmax_matmul(s, v):
-    return ad.matmul(ad.softmax(s, axis=-1), v)
+    return R.matmul(ad.softmax(s, axis=-1), v)
 
 
 def replay(build, arrays, weight):
@@ -423,14 +459,14 @@ class TestSoftmaxMatmul:
         def run(scores_fn, mix_fn, use_out=True, use_copy=True):
             qt, kt = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
             with ad.new_tape():
-                scores = scores_fn(qt, kt, 0.5, mask)
+                scores, seen = watched(scores_fn(qt, kt, 0.5, mask))
                 loss = Tensor(0.0)
                 if use_out:
                     loss = loss + (mix_fn(scores, Tensor(v)) * Tensor(w_out)).sum()
                 if use_copy:
                     loss = loss + (scores[:, 1] * Tensor(w_copy)).sum()
                 loss.backward()
-            return scores.grad, qt.grad, kt.grad
+            return seen.grad, qt.grad, kt.grad
 
         fused = run(ad.attention_scores, ad.softmax_matmul)
         unfused = run(unfused_scores, unfused_softmax_matmul)
@@ -524,19 +560,102 @@ class TestAttention:
                 ad.attention(*(arr(*shape) for shape in shapes), 0.5)
 
 
+def unfused_heads(x, w, b, heads):
+    y = R.matmul(x, w) + b
+    return R.swapaxes(y.reshape(*y.shape[:-1], heads, y.shape[-1] // heads), -3, -2)
+
+
+def unfused_merge(ctx, w, b):
+    ctx = R.swapaxes(ctx, -3, -2)
+    return R.matmul(ctx.reshape(*ctx.shape[:-2], -1), w) + b
+
+
+def unfused_ffn(x, w_in, b_in, w_out, b_out):
+    return R.matmul(R.gelu(R.matmul(x, w_in) + b_in), w_out) + b_out
+
+
+def unfused_residual_norm(x, out, scale, gain, bias):
+    return R.layer_norm(x + (out if scale is None else out * scale), gain, bias)
+
+
+class TestSplitHeads:
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_linear_reshape_swapaxes(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        rows = data.draw(leading, "row axes")
+        steps, n, heads, d = (data.draw(st.integers(1, k)) for k in (4, 4, 4, 3))
+        arrays = [rng.normal(size=rows + (steps, n)), rng.normal(size=(n, heads * d)),
+                  rng.normal(size=heads * d)]
+        check_fused(lambda *a: ad.split_heads(*a, heads), lambda *a: unfused_heads(*a, heads),
+                    arrays, rng)
+
+    def test_heads_must_divide_the_projection(self):
+        with pytest.raises(ad.ShapeError):
+            ad.split_heads(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))),
+                           Tensor(np.zeros(4)), 3)
+
+
+class TestMergeHeads:
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_swapaxes_reshape_linear(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        rows = data.draw(leading, "row axes")
+        heads, steps, d, k = (data.draw(st.integers(1, n)) for n in (4, 4, 3, 4))
+        arrays = [rng.normal(size=rows + (heads, steps, d)), rng.normal(size=(heads * d, k)),
+                  rng.normal(size=k)]
+        check_fused(ad.merge_heads, unfused_merge, arrays, rng)
+
+    def test_shape_mismatch(self):
+        for ctx in (np.ones((2, 3)), np.ones((2, 3, 4))):
+            with pytest.raises(ad.ShapeError):
+                ad.merge_heads(Tensor(ctx), Tensor(np.ones((4, 2))), Tensor(np.zeros(2)))
+
+
+class TestFfn:
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_linear_gelu_linear(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        rows = data.draw(leading, "row axes")
+        steps, n, f, k = (data.draw(st.integers(1, 4)) for _ in range(4))
+        arrays = [rng.normal(size=rows + (steps, n)), rng.normal(size=(n, f)),
+                  rng.normal(size=f), rng.normal(size=(f, k)), rng.normal(size=k)]
+        check_fused(ad.ffn, unfused_ffn, arrays, rng)
+
+
+class TestResidualNorm:
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_matches_dropout_add_layer_norm(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        rows = data.draw(leading, "row axes")
+        steps, n = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 5))
+        # a dropout site's [rows, positions, 1] scales, or none
+        scale = (np.where(rng.random(rows + (steps, 1)) < 0.3, 0.0, 1.0 / 0.7)
+                 if data.draw(st.booleans(), "dropout") else None)
+        arrays = [rng.normal(size=rows + (steps, n)), rng.normal(size=rows + (steps, n)),
+                  rng.normal(size=n) + 1.0, rng.normal(size=n)]
+        check_fused(lambda x, out, g, b: ad.residual_norm(x, out, scale, g, b),
+                    lambda x, out, g, b: unfused_residual_norm(x, out, scale, g, b),
+                    arrays, rng)
+
+
 class TestFirstTouchAccumulation:
     """A tensor's first gradient is stored as a copy; later ones add to it."""
 
     @staticmethod
-    def graph(lookup, project, bias, ids):
+    def graph(lookup, project, bias, ids, watch=lambda t: t):
         """Embeddings tied when `lookup` is `project`: the table is looked up
-        and also projects the output; x feeds a product and the sum after it."""
+        and also projects the output; x feeds a product and the sum after it.
+        Every interior tensor passes through `watch`."""
         r = np.random.default_rng(0)
-        x = ad.embedding(lookup, ids)
+        x = watch(ad.embedding(lookup, ids))
         m = r.normal(size=x.shape)
-        h = x + x * Tensor(m)
-        logits = ad.linear(h, project.transpose(), bias)
-        return x, h, m, (logits * Tensor(r.normal(size=logits.shape))).sum()
+        h = watch(x + watch(x * Tensor(m)))
+        logits = watch(ad.linear(h, watch(project.transpose()), bias))
+        return m, watch(logits * Tensor(r.normal(size=logits.shape))).sum()
 
     @staticmethod
     def store(rng):
@@ -547,9 +666,17 @@ class TestFirstTouchAccumulation:
         store = self.store(rng)
         word, bias = store["word"], store["bias"]
         ids = np.array([[1, 4, 4], [0, 6, 1]])
-        with ad.new_tape() as tape:
-            x, h, m, loss = self.graph(word, word, bias, ids)
+        leaves = []
+
+        def watch(t):
+            t, leaf = watched(t)
+            leaves.append(leaf)
+            return t
+
+        with ad.new_tape():
+            m, loss = self.graph(word, word, bias, ids, watch)
             loss.backward()
+        x, _, h = leaves[:3]
         # the sum's gradient first, then the product's
         assert np.array_equal(x.grad, h.grad + h.grad * m)
         # the tied table's gradient is its two uses' gradients added
@@ -562,8 +689,11 @@ class TestFirstTouchAccumulation:
                 self.graph(*tables, Tensor(bias.data), ids)[-1].backward()
             parts.append(own.grad)
         assert np.array_equal(word.grad, parts[1] + parts[0])
-        grads = [t.grad for t in [word, bias, *tape.nodes]]
-        assert all(g is not None for g in grads)
+        # a watched tensor and its leaf get the same array from the sum's
+        # rule; each stores its own copy, C-ordered even when it comes
+        # transposed (the projection's)
+        grads = [t.grad for t in [word, bias, *leaves]] + parts
+        assert len(grads) == 10 and all(g is not None for g in grads)
         for i, g in enumerate(grads):
             assert g.flags.c_contiguous
             for other in grads[i + 1:]:
@@ -616,7 +746,8 @@ class TestHotOpsKeepTheirBits:
         mu = x.mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12)
         old = gain * ((x - mu) * inv) + bias
-        assert np.array_equal(ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data, old)
+        assert np.array_equal(layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data, old)
+        assert np.array_equal(R.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data, old)
 
     @settings(deadline=None, max_examples=40)
     @given(st.data())
@@ -636,11 +767,16 @@ class TestLazyRules:
             raise AssertionError("gradient rules built")
 
         monkeypatch.setattr(ad, "_matmul_rules", refuse)
-        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
-                   for s in ((2, 3), (3, 4), (4,)))
+        monkeypatch.setattr(ad, "_joint_rules", refuse)
+        x, w, b, w2, gain = (Tensor(rng.normal(size=s), requires_grad=True)
+                             for s in ((2, 4), (4, 4), (4,), (4, 4), (4,)))
         with ad.new_tape() as tape, ad.no_grad():
             ad.linear(x, w, b)
-            ad.matmul(x, w)
+            ad.merge_heads(ad.split_heads(x, w, b, 2), w2, b)
+            ad.residual_norm(x, ad.ffn(x, w, b, w2, b), None, gain, b)
         assert tape.nodes == []
-        with ad.new_tape(), pytest.raises(AssertionError, match="rules built"):
-            ad.linear(x, w, b)
+        for op in (lambda: ad.linear(x, w, b), lambda: ad.split_heads(x, w, b, 2),
+                   lambda: ad.ffn(x, w, b, w2, b),
+                   lambda: ad.residual_norm(x, x, None, gain, b)):
+            with ad.new_tape(), pytest.raises(AssertionError, match="rules built"):
+                op()

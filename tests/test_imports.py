@@ -72,8 +72,7 @@ def test_no_unused_imports(path):
 
 
 # module.name -> why it stays without a caller in src/stagesum
-EXEMPT = {"autodiff.matmul": "the unfused reference the fused-op tests compose "
-                             "`linear` and the attention ops from"}
+EXEMPT: dict[str, str] = {}
 
 
 def module_bindings(tree: ast.Module, modules: set) -> dict:

@@ -1,5 +1,7 @@
 """Transformer and copy-attention head tests."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from stagesum import autodiff as ad
 from stagesum import model as M
+from stagesum import training
 from stagesum.autodiff import Tensor
 from stagesum.checkpoint import init_random
 from stagesum.tokenizer import BOS, PAD, EncodedExample
@@ -364,6 +367,52 @@ class TestRows:
         assert (rows, config.num_heads, s, s) not in shapes
 
 
+def recording_ops(monkeypatch) -> dict:
+    """From now on, node id -> the name of the function that recorded it
+    (`ad._make`'s caller: an `ad` op or a `Tensor` method)."""
+    ops = {}
+    make = ad._make
+
+    def recording(data, parents, rules):
+        out = make(data, parents, rules)
+        if out._parents:
+            ops[id(out)] = sys._getframe(1).f_code.co_name
+        return out
+
+    monkeypatch.setattr(ad, "_make", recording)
+    return ops
+
+
+def test_summarize_graph_is_fused(monkeypatch):
+    """A 16-row minibatch of the benchmark's model records at most 85 nodes:
+    each head split, head merge, FFN and residual sublayer is one node, so
+    nothing sits between a projection and an attention node, or between an
+    attention node and its output projection."""
+    config = small_config(num_layers=2, hidden_size=32, num_heads=4, ffn_size=64,
+                          vocab_size=40, encoder_positions=30, decoder_positions=10)
+    rng = np.random.default_rng(0)
+    items = [example_for(config, rng.integers(5, 40, rng.integers(1, 31)),
+                         rng.integers(3, 40, rng.integers(1, 11))) for _ in range(16)]
+    ops = recording_ops(monkeypatch)
+    with ad.new_tape() as tape:
+        training._summarize_loss(init_random(config, 0), config, items, rng, 0.1)
+    op = {id(node): ops[id(node)] for node in tape.nodes}
+    assert len(tape.nodes) <= 85
+    merged = set()
+    for node in tape.nodes:
+        parents = [op.get(id(p)) for p in node._parents]
+        if op[id(node)] == "attention":
+            assert parents == ["split_heads"] * 3
+        elif op[id(node)] == "attention_scores":
+            assert parents == ["split_heads"] * 2
+        elif op[id(node)] == "softmax_matmul":
+            assert parents == ["attention_scores", "split_heads"]
+        elif op[id(node)] == "merge_heads":
+            assert parents[0] in ("attention", "softmax_matmul")
+            merged.add(id(node._parents[0]))
+    assert merged == {i for i, name in op.items() if name in ("attention", "softmax_matmul")}
+
+
 @pytest.mark.usefixtures("one_row_attention_blocks")
 class TestOneRowAttentionBlocks:
     """TestIncrementalDecode's and TestRows's stacked-against-per-row oracles
@@ -447,13 +496,13 @@ class TestCutRowDropout:
         blocks = np.random.default_rng(num_layers).random(
             (2, M.dropout_draws(config, *lengths)))
         sites = []
-        dropout = M._dropout
+        drop_scales = M._drop_scales
 
-        def recording(x, drop, site):
+        def recording(drop, site, x):
             sites.append((site, drop[site][..., 0]))
-            return dropout(x, drop, site)
+            return drop_scales(drop, site, x)
 
-        monkeypatch.setattr(M, "_dropout", recording)
+        monkeypatch.setattr(M, "_drop_scales", recording)
 
         def run(batch, kept):
             sites.clear()

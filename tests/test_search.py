@@ -103,6 +103,21 @@ class TestGreedy:
         [out] = beam_decode(store, config, ex.source_ids[None], ex.source_pad_mask[None])
         assert len(out) == config.decoder_positions - 1
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_logits_raise(self, bad):
+        """A diverged model (an infinite or NaN output bias) fails by name
+        instead of decoding token 0 from a row of NaN log-probabilities."""
+        config = small_config()
+        store = init_random(config, 0)
+        store["output.bias"].data[7] = bad
+        ex = example_for(config, [5, 6], [5])
+        for decode in (greedy_decode, beam_decode):
+            with pytest.raises(ad.NumericError):
+                decode(store, config, ex.source_ids[None], ex.source_pad_mask[None])
+        with pytest.raises(ad.NumericError):
+            search._log_probs(np.array([[0.0, 1.0], [np.inf, 0.0]]))
+        assert np.isfinite(search._log_probs(np.array([[0.0, -np.inf, 1.0]]))[0, [0, 2]]).all()
+
     def test_zero_max_len_decodes_nothing(self, monkeypatch):
         config = dataclasses.replace(small_config(), decoder_positions=1)
         store = init_random(small_config(), 0)

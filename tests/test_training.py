@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_model as R
 from stagesum import autodiff as ad
 from stagesum import model as M
 from stagesum import search
@@ -228,7 +229,7 @@ def per_example_loss(stage, store, config, items, rng, rate):
                 continue
             enc = M.encode(store, config, corrupted[None], item.source_pad_mask[None],
                            drop()[0])[0]
-            probs = ad.softmax(ad.matmul(enc, store["embedding.word"].transpose())
+            probs = ad.softmax(R.matmul(enc, store["embedding.word"].transpose())
                                + store["mlm.bias"], axis=-1)
             picked_p = probs[(picked, item.source_ids[picked])]
             loss, n = -ad.log(ad.clamp_min(picked_p, CLAMP_FLOOR)).sum(), len(picked)
