@@ -24,18 +24,58 @@ the copy logits.  Each fused rule reuses the unfused chain's expressions
 and forms its internal gradients in the layout the unfused replay stored
 them in, so values and gradients keep their bits.  Everything is 64-bit;
 there is no device or dtype story.
+
+The FFN's exact GELU needs scipy's `erf`, and only that.  Importing
+`scipy.special` for it would initialize the whole package (hundreds of
+modules, and a second OpenBLAS beside NumPy's, ~20 MB of resident memory
+in every stage's process), so `_bind_erf` loads only the extension module
+that defines the ufunc, `scipy/special/_special_ufuncs`, and registers it
+under its own name: `erf` is the very object `scipy.special.erf` is, and a
+later `import scipy.special` reuses the module.  Where that file or its
+`erf` is missing (scipy releases with another layout), it falls back to
+`from scipy.special import erf`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf
 
 from . import kernels
+
+
+_ERF_MODULE = "scipy.special._special_ufuncs"
+
+
+def _bind_erf(scipy_dirs: list[str]):
+    """scipy's `erf` ufunc: from the `scipy.special._special_ufuncs` module
+    if it is already imported, else loaded from its file under one of
+    `scipy_dirs` (the scipy package's search path), else from
+    `scipy.special`."""
+    module = sys.modules.get(_ERF_MODULE)
+    paths = [os.path.join(d, "special", "_special_ufuncs" + suffix)
+             for d in scipy_dirs for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if module is None and path is not None:
+        spec = importlib.util.spec_from_file_location(_ERF_MODULE, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_ERF_MODULE] = module
+        spec.loader.exec_module(module)
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+erf = _bind_erf(getattr(importlib.util.find_spec("scipy"), "submodule_search_locations",
+                        None) or [])
 
 
 class ShapeError(ValueError):

@@ -35,9 +35,21 @@ def _write(out_dir: str, name: str, text: str) -> None:
 
 
 def tokenize_corpus(pairs, vocab):
-    """Each (document, summary) pair as its two word-piece lists."""
-    return [(wordpiece_tokenize(doc, vocab), wordpiece_tokenize(summary, vocab))
-            for doc, summary in pairs]
+    """Each (document, summary) pair as its two word-piece lists, as
+    `wordpiece_tokenize` gives them.  Each distinct lowercased,
+    whitespace-separated chunk of the corpus is tokenized once."""
+    chunks = {}
+
+    def tokenize(text):
+        out = []
+        for chunk in text.lower().split():
+            pieces = chunks.get(chunk)
+            if pieces is None:
+                pieces = chunks[chunk] = wordpiece_tokenize(chunk, vocab)
+            out += pieces
+        return out
+
+    return [(tokenize(doc), tokenize(summary)) for doc, summary in pairs]
 
 
 def encode_corpus(pieces, vocab, source_limit, target_limit):
@@ -54,8 +66,9 @@ def _load_data(cfg: RunConfig, stage: str):
     """The vocabulary and each split `stage` reads: raw, tokenized once and
     encoded, with its pair count and the shares of its sources and targets
     the limits truncated in data["report"].  A required split the config
-    does not name, and a split file with no pairs, are rejected; splits the
-    stage does not read are not opened."""
+    does not name, and a split file with no pairs, are rejected, as is an
+    empty summary in a stage that trains on summaries; splits the stage does
+    not read are not opened."""
     required, optional = _SPLITS[stage]
     for split in required:
         if not cfg.corpus.get(split):
@@ -66,7 +79,8 @@ def _load_data(cfg: RunConfig, stage: str):
     for split in required + optional:
         path = cfg.corpus.get(split)
         if path:
-            pairs = read_corpus(cfg.resolve(path))
+            pairs = read_corpus(cfg.resolve(path),
+                                require_summary=stage in ("train", "select-train"))
             if not pairs:
                 name = "training" if split == "train" else split
                 raise ValueError(f"{name} corpus is empty: corpus.{split} "

@@ -25,35 +25,41 @@ def build_labels(source_pieces: list, summary_pieces: list) -> np.ndarray:
     Repeatedly find the longest contiguous subsequence present in both the
     (remaining) summary and the document, mark the leftmost document
     occurrence, consume the matched summary span, and repeat until no
-    shared n-gram of length >= 1 remains.
+    shared n-gram of length >= 1 remains.  Ties go to the leftmost document
+    start, then to the first remaining segment (a consumed span's left and
+    right parts join the end of the list), then to its first start.
+
+    One table gives, for each summary position i and document position j,
+    the length of the common run starting there (a longest-common-substring
+    table); a segment [a, b) reads it clipped to b - i.
     """
     if not source_pieces or not summary_pieces:
         raise ValueError("build_labels requires non-empty piece sequences")
-    doc = list(source_pieces)
+    ids = {}
+    doc = np.array([ids.setdefault(p, len(ids)) for p in source_pieces])
+    summary = np.array([ids.setdefault(p, len(ids)) for p in summary_pieces])
+    equal = summary[:, None] == doc[None, :]
+    runs = np.zeros((len(summary) + 1, len(doc) + 1), dtype=np.int64)
+    for i in range(len(summary) - 1, -1, -1):
+        runs[i, :-1] = (runs[i + 1, 1:] + 1) * equal[i]
     y = np.zeros(len(doc), dtype=np.int64)
-    remaining = [list(summary_pieces)]
+    remaining = [(0, len(summary))]
     while True:
         best = None  # (length, doc_start, seg_idx, seg_start)
-        for si, seg in enumerate(remaining):
-            for start in range(len(seg)):
-                for ds in range(len(doc)):
-                    n = 0
-                    while (start + n < len(seg) and ds + n < len(doc)
-                           and seg[start + n] == doc[ds + n]):
-                        n += 1
-                    if n > 0 and (best is None or n > best[0]
-                                  or (n == best[0] and ds < best[1])):
-                        best = (n, ds, si, start)
+        for si, (a, b) in enumerate(remaining):
+            # [doc, seg] order: argmax finds the leftmost doc start, then
+            # the first segment start, of the segment's longest run
+            clipped = np.minimum(runs[a:b, :-1], np.arange(b - a, 0, -1)[:, None]).T
+            ds, start = divmod(int(clipped.argmax()), b - a)
+            n = int(clipped[ds, start])
+            if n > 0 and (best is None or n > best[0] or (n == best[0] and ds < best[1])):
+                best = (n, ds, si, start)
         if best is None:
             break
         n, ds, si, start = best
         y[ds:ds + n] = 1
-        seg = remaining.pop(si)
-        left, right = seg[:start], seg[start + n:]
-        if left:
-            remaining.append(left)
-        if right:
-            remaining.append(right)
+        a, b = remaining.pop(si)
+        remaining += [seg for seg in ((a, a + start), (a + start + n, b)) if seg[0] < seg[1]]
     return y
 
 

@@ -16,6 +16,14 @@ class ConfigError(ValueError):
     pass
 
 
+class CorpusError(ValueError):
+    """A damaged corpus record, named by its file and 1-based line."""
+
+    def __init__(self, path, line: int, problem: str):
+        super().__init__(f"{path}: line {line}: {problem}")
+        self.path, self.line = path, line
+
+
 class Vocabulary:
     """Ordered word-piece list; line number in the vocab file is the id."""
 
@@ -58,21 +66,16 @@ def _is_punct(ch: str) -> bool:
 def basic_tokenize(text: str) -> list[str]:
     """Lowercase and split on whitespace, with punctuation as its own tokens."""
     words = []
-    cur = []
-    for ch in text.lower():
-        if ch.isspace():
-            if cur:
-                words.append("".join(cur))
-                cur = []
-        elif _is_punct(ch):
-            if cur:
-                words.append("".join(cur))
-                cur = []
-            words.append(ch)
-        else:
-            cur.append(ch)
-    if cur:
-        words.append("".join(cur))
+    for chunk in text.lower().split():
+        cur = 0
+        for i, ch in enumerate(chunk):
+            if _is_punct(ch):
+                if i > cur:
+                    words.append(chunk[cur:i])
+                words.append(ch)
+                cur = i + 1
+        if cur < len(chunk):
+            words.append(chunk[cur:])
     return words
 
 
@@ -80,7 +83,9 @@ def wordpiece_tokenize(text: str, vocab: Vocabulary) -> list[str]:
     """Greedy longest-match-first subword split.
 
     Continuation pieces carry the "##" prefix; a word with no valid split
-    maps to a single [UNK].
+    maps to a single [UNK].  No word spans whitespace, so a text's pieces
+    are its lowercased, whitespace-separated chunks' pieces in order, and
+    `harness.tokenize_corpus` tokenizes each distinct chunk on its own.
     """
     if len(vocab) <= len(RESERVED):
         raise ConfigError("vocabulary has no content pieces")
@@ -157,20 +162,35 @@ def encode_pair(source_pieces: list[str], summary_pieces: list[str], vocab: Voca
                           src_trunc, tgt_trunc)
 
 
-def read_corpus(path) -> list[tuple[str, str]]:
-    """Read TAB-separated or JSON-record-per-line (document, summary) pairs."""
+def read_corpus(path, require_summary: bool = False) -> list[tuple[str, str]]:
+    """Read TAB-separated or JSON-record-per-line (document, summary) pairs.
+
+    A TSV line without a TAB, a malformed JSON record, one without string
+    "document" and "summary" fields and, under `require_summary`, a summary
+    with no non-whitespace character raise `CorpusError` naming the path and
+    the line; blank lines are skipped."""
     pairs = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             if line.startswith("{"):
-                rec = json.loads(line)
-                pairs.append((rec["document"], rec["summary"]))
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise CorpusError(path, number, f"malformed JSON record: {err}") from None
+                doc, summary = rec.get("document"), rec.get("summary")
+                if not (isinstance(doc, str) and isinstance(summary, str)):
+                    raise CorpusError(path, number, "a JSON record needs string "
+                                      '"document" and "summary" fields')
             else:
-                doc, _, summary = line.partition("\t")
-                pairs.append((doc, summary))
+                doc, tab, summary = line.partition("\t")
+                if not tab:
+                    raise CorpusError(path, number, "no TAB between document and summary")
+            if require_summary and not summary.strip():
+                raise CorpusError(path, number, "empty summary")
+            pairs.append((doc, summary))
     return pairs
 
 

@@ -1,5 +1,10 @@
 """Tensor-core tests: op semantics and gradients against finite differences."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -780,3 +785,46 @@ class TestLazyRules:
                    lambda: ad.residual_norm(x, x, None, gain, b)):
             with ad.new_tape(), pytest.raises(AssertionError, match="rules built"):
                 op()
+
+
+class TestErfBinding:
+    """`ad.erf` is scipy's erf ufunc, bound without importing scipy.special."""
+
+    def test_is_scipy_special_erf(self):
+        import scipy.special
+        assert ad.erf is scipy.special.erf
+        rng = np.random.default_rng(0)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                             2.2250738585072014e-308, 1e-310, -1e-310, 1.0, -1.0,
+                             8.0, -8.0, 6.0, 1e300, -1e300])
+        x = np.concatenate([
+            specials,
+            rng.integers(0, 2**64, size=300_000, dtype=np.uint64).view(np.float64),
+            rng.uniform(-8.0, 8.0, size=400_000),
+            rng.uniform(1.0, 8.0, size=100_000) * rng.choice([-1.0, 1.0], size=100_000),
+            rng.uniform(8.0, 40.0, size=100_000) * rng.choice([-1.0, 1.0], size=100_000),
+            rng.uniform(-1.0, 1.0, size=100_000) * 1e-310])
+        assert x.size >= 10**6
+        assert np.array_equal(ad.erf(x).view(np.uint64),
+                              scipy.special.erf(x).view(np.uint64))
+
+    def test_cli_import_loads_only_the_erf_module(self):
+        """`import stagesum.cli` imports no part of scipy but the extension
+        module that defines erf."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys; import stagesum.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "['scipy.special._special_ufuncs']"
+
+    @pytest.mark.parametrize("where", ["empty", "none"])
+    def test_falls_back_to_scipy_special(self, tmp_path, monkeypatch, where):
+        """Without the extension module (another scipy layout) the loader
+        takes erf from scipy.special."""
+        import scipy.special
+        monkeypatch.delitem(sys.modules, ad._ERF_MODULE)
+        scipy_dirs = [str(tmp_path)] if where == "empty" else []
+        assert ad._bind_erf(scipy_dirs) is scipy.special.erf
+        assert ad._ERF_MODULE not in sys.modules

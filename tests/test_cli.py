@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stagesum import cli, harness, tokenizer, training
+from stagesum import cli, harness, training
 from stagesum import selection as sel
 from stagesum.checkpoint import ParamStore, check_compatible, init_random
 from stagesum.config import RunConfig
@@ -171,17 +171,17 @@ class TestPipeline:
             assert disposition == (f"copied-from {name}" if copied else "randomized")
 
     def test_select_train_tokenizes_each_text_once(self, run_env, monkeypatch):
-        """Labels come from the pieces encoding used: one tokenizer call per
-        document and per summary of the 20 train and 4 dev pairs."""
-        generate_corpora(run_env)
+        """Labels come from the pieces encoding used: each split is tokenized
+        once, one tokenizer call per distinct chunk of its 20 train or 4 dev
+        pairs."""
+        data = generate_corpora(run_env)
         calls = []
 
         def counted(text, vocab):
             calls.append(text)
             return wordpiece_tokenize(text, vocab)
 
-        for module in (tokenizer, harness):
-            monkeypatch.setattr(module, "wordpiece_tokenize", counted)
+        monkeypatch.setattr(harness, "wordpiece_tokenize", counted)
         cfg = write_config(run_env, "sel", out_dir="selrun", seed=0, model=MODEL,
                            vocab="data/vocab.txt",
                            corpus={"train": "data/short.train.tsv",
@@ -189,7 +189,11 @@ class TestPipeline:
                            train={"lr": 1e-3, "dropout": 0.0, "batch_size": 8,
                                   "max_epochs": 1})
         assert cli.main(["select-train", cfg]) == 0
-        assert len(calls) == 2 * (20 + 4)
+        chunks = [sorted({chunk for pair in read_corpus(data / f"short.{split}.tsv")
+                          for text in pair for chunk in text.lower().split()})
+                  for split in ("train", "dev")]
+        assert sorted(calls[:len(chunks[0])]) == chunks[0]
+        assert sorted(calls[len(chunks[0]):]) == chunks[1]
 
 
 class TestDataReport:
@@ -472,6 +476,41 @@ class TestDiagnostics:
         assert cli.main([command, cfg]) == 1
         assert f"corpus.{split} {run_env / 'empty.tsv'} holds no pairs" in (
             capsys.readouterr().err)
+        assert not (run_env / "r").exists()
+
+    @pytest.mark.parametrize("command, split", [
+        ("train", "train"), ("train", "dev"), ("select-train", "train"),
+        ("select-train", "dev")])
+    def test_empty_summary_rejected(self, run_env, capsys, command, split):
+        """A stage that trains on summaries names the file and line of an
+        empty summary before it trains or makes its run directory."""
+        data = generate_corpora(run_env)
+        pairs = read_corpus(data / f"short.{split}.tsv")
+        pairs[2] = (pairs[2][0], "")
+        write_corpus(pairs, run_env / "damaged.tsv")
+        capsys.readouterr()
+        corpus = {"train": "data/short.train.tsv", "dev": "data/short.dev.tsv",
+                  split: "damaged.tsv"}
+        cfg = write_config(run_env, "cfg", out_dir="r", model=MODEL,
+                           vocab="data/vocab.txt", corpus=corpus, train={"max_epochs": 1})
+        assert cli.main([command, cfg]) == 1
+        assert (f"{run_env / 'damaged.tsv'}: line 3: empty summary"
+                in capsys.readouterr().err)
+        assert not (run_env / "r").exists()
+
+    def test_damaged_record_named(self, run_env, capsys):
+        """A corpus line without a TAB fails the stage by file and line."""
+        generate_corpora(run_env)
+        lines = (run_env / "data" / "short.train.tsv").read_text().splitlines()
+        lines[4] = lines[4].replace("\t", " ")
+        (run_env / "damaged.tsv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        cfg = write_config(run_env, "cfg", out_dir="r", model=MODEL,
+                           vocab="data/vocab.txt", corpus={"train": "damaged.tsv"},
+                           train={"max_epochs": 1})
+        assert cli.main(["pretrain", cfg]) == 1
+        assert (f"{run_env / 'damaged.tsv'}: line 5: no TAB between document and summary"
+                in capsys.readouterr().err)
         assert not (run_env / "r").exists()
 
     @pytest.mark.parametrize("command", ["select-train", "decode"])

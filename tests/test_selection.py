@@ -34,6 +34,37 @@ def exhaustive_best_f1(probs, labels):
     return best
 
 
+def rescan_labels(source_pieces, summary_pieces):
+    """`build_labels` as it rescanned every (segment, start, doc start)
+    triple on each round: the oracle for its table form."""
+    doc = list(source_pieces)
+    y = np.zeros(len(doc), dtype=np.int64)
+    remaining = [list(summary_pieces)]
+    while True:
+        best = None  # (length, doc_start, seg_idx, seg_start)
+        for si, seg in enumerate(remaining):
+            for start in range(len(seg)):
+                for ds in range(len(doc)):
+                    n = 0
+                    while (start + n < len(seg) and ds + n < len(doc)
+                           and seg[start + n] == doc[ds + n]):
+                        n += 1
+                    if n > 0 and (best is None or n > best[0]
+                                  or (n == best[0] and ds < best[1])):
+                        best = (n, ds, si, start)
+        if best is None:
+            break
+        n, ds, si, start = best
+        y[ds:ds + n] = 1
+        seg = remaining.pop(si)
+        left, right = seg[:start], seg[start + n:]
+        if left:
+            remaining.append(left)
+        if right:
+            remaining.append(right)
+    return y
+
+
 class TestBuildLabels:
     def test_spec_example(self):
         out = sel.build_labels(list("abcd"), list("bce"))
@@ -73,6 +104,17 @@ class TestBuildLabels:
         for i, flag in enumerate(y):
             if flag:
                 assert doc[i] in summ
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.sampled_from(["ab", "abc"]).flatmap(lambda alphabet: st.tuples(
+        st.lists(st.sampled_from(alphabet), min_size=1, max_size=14),
+        st.lists(st.sampled_from(alphabet), min_size=1, max_size=10))))
+    def test_matches_rescan(self, pair):
+        """Over 2- and 3-symbol alphabets, where ties are common."""
+        doc, summ = pair
+        y = sel.build_labels(doc, summ)
+        assert y.dtype == np.int64
+        assert np.array_equal(y, rescan_labels(doc, summ))
 
 
 class TestSelectorHead:

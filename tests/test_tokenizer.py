@@ -1,12 +1,16 @@
 """Tokenizer, vocabulary, and corpus-encoding tests."""
 
+import sys
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagesum.tokenizer import (EOS, PAD, RESERVED, UNK, ConfigError, Vocabulary,
-                                basic_tokenize, detokenize, encode_pair,
+from stagesum import harness
+from stagesum.tokenizer import (EOS, PAD, RESERVED, UNK, ConfigError, CorpusError,
+                                Vocabulary, basic_tokenize, detokenize, encode_pair,
                                 read_corpus, wordpiece_tokenize, write_corpus)
 
 
@@ -83,6 +87,98 @@ class TestWordpiece:
         assert detokenize(["un", "##able", "to", "[EOS]"]) == "unable to"
 
 
+def per_character_words(text):
+    """The per-character whitespace and punctuation split that
+    `basic_tokenize` replaced: the oracle for it."""
+    words = []
+    cur = []
+    for ch in text.lower():
+        if ch.isspace():
+            if cur:
+                words.append("".join(cur))
+                cur = []
+        elif unicodedata.category(ch).startswith("P"):
+            if cur:
+                words.append("".join(cur))
+                cur = []
+            words.append(ch)
+        else:
+            cur.append(ch)
+    if cur:
+        words.append("".join(cur))
+    return words
+
+
+def per_character_pieces(text, vocab):
+    """Greedy longest-match-first pieces of `per_character_words`."""
+    out = []
+    for word in per_character_words(text):
+        pieces = []
+        start = 0
+        while start < len(word):
+            end = len(word)
+            while end > start:
+                cand = ("##" if start > 0 else "") + word[start:end]
+                if cand in vocab:
+                    break
+                end -= 1
+            if end == start:
+                pieces = ["[UNK]"]
+                break
+            pieces.append(cand)
+            start = end
+        out.extend(pieces)
+    return out
+
+
+# every character str.isspace accepts, and letters whose lowercase is
+# longer or depends on context
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+COMMON = "abAB,.-«$+€Σσςİ"
+chars = st.one_of(st.sampled_from(COMMON), st.sampled_from(WHITESPACE),
+                  st.characters(categories=("L", "P", "S")))
+texts = st.text(alphabet=chars, max_size=40)
+vocabs = st.lists(st.tuples(st.booleans(), st.text(alphabet="ab,.-«$+€σςi\u0307",
+                                                   min_size=1, max_size=3)),
+                  max_size=12).map(lambda drawn: make_vocab(list(dict.fromkeys(
+                      ["a"] + [("##" if cont else "") + piece for cont, piece in drawn]))))
+
+
+class TestChunkwiseTokenization:
+    """Tokenizing chunk by chunk, and each distinct chunk once per corpus,
+    gives the pieces of the per-character split."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(texts)
+    def test_basic_tokenize(self, text):
+        assert basic_tokenize(text) == per_character_words(text)
+
+    @settings(deadline=None, max_examples=300)
+    @given(texts, vocabs)
+    def test_wordpiece_tokenize(self, text, vocab):
+        assert wordpiece_tokenize(text, vocab) == per_character_pieces(text, vocab)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.tuples(texts, texts), max_size=6), vocabs)
+    def test_tokenize_corpus(self, pairs, vocab):
+        assert harness.tokenize_corpus(pairs, vocab) == [
+            (per_character_pieces(doc, vocab), per_character_pieces(summary, vocab))
+            for doc, summary in pairs]
+
+    def test_each_distinct_chunk_tokenized_once(self, monkeypatch):
+        calls = []
+
+        def counted(text, vocab):
+            calls.append(text)
+            return wordpiece_tokenize(text, vocab)
+
+        monkeypatch.setattr(harness, "wordpiece_tokenize", counted)
+        v = make_vocab(["a", "b", ","])
+        pieces = harness.tokenize_corpus([("A b, a", "b,"), ("a\tA", "")], v)
+        assert pieces == [(["a", "b", ",", "a"], ["b", ","]), (["a", "a"], [])]
+        assert calls == ["a", "b,"]
+
+
 def encode_text(doc, summary, vocab, source_limit, target_limit):
     return encode_pair(wordpiece_tokenize(doc, vocab), wordpiece_tokenize(summary, vocab),
                        vocab, source_limit, target_limit)
@@ -147,3 +243,34 @@ class TestCorpusIO:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"document": "a b", "summary": "c"}\n')
         assert read_corpus(path) == [("a b", "c")]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("\na\tb\n\n{\"document\": \"c\", \"summary\": \"\"}\n")
+        assert read_corpus(path) == [("a", "b"), ("c", "")]
+
+    @pytest.mark.parametrize("line, problem", [
+        ("no tab here", "no TAB between document and summary"),
+        ('{"document": "a b", "summary": "c"', "malformed JSON record"),
+        ('{"document": "a b"}', '"document" and "summary"'),
+        ('{"summary": "c"}', '"document" and "summary"'),
+        ('{"document": "a b", "summary": 3}', '"document" and "summary"'),
+    ], ids=["tsv-no-tab", "json-truncated", "json-no-summary", "json-no-document",
+            "json-not-a-string"])
+    def test_damaged_record_named_by_file_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"a\tb\n\n{line}\nc\td\n")
+        with pytest.raises(CorpusError, match=problem) as err:
+            read_corpus(path)
+        assert str(err.value).startswith(f"{path}: line 3: ")
+        assert (err.value.path, err.value.line) == (path, 3)
+        assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("summary", ["", " \t "])
+    def test_empty_summary_rejected_on_request(self, tmp_path, summary):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"a\tb\nc\t{summary}\n")
+        assert read_corpus(path) == [("a", "b"), ("c", summary)]
+        with pytest.raises(CorpusError, match="empty summary") as err:
+            read_corpus(path, require_summary=True)
+        assert err.value.line == 2
