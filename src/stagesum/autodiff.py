@@ -9,8 +9,12 @@ accumulating every rule's result into its parent.  A parameter of a
 gradient arena, so every gradient is added into it; any other tensor's
 first gradient is stored as a C-ordered copy and later ones are added to
 it, so no intermediate gradient starts as a buffer of zeros.  Once the
-replay has run a node's rules its gradient is freed (set to None): only
-leaves keep theirs, while the tape keeps every node and its saved arrays.
+replay has run a node's rules, its gradient and the rules are dropped: the
+rules' closures are the only holders of what the node saved for backward
+(a softmax, a pre-activation, a normalized input), so those arrays are
+freed during the replay.  Only leaves keep their gradients; every node
+keeps its parents and its value, so the tape and the activations live on
+until the graph itself is released, and a graph is replayed only once.
 
 The model's hot spots are fused into single nodes: `linear` (x @ W + b);
 `split_heads` (a projection split into attention heads); `merge_heads`
@@ -158,18 +162,24 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Reverse-replay the active tape from this tensor."""
+        """Reverse-replay the active tape from this tensor, once: the replay
+        drops each node's rules after running them, so a backward() that
+        reaches a node an earlier one replayed (parents but no rules) raises
+        RuntimeError."""
         if _active_tape is None:
             raise RuntimeError("backward() requires an active tape (use new_tape())")
-        self.grad = np.ones_like(self.data)
         reachable = set()
         stack = [self]
         while stack:
             t = stack.pop()
             if id(t) in reachable:
                 continue
+            if t._parents and not t._grad_fns:
+                raise RuntimeError("backward() through a spent graph: an earlier "
+                                   "backward() replayed it and freed its saved arrays")
             reachable.add(id(t))
             stack.extend(t._parents)
+        self.grad = np.ones_like(self.data)
         for node in reversed(_active_tape.nodes):
             if id(node) not in reachable or node.grad is None:
                 continue
@@ -177,8 +187,10 @@ class Tensor:
                 if parent.requires_grad or parent._parents:
                     parent._accumulate(_unbroadcast(grad_fn(node.grad), parent.data.shape))
             # spent: a recorded node is interior (leaves are never recorded),
-            # and its rules were the gradient's last readers
+            # and its rules were the last readers of the gradient and of
+            # everything the node saved for backward
             node.grad = None
+            node._grad_fns = ()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -283,8 +295,8 @@ def _make(data: np.ndarray, parents: tuple, rules) -> Tensor:
 def _joint_rules(parents: tuple, grads):
     """One rule per parent of a node whose parents' gradients come from one
     pass: grads(g) returns a gradient for every parent.  The replay's first
-    call runs the pass for the parents that need a gradient, each rule takes
-    its own, and the next replay starts a new pass."""
+    call runs the pass for the parents that need a gradient and each rule
+    takes its own; the replay runs the rules once and then drops them."""
     need = [p.requires_grad or bool(p._parents) for p in parents]
     pending = {}
 

@@ -230,8 +230,9 @@ def run_select_train(cfg: RunConfig) -> dict:
     best, report = training.train_stage(init, mcfg, train_data, dev_data, tcfg,
                                         stage="select")
     best.provenance = list(init.provenance) + ["select-stage"]
-    # calibrate the mask threshold on pooled dev positions
-    probs = np.concatenate(sel.selector_probs(best, mcfg, data["dev_enc"]))
+    # calibrate the mask threshold on the pooled dev probabilities of the
+    # best epoch, the store `best` holds
+    probs = report.best_dev_probs
     labels = np.concatenate(dev_labels)
     eps = sel.calibrate_threshold(probs, labels)
     out_dir = _ensure_dir(cfg.run_dir)

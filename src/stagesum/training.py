@@ -11,6 +11,7 @@ per-example loop drawing from the same generator would have drawn.
 from __future__ import annotations
 
 import dataclasses
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,11 +59,15 @@ class TrainReport:
     records: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_metric: float = -np.inf
+    # a select stage's pooled dev probabilities at the best epoch, the ones
+    # best_metric scored (out of `format`; run_select_train calibrates on them)
+    best_dev_probs: Optional[np.ndarray] = None
     # wall-clock seconds and training health, kept out of `format` so the
     # report stays reproducible: the dev score before training, and one
     # record per epoch (its target tokens are the loss's terms: non-pad
     # target tokens, masked positions or labelled source positions; its
-    # gradient norm is the pre-update global L2 norm, averaged over batches)
+    # gradient norm is the pre-update global L2 norm, averaged over batches;
+    # its peak_rss_mb is the process's ru_maxrss after the epoch, in MB)
     initial_dev_eval_s: float = 0.0
     timings: list[dict] = field(default_factory=list)
 
@@ -229,9 +234,11 @@ def dev_rouge_l(store, config, dev: list, vocab: Vocabulary) -> float:
 
 
 def _dev_metric(store, config, dev, tcfg: TrainConfig, stage: str,
-                vocab: Optional[Vocabulary]) -> float:
+                vocab: Optional[Vocabulary]) -> tuple[float, Optional[np.ndarray]]:
+    """The store's dev score, and for a select stage the pooled dev
+    probabilities it was scored on (None for the other stages)."""
     if stage == "summarize":
-        return dev_rouge_l(store, config, dev, vocab)
+        return dev_rouge_l(store, config, dev, vocab), None
     if stage == "denoise":
         mask_rng = np.random.default_rng([tcfg.seed, 0xDEF])
         total, count = 0.0, 0
@@ -241,16 +248,16 @@ def _dev_metric(store, config, dev, tcfg: TrainConfig, stage: str,
                                         mask_rng, 0.0)
                 total += float(loss.data)
                 count += n
-        return -total / max(count, 1)
+        return -total / max(count, 1), None
     # select: pooled F1 at the best midpoint threshold
     flat_p = np.concatenate(sel.selector_probs(store, config, [ex for ex, _ in dev]))
     flat_y = np.concatenate([y for _, y in dev])
     try:
         eps = sel.calibrate_threshold(flat_p, flat_y)
     except sel.CalibrationError:
-        return 0.0
+        return 0.0, flat_p
     _, _, f1 = metrics.coverage_prf(flat_p > eps, flat_y)
-    return f1
+    return f1, flat_p
 
 
 # Per stage kind: (store, config, items, rng, dropout rate) -> (loss summed
@@ -282,11 +289,10 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
     report = TrainReport()
     best_store = store.copy()
     clock = time.perf_counter()
-    best_eval = (_dev_metric(store, config, dev_data, tcfg, stage, vocab)
-                 if dev_data else -np.inf)
+    if dev_data:
+        report.best_metric, report.best_dev_probs = _dev_metric(
+            store, config, dev_data, tcfg, stage, vocab)
     report.initial_dev_eval_s = time.perf_counter() - clock
-    report.best_metric = best_eval
-    report.best_epoch = 0
 
     for epoch in range(1, tcfg.max_epochs + 1):
         clock = time.perf_counter()
@@ -311,10 +317,10 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
         rec = {"epoch": epoch, "train_loss": train_loss}
         train_s = time.perf_counter() - clock
         if dev_data:
-            metric = _dev_metric(store, config, dev_data, tcfg, stage, vocab)
+            metric, probs = _dev_metric(store, config, dev_data, tcfg, stage, vocab)
             rec["dev_metric"] = metric
             if metric > report.best_metric:
-                report.best_metric = metric
+                report.best_metric, report.best_dev_probs = metric, probs
                 report.best_epoch = epoch
                 best_store = store.copy()
         report.records.append(rec)
@@ -323,7 +329,9 @@ def train_stage(init: ParamStore, config, train_data: list, dev_data: list,
                                "train_examples_per_s": len(train_data) / train_s,
                                "target_tokens_per_s": epoch_count / train_s,
                                "mean_grad_norm": (sum(grad_norms) / len(grad_norms)
-                                                  if grad_norms else 0.0)})
+                                                  if grad_norms else 0.0),
+                               "peak_rss_mb": resource.getrusage(
+                                   resource.RUSAGE_SELF).ru_maxrss / 1024})
     if not dev_data:
         best_store = store.copy()
         report.best_epoch = tcfg.max_epochs

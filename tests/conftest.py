@@ -50,6 +50,28 @@ def assert_grad_matches(fn_build, x: np.ndarray, h: float = 1e-6,
         f"worst rel {(err / np.maximum(np.abs(fd), 1e-12)).max()}")
 
 
+def saved_arrays(nodes) -> list[np.ndarray]:
+    """What recorded `nodes` saved for backward: the arrays their gradient
+    rules close over, through nested closures, that are neither a node's or
+    a parent's value nor the array such a value is a view of."""
+    values = [t.data for node in nodes for t in (node,) + node._parents]
+    kept = {id(a) for a in values} | {id(a.base) for a in values if a.base is not None}
+    found, seen, stack = [], set(), [fn for node in nodes for fn in node._grad_fns]
+    while stack:
+        fn = stack.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for cell in getattr(fn, "__closure__", None) or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                if id(value) not in kept:
+                    found.append(value)
+            elif callable(value):
+                stack.append(value)
+    return found
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

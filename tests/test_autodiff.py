@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from stagesum import training
 from stagesum.autodiff import Tensor
 from stagesum.checkpoint import ParamStore, init_random
 
-from conftest import assert_grad_matches, grad_of
+from conftest import assert_grad_matches, grad_of, saved_arrays
 from test_model import example_for
 
 
@@ -281,8 +282,10 @@ class TestTapeMechanics:
         assert len(tape.nodes) == 2
 
     def test_interior_gradients_are_freed(self):
-        """After backward() every recorded node is still on the tape, and
-        each one's gradient is gone; the parameters keep theirs."""
+        """After backward() every recorded node is still on the tape with
+        its parents, and each one's gradient and rules are gone, and with
+        the rules every array it saved for backward; the parameters keep
+        their gradients."""
         config = M.ModelConfig(num_layers=2, hidden_size=8, num_heads=2, ffn_size=8,
                                vocab_size=12, encoder_positions=6, decoder_positions=4)
         store = init_random(config, 0)
@@ -292,13 +295,54 @@ class TestTapeMechanics:
             loss, _ = training._summarize_loss(store, config, items,
                                                np.random.default_rng(0), 0.3)
             recorded = list(tape.nodes)
+            saved = [weakref.ref(a) for a in saved_arrays(recorded)]
             loss.backward()
         assert len(recorded) > 50 and loss is recorded[-1]
         assert len(tape.nodes) == len(recorded)
         assert all(a is b for a, b in zip(tape.nodes, recorded))
         assert all(node.grad is None for node in tape.nodes)
+        assert all(node._parents and node._grad_fns == () for node in tape.nodes)
+        assert saved and all(ref() is None for ref in saved)
         assert np.abs(store.grad).max() > 0
         assert all(store[name].grad.shape == store[name].shape for name in store)
+
+    def test_replay_frees_the_attention_softmax(self, rng):
+        q, k, v = (Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
+                   for _ in range(3))
+        with ad.new_tape():
+            out = ad.attention(q, k, v, 0.5)
+            loss = (out * out).sum()
+            (softmax,) = saved_arrays([out])
+            assert softmax.shape == (2, 2, 3, 3)
+            ref = weakref.ref(softmax)
+            del softmax
+            loss.backward()
+        # the graph and its values are still referenced; the softmax is not
+        assert loss._parents[0]._parents == (out, out)
+        assert ref() is None
+
+    def test_a_graph_is_replayed_once(self, rng):
+        """The replay drops the rules of every node it ran and keeps those
+        of nodes it did not reach; a second backward() through a replayed
+        node raises and adds no gradient."""
+        x = Tensor(rng.normal(size=3), requires_grad=True)
+        with ad.new_tape():
+            h = x * 2.0
+            s = ad.sigmoid(h)
+            loss = s.sum()
+            unreached = x * 3.0
+            loss.backward()
+            first = x.grad.copy()
+            assert all(n._parents and n._grad_fns == () for n in (h, s, loss))
+            assert len(unreached._grad_fns) == len(unreached._parents) == 2
+            with pytest.raises(RuntimeError, match="spent graph"):
+                loss.backward()
+            with pytest.raises(RuntimeError, match="spent graph"):
+                (s * 2.0).sum().backward()
+            assert np.array_equal(x.grad, first)
+            # the branch the first replay did not reach replays as usual
+            unreached.sum().backward()
+        assert np.array_equal(x.grad, first + 3.0)
 
     def test_grad_populated_for_all_reachable(self, rng):
         a = Tensor(rng.normal(size=3), requires_grad=True)

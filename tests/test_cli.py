@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from stagesum import cli, harness, training
+from stagesum import cli, harness, metrics, training
 from stagesum import selection as sel
 from stagesum.checkpoint import ParamStore, check_compatible, init_random
 from stagesum.config import RunConfig
 from stagesum.model import ModelConfig
 from stagesum.tokenizer import Vocabulary, read_corpus, wordpiece_tokenize, write_corpus
+
+from test_search import count_calls
 
 MODEL = {"num_layers": 1, "hidden_size": 8, "num_heads": 2, "ffn_size": 16,
          "vocab_size": 96, "encoder_positions": 24, "decoder_positions": 8}
@@ -195,6 +197,36 @@ class TestPipeline:
         assert sorted(calls[:len(chunks[0])]) == chunks[0]
         assert sorted(calls[len(chunks[0]):]) == chunks[1]
 
+    def test_select_train_calibrates_on_the_best_epochs_dev_probabilities(
+            self, run_env, monkeypatch):
+        """The threshold is calibrated on the pooled dev probabilities the
+        best epoch was scored on: one selector pass over dev before training
+        and one per epoch, none after.  The written threshold and report are
+        those of a fresh pass of the saved selector."""
+        generate_corpora(run_env)
+        cfg = write_config(run_env, "sel", out_dir="selrun", seed=0, model=MODEL,
+                           vocab="data/vocab.txt",
+                           corpus={"train": "data/short.train.tsv",
+                                   "dev": "data/short.dev.tsv"},
+                           train={"lr": 3e-3, "dropout": 0.0, "batch_size": 8,
+                                  "max_epochs": 3})
+        calls = count_calls(monkeypatch, sel, "selector_probs")
+        assert cli.main(["select-train", cfg]) == 0
+        assert calls[0] == 3 + 1
+        data = harness._load_data(RunConfig.from_file(cfg), "select-train")
+        labels = np.concatenate(harness._labels_for(data["dev_pieces"], data["dev_enc"]))
+        selector = ParamStore.load(run_env / "selrun" / "selector.ckpt")
+        probs = np.concatenate(sel.selector_probs(selector, ModelConfig(**MODEL),
+                                                  data["dev_enc"]))
+        eps = sel.calibrate_threshold(probs, labels)
+        out = run_env / "selrun"
+        # a trained epoch is the best, so the kept probabilities were replaced
+        assert not (out / "train_report.txt").read_text().splitlines()[-1].startswith(
+            "best_epoch=0 ")
+        assert (out / "threshold.txt").read_text() == f"{eps!r}\n"
+        assert (out / "selector_report.txt").read_text() == metrics.format_report(
+            harness._selector_report(probs, labels, eps))
+
 
 class TestDataReport:
     """Each stage that encodes a corpus writes data_report.txt: per split it
@@ -248,11 +280,11 @@ class TestTimings:
             assert [t["epoch"] for t in timings["epochs"]] == [1, 2]
             for record in timings["epochs"]:
                 assert sorted(record) == ["dev_eval_s", "epoch", "mean_grad_norm",
-                                          "target_tokens_per_s", "train_examples_per_s",
-                                          "train_s"]
+                                          "peak_rss_mb", "target_tokens_per_s",
+                                          "train_examples_per_s", "train_s"]
                 assert min(record["train_s"], record["dev_eval_s"],
                            record["train_examples_per_s"], record["target_tokens_per_s"],
-                           record["mean_grad_norm"]) > 0
+                           record["mean_grad_norm"], record["peak_rss_mb"]) > 0
                 assert math.isfinite(record["mean_grad_norm"])
             if command != "pretrain":
                 # every epoch of a (non-masking) stage scores the same targets,

@@ -1,5 +1,7 @@
 """Training-loop tests: losses, masking recipe, dev selection, determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from stagesum.tokenizer import EOS, MASK, PAD, RESERVED, Vocabulary
 from stagesum.training import (CLAMP_FLOOR, TrainConfig, _mask_tokens, _stack,
                                mle_loss, denoise_pretrain, train_stage)
 
+from conftest import saved_arrays
 from test_model import example_for, row_cases, small_config
 from test_search import count_calls, peaked_store
 
@@ -137,6 +140,27 @@ class TestTrainStage:
         trajectory = [rec["dev_metric"] for rec in report.records
                       if "dev_metric" in rec]
         assert report.best_metric >= max(trajectory)
+
+    def test_saved_arrays_freed_before_the_next_forward(self, monkeypatch):
+        """The replay frees what a minibatch's graph saved for backward, so
+        none of it is alive when the next minibatch's forward starts, though
+        train_stage still holds that graph's loss."""
+        config = small_config()
+        loss_fn = training._LOSS_FNS["summarize"]
+        refs, alive = [], []
+
+        def watched(*args):
+            if refs and not alive:
+                alive.append(sum(ref() is not None for ref in refs))
+            out = loss_fn(*args)
+            if not refs:
+                refs.extend(weakref.ref(a) for a in saved_arrays(ad._active_tape.nodes))
+            return out
+
+        monkeypatch.setitem(training._LOSS_FNS, "summarize", watched)
+        train_stage(init_random(config, 0), config, tiny_data(config, 4), [],
+                    TrainConfig(lr=1e-3, dropout=0.1, batch_size=2, max_epochs=1))
+        assert refs and alive == [0]
 
     def test_empty_corpus_rejected(self):
         config = small_config()
