@@ -9,12 +9,19 @@ accumulating every rule's result into its parent.  A parameter of a
 gradient arena, so every gradient is added into it; any other tensor's
 first gradient is stored as a C-ordered copy and later ones are added to
 it, so no intermediate gradient starts as a buffer of zeros.  Once the
-replay has run a node's rules, its gradient and the rules are dropped: the
-rules' closures are the only holders of what the node saved for backward
-(a softmax, a pre-activation, a normalized input), so those arrays are
-freed during the replay.  Only leaves keep their gradients; every node
-keeps its parents and its value, so the tape and the activations live on
-until the graph itself is released, and a graph is replayed only once.
+replay has run a node's rules, its gradient and the rules are dropped, and
+with the rules' closures every reference to what the node saved for
+backward (a softmax, a pre-activation, a normalized input); a graph is
+replayed only once.  Only leaves keep their gradients; every node keeps
+its parents and its value.
+
+While a tape records, the fused ops write their values and what they
+save for backward into the tape's `Arena`, a bump allocator (under
+`no_grad` they take np.empty arrays).  A tape's activations thus sit in
+one buffer until the arena is reset: `training.train_stage` releases each
+minibatch's graph and resets one arena before the next forward, so
+training holds one graph's activations at a time, in pages it keeps
+mapped from one minibatch to the next.
 
 The model's hot spots are fused into single nodes: `linear` (x @ W + b);
 `split_heads` (a projection split into attention heads); `merge_heads`
@@ -90,11 +97,84 @@ class NumericError(ValueError):
     pass
 
 
+# float64 elements per 64 bytes, the cache line every arena array starts on
+_LINE = 8
+
+
+def _aligned(size: int) -> tuple[np.ndarray, int]:
+    """A new float64 array with room for `size` elements from a 64-byte
+    boundary on, and the index of that boundary."""
+    owner = np.empty(size + _LINE - 1)
+    return owner, (-owner.ctypes.data % (8 * _LINE)) // 8
+
+
+class Arena:
+    """Bump allocator of one graph's float64 arrays at a time.
+
+    `empty(shape)` hands out a C-ordered slice of one flat buffer, starting
+    on a 64-byte boundary.  An array the buffer has no room left for goes
+    to the last overflow chunk, or to a new one that holds everything
+    handed out since the last reset, so chunks double and a graph takes few
+    of them.  `reset()` makes the whole buffer free for the next graph; if
+    chunks were taken, it first replaces the buffer and the chunks with one
+    buffer as large as everything handed out since the last reset.  A run
+    of graphs of varying size thus settles into the largest graph's memory,
+    with no chunk size to tune, and its pages stay mapped from one graph to
+    the next.  A buffer that an array handed out still views at reset() (a
+    graph that an exception's traceback holds) is left to that array.
+
+    Doubling chunks matter beyond their count: glibc's malloc raises its
+    mmap and trim thresholds only when it frees a block above them, and a
+    graph's largest chunk, freed at the first merge, lifts them above the
+    backward pass's temporaries.  With one chunk per array, a shortform
+    minibatch's backward took ~1,100 minor faults, its freed temporaries
+    trimmed from the heap and faulted back in."""
+
+    def __init__(self):
+        self._capacity = 0      # elements the buffer holds
+        self._used = 0          # elements handed out since the reset, padding included
+        owner, self._first = _aligned(0)
+        self._owners = [owner]  # the arrays the buffer and then the chunks are
+        # the free elements [next, end) of the buffer and of the last chunk
+        self._free = [[self._first, self._first], [0, 0]]
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        """A C-ordered float64 array of `shape`, contents undefined."""
+        n = math.prod(shape)
+        size = -(-n // _LINE) * _LINE
+        self._used += size
+        for owner, free in zip((self._owners[0], self._owners[-1]), self._free):
+            if free[0] + size <= free[1]:
+                break
+        else:   # free is the last chunk's: a new chunk takes its place
+            owner, start = _aligned(self._used)
+            self._owners.append(owner)
+            free[:] = start, start + self._used
+        start = free[0]
+        free[0] += size
+        return owner[start:start + n].reshape(shape)
+
+    def reset(self) -> None:
+        """Free every array handed out for the next graph, merging the
+        buffer and the chunks into one high-water-sized buffer; a new one
+        if an array handed out is still referenced."""
+        # an owner's references here: the list, the generator and the call;
+        # each array handed out holds one more (its .base)
+        if len(self._owners) > 1 or any(sys.getrefcount(b) > 3 for b in self._owners):
+            self._capacity = max(self._capacity, self._used)
+            owner, self._first = _aligned(self._capacity)
+            self._owners = [owner]
+        self._free = [[self._first, self._first + self._capacity], [0, 0]]
+        self._used = 0
+
+
 class Tape:
-    """Ordered record of recorded operations (tensors in creation order)."""
+    """Ordered record of recorded operations (tensors in creation order),
+    and the arena the ops write their results into while it is active."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.arena = Arena()
 
 
 _active_tape: Optional[Tape] = None
@@ -119,6 +199,12 @@ def no_grad():
 def new_tape():
     """Install a fresh tape for a forward/backward pass."""
     return _install(Tape())
+
+
+def _empty(shape: tuple) -> np.ndarray:
+    """A new float64 array for an op's forward result: from the active
+    tape's arena while recording, else from np.empty."""
+    return np.empty(shape) if _active_tape is None else _active_tape.arena.empty(shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -165,7 +251,8 @@ class Tensor:
         """Reverse-replay the active tape from this tensor, once: the replay
         drops each node's rules after running them, so a backward() that
         reaches a node an earlier one replayed (parents but no rules) raises
-        RuntimeError."""
+        RuntimeError.  Values and saved arrays in the tape's arena stay
+        there until the caller releases the graph and resets the arena."""
         if _active_tape is None:
             raise RuntimeError("backward() requires an active tape (use new_tape())")
         reachable = set()
@@ -365,7 +452,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`linear`'s forward: x @ w + b, the bias added in place."""
     _check_inner(x, w)
-    y = np.matmul(x, w)
+    if w.ndim <= 2:
+        shape = x.shape[:-1] + w.shape[1:]
+    elif x.ndim == 1:
+        shape = w.shape[:-2] + w.shape[-1:]
+    else:
+        shape = np.broadcast_shapes(x.shape[:-2], w.shape[:-2]) + (x.shape[-2], w.shape[-1])
+    y = np.matmul(x, w, out=_empty(shape))
     y += b
     return y
 
@@ -425,7 +518,10 @@ def ffn(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor, b_out: Tensor) -> 
     GELU's normal CDF, and rebuilds the activation from them in backward;
     every value and gradient is the unfused chain's expression."""
     h = _affine(x.data, w_in.data, b_in.data)
-    cdf = 0.5 * (1.0 + erf(h * _INV_SQRT2))
+    cdf = np.multiply(h, _INV_SQRT2, out=_empty(h.shape))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def grads(g):
         g_act, g_w_out, g_b_out = _affine_grads(h * cdf, w_out.data, g)
@@ -524,9 +620,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask_add=None) -> T
             and qd.shape[-1] == kd.shape[-1] and kd.shape[-2] == vd.shape[-2]):
         raise ShapeError(f"attention over q {qd.shape}, k {kd.shape}, v {vd.shape}")
     kt = kd.swapaxes(-1, -2)
-    y = np.empty(qd.shape[:-1] + kd.shape[-2:-1])
+    y = _empty(qd.shape[:-1] + kd.shape[-2:-1])
     mask = None if mask_add is None else np.broadcast_to(mask_add, y.shape)
-    out = np.empty(qd.shape[:-1] + vd.shape[-1:])
+    out = _empty(qd.shape[:-1] + vd.shape[-1:])
     for b in _row_blocks(y.shape):
         s = np.matmul(qd[b], kt[b], out=y[b])
         s *= scale
@@ -563,7 +659,8 @@ def residual_norm(x: Tensor, out: Tensor, scale: Optional[np.ndarray], gain: Ten
     s = x.data + (out.data if scale is None else out.data * scale)
     # x.mean and x.var's own arithmetic, with x - mu formed once
     n = s.shape[-1]
-    xhat = s - np.add.reduce(s, axis=-1, keepdims=True) / n
+    xhat = np.subtract(s, np.add.reduce(s, axis=-1, keepdims=True) / n,
+                       out=_empty(s.shape))
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-12)
     xhat *= inv
@@ -577,7 +674,9 @@ def residual_norm(x: Tensor, out: Tensor, scale: Optional[np.ndarray], gain: Ten
                 (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0),
                 g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    return _make(gain.data * xhat + bias.data, (x, out, gain, bias),
+    y = np.multiply(gain.data, xhat, out=_empty(xhat.shape))
+    y += bias.data
+    return _make(y, (x, out, gain, bias),
                  lambda: _joint_rules((x, out, gain, bias), grads))
 
 

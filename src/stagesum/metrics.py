@@ -6,6 +6,7 @@ ROUGE is computed on whitespace word tokens after detokenization
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,14 +163,15 @@ def pearson_r(xs, ys) -> float:
     return float((xd * yd).sum() / denom)
 
 
+# every character that is neither alphanumeric (str.isalnum) nor whitespace
+# (str.isspace): \w is isalnum() or "_", and \s is isspace()
+_DROP = re.compile(r"[^\w\s]|_")
+
+
 def normalize_for_rouge(text: str) -> list[str]:
-    """Lowercased whitespace tokens with punctuation-only tokens dropped."""
-    toks = []
-    for t in text.lower().split():
-        t = "".join(ch for ch in t if ch.isalnum())
-        if t:
-            toks.append(t)
-    return toks
+    """The lowercased text's whitespace tokens, each kept to its alphanumeric
+    characters; tokens left empty (punctuation only) are dropped."""
+    return _DROP.sub("", text.lower()).split()
 
 
 def format_report(values: dict[str, float]) -> str:

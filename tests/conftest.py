@@ -50,12 +50,20 @@ def assert_grad_matches(fn_build, x: np.ndarray, h: float = 1e-6,
         f"worst rel {(err / np.maximum(np.abs(fd), 1e-12)).max()}")
 
 
+def _extent(a: np.ndarray) -> tuple:
+    """(first byte, one past the last byte) of a's memory."""
+    bounds = getattr(np.lib, "array_utils", np).byte_bounds
+    return bounds(a)
+
+
 def saved_arrays(nodes) -> list[np.ndarray]:
     """What recorded `nodes` saved for backward: the arrays their gradient
-    rules close over, through nested closures, that are neither a node's or
-    a parent's value nor the array such a value is a view of."""
-    values = [t.data for node in nodes for t in (node,) + node._parents]
-    kept = {id(a) for a in values} | {id(a.base) for a in values if a.base is not None}
+    rules close over, through nested closures, whose memory is not exactly
+    a node's or a parent's value's memory.  Extents, not `.base`: a value
+    written into a tape's arena is a view of the arena's whole buffer, as
+    is every array saved beside it, while the array a value views (a
+    projection split into heads) covers the value's extent."""
+    values = {_extent(t.data) for node in nodes for t in (node,) + node._parents}
     found, seen, stack = [], set(), [fn for node in nodes for fn in node._grad_fns]
     while stack:
         fn = stack.pop()
@@ -65,7 +73,7 @@ def saved_arrays(nodes) -> list[np.ndarray]:
         for cell in getattr(fn, "__closure__", None) or ():
             value = cell.cell_contents
             if isinstance(value, np.ndarray):
-                if id(value) not in kept:
+                if _extent(value) not in values:
                     found.append(value)
             elif callable(value):
                 stack.append(value)

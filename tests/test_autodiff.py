@@ -372,6 +372,91 @@ class TestTapeMechanics:
         assert np.array_equal(a, b)
 
 
+class TestArena:
+    """A tape writes its ops' results into its arena; one arena, reset
+    between graphs, recycles one graph's memory for the next."""
+
+    def test_aligned_c_ordered_arrays_recycled_after_reset(self):
+        arena = ad.Arena()
+        shapes = [(3, 5), (), (0, 4), (2, 1, 7), (9,), (2, 3, 4, 5)]
+        extents, owners = [], []
+        # a fresh arena, then after each reset: the same graph, a larger one
+        # (past the merged buffer), that one again, and the first again
+        for extra in ([], [], [(40, 3)], [(40, 3)], []):
+            arena.reset()
+            arrays = [arena.empty(shape) for shape in shapes + extra]
+            for i, (a, shape) in enumerate(zip(arrays, shapes + extra)):
+                assert a.shape == shape and a.dtype == np.float64
+                assert a.flags.c_contiguous and a.flags.writeable
+                assert a.size == 0 or a.ctypes.data % 64 == 0
+                a[...] = i
+            # no two overlap
+            assert all((a == i).all() for i, a in enumerate(arrays))
+            extents.append([(a.ctypes.data, a.nbytes) for a in arrays])
+            owners.append(len({id(a.base) for a in arrays}))
+            del arrays, a
+        # the fresh arena takes chunks; each reset after chunks merges them
+        # into one buffer that holds the next graph
+        assert owners[0] > 1 and owners[1:] == [1, 2, 1, 1]
+        assert extents[2][:len(shapes)] == extents[1]
+        assert extents[4] == extents[3][:len(shapes)]
+
+    def test_overflow_chunks_double(self):
+        """A fresh arena's graph of 100 arrays takes chunks that each hold
+        everything handed out so far: 7 of them, not 100."""
+        arena = ad.Arena()
+        arrays = [arena.empty((2, 4)) for _ in range(100)]
+        assert len({id(a.base) for a in arrays}) == 7
+
+    def test_reset_leaves_a_live_array_its_memory(self):
+        """An array still referenced at reset() (a graph an exception's
+        traceback holds) keeps its memory; the next graph gets other memory."""
+        arena = ad.Arena()
+        for _ in range(3):      # a chunk, then merged buffers
+            a = arena.empty((4, 4))
+            a[...] = 7.0
+            view = a.T[1:]
+            del a
+            arena.reset()
+            b = arena.empty((4, 4))
+            b[...] = 0.0
+            assert not np.shares_memory(b, view) and (view == 7.0).all()
+            del view, b
+            arena.reset()
+
+    def test_recycled_minibatches_match_fresh_tapes(self):
+        """Minibatches whose rows and lengths change (the arena grows and
+        merges, then holds smaller graphs) give a shared, reset arena the
+        loss and every gradient of a fresh tape, bit for bit."""
+        config = M.ModelConfig(num_layers=2, hidden_size=8, num_heads=2, ffn_size=8,
+                               vocab_size=12, encoder_positions=8, decoder_positions=5)
+        store = init_random(config, 0)
+        r = np.random.default_rng(4)
+        arena = ad.Arena()
+        for k, (rows, s, t) in enumerate([(2, 3, 2), (4, 8, 5), (1, 2, 1), (4, 8, 5),
+                                          (3, 6, 4), (4, 8, 5)]):
+            # the first row at the batch's full lengths, the others shorter
+            lengths = [(s, t)] + [(r.integers(1, s + 1), r.integers(1, t + 1))
+                                  for _ in range(rows - 1)]
+            batch = [example_for(config, list(r.integers(5, 12, a)), list(r.integers(5, 12, b)))
+                     for a, b in lengths]
+            results = []
+            for shared in (True, False):
+                store.zero_grads()
+                if shared:
+                    arena.reset()
+                with ad.new_tape() as tape:
+                    if shared:
+                        tape.arena = arena
+                    loss, _ = training._summarize_loss(store, config, batch,
+                                                       np.random.default_rng(k), 0.3)
+                    loss.backward()
+                results.append((float(loss.data), store.grad.copy()))
+                del tape, loss
+            assert results[0][0] == results[1][0]
+            assert np.array_equal(results[0][1], results[1][1])
+
+
 def watched(t):
     """(t + a zero leaf, the leaf): the replay frees an interior tensor's
     gradient once it is used, and the leaf keeps a copy of the gradient that

@@ -280,11 +280,14 @@ class TestTimings:
             assert [t["epoch"] for t in timings["epochs"]] == [1, 2]
             for record in timings["epochs"]:
                 assert sorted(record) == ["dev_eval_s", "epoch", "mean_grad_norm",
-                                          "peak_rss_mb", "target_tokens_per_s",
-                                          "train_examples_per_s", "train_s"]
+                                          "minor_faults", "process_peak_rss_mb", "rss_mb",
+                                          "target_tokens_per_s", "train_examples_per_s",
+                                          "train_s"]
                 assert min(record["train_s"], record["dev_eval_s"],
                            record["train_examples_per_s"], record["target_tokens_per_s"],
-                           record["mean_grad_norm"], record["peak_rss_mb"]) > 0
+                           record["mean_grad_norm"], record["rss_mb"]) > 0
+                assert isinstance(record["minor_faults"], int) and record["minor_faults"] >= 0
+                assert record["process_peak_rss_mb"] > 0
                 assert math.isfinite(record["mean_grad_norm"])
             if command != "pretrain":
                 # every epoch of a (non-masking) stage scores the same targets,

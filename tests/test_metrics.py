@@ -1,5 +1,6 @@
 """Metric tests: ROUGE, abstraction rate, AUC, coverage, Pearson r."""
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -312,6 +313,23 @@ class TestPearson:
             pearson_r([1, 2], [1, 2, 3])
 
 
+def per_character_normalize(text):
+    """The per-character filter `normalize_for_rouge` replaced: the oracle
+    for it."""
+    toks = []
+    for t in text.lower().split():
+        t = "".join(ch for ch in t if ch.isalnum())
+        if t:
+            toks.append(t)
+    return toks
+
+
+# every character str.isspace accepts; title-case and dotted capitals,
+# digits, other numerics, the underscore, and punctuation and symbols
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+NORMALIZE_COMMON = "aZǅİ09½²_,.-«$+€"
+
+
 class TestNormalize:
     def test_lowercase_and_punct(self):
         assert normalize_for_rouge("The farmer, visits!") == \
@@ -323,6 +341,15 @@ class TestNormalize:
     def test_empty(self):
         assert normalize_for_rouge("") == []
         assert normalize_for_rouge(" . , ! ") == []
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.text(alphabet=st.one_of(st.sampled_from(NORMALIZE_COMMON),
+                                      st.sampled_from(WHITESPACE),
+                                      st.characters(categories=("L", "M", "N", "P", "S"))),
+                   max_size=40))
+    def test_matches_per_character_filter(self, text):
+        assert normalize_for_rouge(text) == per_character_normalize(text)
+
 
 
 class TestFormatReport:

@@ -142,25 +142,69 @@ class TestTrainStage:
         assert report.best_metric >= max(trajectory)
 
     def test_saved_arrays_freed_before_the_next_forward(self, monkeypatch):
-        """The replay frees what a minibatch's graph saved for backward, so
-        none of it is alive when the next minibatch's forward starts, though
-        train_stage still holds that graph's loss."""
+        """The replay drops every reference to what a minibatch's graph
+        saved for backward while train_stage still holds the graph's loss,
+        so none of it is alive when backward() returns, nor when the next
+        minibatch's forward starts."""
         config = small_config()
         loss_fn = training._LOSS_FNS["summarize"]
+        real_backward = ad.Tensor.backward
         refs, alive = [], []
 
+        def backward(loss):
+            real_backward(loss)
+            if not alive:
+                alive.append(sum(ref() is not None for ref in refs))
+
         def watched(*args):
-            if refs and not alive:
+            if refs and len(alive) == 1:
                 alive.append(sum(ref() is not None for ref in refs))
             out = loss_fn(*args)
             if not refs:
                 refs.extend(weakref.ref(a) for a in saved_arrays(ad._active_tape.nodes))
             return out
 
+        monkeypatch.setattr(ad.Tensor, "backward", backward)
         monkeypatch.setitem(training._LOSS_FNS, "summarize", watched)
         train_stage(init_random(config, 0), config, tiny_data(config, 4), [],
                     TrainConfig(lr=1e-3, dropout=0.1, batch_size=2, max_epochs=1))
-        assert refs and alive == [0]
+        assert refs and alive == [0, 0]
+
+    def test_each_minibatch_recycles_the_previous_graphs_arena(self, monkeypatch):
+        """train_stage resets one arena before every minibatch's forward.
+        When it does, no value of the previous minibatch's graph is alive,
+        the graph whose loss counted nothing (the `continue` path) included;
+        and a minibatch's values written into the arena occupy the memory
+        the previous minibatch's did."""
+        config = small_config()
+        r = np.random.default_rng(2)
+        data = [example_for(config, list(r.integers(5, 12, 4)), list(r.integers(5, 12, 3)))
+                for _ in range(8)]
+        loss_fn = training._LOSS_FNS["summarize"]
+        real_reset = ad.Arena.reset
+        graph, dead, extents = [], [], []
+
+        def reset(arena):
+            dead.append(all(ref() is None for ref in graph))
+            graph.clear()
+            real_reset(arena)
+
+        def watched(*args):
+            loss, count = loss_fn(*args)
+            nodes = ad._active_tape.nodes
+            owners = {id(b) for b in ad._active_tape.arena._owners}
+            graph.extend(weakref.ref(t.data) for t in nodes)
+            extents.append([(t.data.ctypes.data, t.data.nbytes) for t in nodes
+                            if id(t.data.base) in owners])
+            # the second minibatch takes the `continue` path
+            return loss, 0 if len(extents) == 2 else count
+
+        monkeypatch.setattr(ad.Arena, "reset", reset)
+        monkeypatch.setitem(training._LOSS_FNS, "summarize", watched)
+        train_stage(init_random(config, 0), config, data, [],
+                    TrainConfig(lr=1e-3, dropout=0.1, batch_size=2, max_epochs=1))
+        assert len(extents) == 4 and dead == [True] * 4
+        assert len(extents[1]) > 20 and extents[1] == extents[2] == extents[3]
 
     def test_empty_corpus_rejected(self):
         config = small_config()
